@@ -172,7 +172,7 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
     decades = math.log10(cfg.grid_tmax / cfg.grid_tmin)
     npts = max(5, int(round(decades * cfg.grid_points_per_decade)) + 1)
     grid = np.geomspace(cfg.grid_tmin, cfg.grid_tmax, npts)
-    curve = None
+    fit = None
     try:
         curve = counting.count_by_curvature(orbit, grid)
         _write_csv(
@@ -331,9 +331,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
             summary.append(f"box-counting dimension estimate {dim:.4f}")
             # uncontrolled prefactor estimate: c_hat over a box-count proxy for
             # the fractal measure of the residual set
-            if curve is not None:
+            if fit is not None:
                 try:
-                    fit = counting.fit_exponent(curve, cfg.fit_window)
                     h_est = float(
                         np.median([b * e ** fit.alpha_hat for e, b in zip(eps, counts)])
                     )
@@ -341,8 +340,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
                         f"packing-constant estimate (uncontrolled) c_hat/H_est "
                         f"{fit.c_hat / h_est:.5f}"
                     )
-                except Exception:
-                    pass
+                except Exception as exc:
+                    failures.append(f"packing-constant: {exc}")
         else:
             summary.append("box-counting skipped: no geometric embedding for this root")
     except Exception as exc:

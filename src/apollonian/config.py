@@ -6,6 +6,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
+from .congruence import MAX_ORBIT_MODULUS
 from .quadruples import descartes_form, is_root, reduce_to_root
 from .sieve import Selector, parse_selector
 
@@ -115,10 +116,19 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError("congruence moduli must be >= 2")
     element_cap = int(cong.get("element_cap", 500_000))
     dense_cap = int(cong.get("dense_cap", 2000))
+    if element_cap < 1 or dense_cap < 1:
+        raise ConfigError(
+            f"element_cap and dense_cap must be >= 1; got {element_cap}, {dense_cap}"
+        )
 
     sieve_sec = cp["sieve"] if "sieve" in cp else {}
     selectors = [parse_selector(tok) for tok in sieve_sec.get("selectors", "coord:4").split()]
     level_D = int(sieve_sec.get("level_d", sieve_sec.get("level_D", 50)))
+    # the sieve slices square-free q < level_D, each through orbit_mod
+    if not 2 <= level_D <= MAX_ORBIT_MODULUS + 1:
+        raise ConfigError(
+            f"level_D must lie in [2, {MAX_ORBIT_MODULUS + 1}]; got {level_D}"
+        )
 
     box = cp["boxcount"] if "boxcount" in cp else {}
     exps = _parse_ints(box.get("eps_exponents", "4 5 6 7 8 9"))

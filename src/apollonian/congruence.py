@@ -12,6 +12,8 @@ operator exactly 4-regular.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,6 +27,10 @@ from .quadruples import SWAP_MATRICES
 DENSE_CAP_DEFAULT = 5000
 ELEMENT_CAP_DEFAULT = 10**7
 _FAST_Q = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
+MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
+# orbit_mod keeps its results, one byte per coordinate, up to this many bytes
+# in all; the least recently used orbit goes first
+_ORBIT_MEMO_BYTES = 32 << 20
 
 
 class SizeCapError(RuntimeError):
@@ -36,12 +42,63 @@ class EigenConvergenceError(RuntimeError):
 
 
 def _pack_mats(mats: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) matrices with entries < 16 -> (n,) uint64 keys."""
-    flat = mats.reshape(len(mats), 16).astype(np.uint64)
-    key = np.zeros(len(mats), dtype=np.uint64)
-    for k in range(16):
-        key = (key << np.uint64(4)) | flat[:, k]
-    return key
+    """(n, 4, 4) matrices with entries < 16 -> (n,) uint64 keys, the first
+    entry in the top nibble, so key order is lexicographic order."""
+    b = np.ascontiguousarray(mats, dtype=np.uint8).reshape(len(mats), 8, 2)
+    return ((b[:, :, 0] << 4) | b[:, :, 1]).view(">u8")[:, 0].astype(np.uint64)
+
+
+def _pack_vecs(vecs: np.ndarray) -> np.ndarray:
+    """(n, 1, 4) vectors with entries < 256 -> (n,) uint32 keys, the first
+    coordinate in the top byte, so key order is lexicographic order."""
+    b = np.ascontiguousarray(vecs, dtype=np.uint8).reshape(len(vecs), 4)
+    return b.view(">u4")[:, 0].astype(np.uint32)
+
+
+def _swaps(x: np.ndarray, q: int) -> np.ndarray:
+    """(4, n, ...) stack of x @ S_i mod q, i = 0..3, for every row vector of
+    the uint8 array x (last axis).  S_i rewrites coordinate i alone, as
+    2 * (sum of all four) - 3 * x_i, so no matrix product is needed."""
+    wide = x.astype(np.int16)
+    twice_sum = 2 * wide.sum(axis=-1)
+    out = np.repeat(x[None], 4, axis=0)
+    for i in range(4):
+        out[i, ..., i] = (twice_sum - 3 * wide[..., i]) % q
+    return out
+
+
+def _swap_closure(start: np.ndarray, q: int, pack, cap: int | None = None):
+    """Closure of ``start`` under the four swaps mod q, by breadth-first
+    search.
+
+    ``start`` holds distinct uint8 elements of shape (n, rows, 4), each row a
+    vector mod q; ``pack`` maps elements one-to-one to order-preserving
+    integer keys.  Returns the elements sorted by key and the sorted keys.
+    Raises SizeCapError once more than ``cap`` elements are found.
+    """
+    seen = pack(start)
+    order = np.argsort(seen)
+    frontier, seen = start[order], seen[order]
+    found, found_keys = [frontier], [seen]
+    while len(frontier):
+        cand = _swaps(frontier, q).reshape(-1, *frontier.shape[1:])
+        keys = pack(cand)
+        # equal keys are equal elements, so any sort picks a valid copy
+        order = np.argsort(keys)
+        keys = keys[order]
+        fresh = np.ones(len(keys), dtype=bool)
+        fresh[1:] = keys[1:] != keys[:-1]
+        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
+        fresh &= seen[pos] != keys
+        frontier, new = cand[order[fresh]], keys[fresh]
+        # two sorted runs: the stable sort merges them in linear time
+        seen = np.sort(np.concatenate([seen, new]), kind="stable")
+        if cap is not None and len(seen) > cap:
+            raise SizeCapError(f"orbit mod {q} exceeds the element cap {cap}")
+        found.append(frontier)
+        found_keys.append(new)
+    order = np.argsort(np.concatenate(found_keys))
+    return np.concatenate(found)[order], seen
 
 
 @dataclass
@@ -78,30 +135,12 @@ def reduce_group_mod(q: int, element_cap: int = ELEMENT_CAP_DEFAULT) -> FiniteGr
             f"group reduction is supported for moduli up to {_FAST_Q}; "
             f"orbit_mod covers larger moduli"
         )
-    gens64 = (SWAP_MATRICES % q).astype(np.int64)
-    frontier = (np.eye(4, dtype=np.int64) % q)[None, :, :]
-    seen_keys = _pack_mats(frontier)
-    mats_acc = [frontier.astype(np.uint8)]
-    while len(frontier):
-        cand = np.concatenate([(frontier @ g) % q for g in gens64])
-        keys = _pack_mats(cand)
-        keys, first = np.unique(keys, return_index=True)
-        cand = cand[first]
-        fresh = ~np.isin(keys, seen_keys, assume_unique=True)
-        frontier = cand[fresh]
-        if not len(frontier):
-            break
-        mats_acc.append(frontier.astype(np.uint8))
-        seen_keys = np.sort(np.concatenate([seen_keys, keys[fresh]]))
-        if len(seen_keys) > element_cap:
-            raise SizeCapError(f"group image mod {q} exceeds the element cap {element_cap}")
-    mats = np.concatenate(mats_acc)
-    keys = _pack_mats(mats)
-    order = np.argsort(keys)
+    start = (np.eye(4, dtype=np.uint8) % q)[None]
+    elements, keys = _swap_closure(start, q, _pack_mats, cap=element_cap)
     return FiniteGroupImage(
         modulus=q,
-        elements=mats[order],
-        keys=keys[order],
+        elements=elements,
+        keys=keys,
         generators=(SWAP_MATRICES % q).astype(np.uint8),
     )
 
@@ -143,21 +182,18 @@ def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
     the identity, i.e. q <= 2) contributes a weight-1 self-loop.
     """
     n = img.order
-    q = img.modulus
-    loops = np.zeros(n, dtype=np.int64)
-    pairs = []
     idx = np.arange(n, dtype=np.int64)
-    for g in range(4):
-        prods = (img.elements.astype(np.int64) @ img.generators[g].astype(np.int64)) % q
-        nb = img.index_of(prods)
-        self_m = nb == idx
-        loops += self_m.astype(np.int64)
-        u = np.minimum(idx[~self_m], nb[~self_m])
-        v = np.maximum(idx[~self_m], nb[~self_m])
-        pairs.append(np.stack([u, v], axis=1))
-    edges = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-    if len(edges):
-        edges = np.unique(edges, axis=0)
+    loops = np.zeros(n, dtype=np.int64)
+    pair_keys = []
+    for images in _swaps(img.elements, img.modulus):
+        nb = img.index_of(images)
+        loops += nb == idx
+        # each swap is an involution, so {u, u S_i} is found from both ends:
+        # keep it from the smaller one
+        up = idx < nb
+        pair_keys.append(idx[up] * n + nb[up])
+    key = np.sort(np.concatenate(pair_keys))
+    edges = np.stack([key // n, key % n], axis=1)
     return CayleyGraph(modulus=img.modulus, n=n, edges=edges, loops=loops)
 
 
@@ -274,39 +310,34 @@ def expander_report(
     return out
 
 
+_orbit_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_orbit_memo_lock = threading.Lock()
+
+
 def orbit_mod(root, q: int) -> np.ndarray:
     """Orbit of the root quadruple under the swaps mod q, as a sorted (n, 4)
     array; the proportion of the orbit satisfying a congruence is the natural
-    density estimate for the matching congruence slice of the sieve."""
+    density estimate for the matching congruence slice of the sieve.
+
+    Each orbit is computed once per process and kept, keyed by (root mod q,
+    q), within ``_ORBIT_MEMO_BYTES``; every call returns a fresh array.
+    """
     q = int(q)
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q > 255:
-        raise ValueError("moduli above 255 are not supported")
-
-    def pack(vecs: np.ndarray) -> np.ndarray:
-        k = np.zeros(len(vecs), dtype=np.uint64)
-        for c in range(4):
-            k = (k << np.uint64(8)) | vecs[:, c].astype(np.uint64)
-        return k
-
-    root_v = (np.array([int(x) for x in root], dtype=np.int64) % q)[None, :]
-    seen = pack(root_v)
-    frontier = root_v
-    gens = [SWAP_MATRICES[g] for g in range(4)]
-    while len(frontier):
-        cand = np.concatenate([(frontier @ g) % q for g in gens])
-        keys = pack(cand)
-        keys, first = np.unique(keys, return_index=True)
-        cand = cand[first]
-        fresh = ~np.isin(keys, seen, assume_unique=True)
-        frontier = cand[fresh]
-        if not len(frontier):
-            break
-        seen = np.sort(np.concatenate([seen, keys[fresh]]))
-    out = np.zeros((len(seen), 4), dtype=np.int64)
-    rem = seen.copy()
-    for c in range(3, -1, -1):
-        out[:, c] = (rem & np.uint64(0xFF)).astype(np.int64)
-        rem >>= np.uint64(8)
-    return out
+    if q > MAX_ORBIT_MODULUS:
+        raise ValueError(f"moduli above {MAX_ORBIT_MODULUS} are not supported")
+    start = np.array([int(x) % q for x in root], dtype=np.uint8)
+    key = (tuple(start.tolist()), q)
+    with _orbit_memo_lock:
+        orbit = _orbit_memo.get(key)
+        if orbit is not None:
+            _orbit_memo.move_to_end(key)
+    if orbit is None:
+        orbit = _swap_closure(start.reshape(1, 1, 4), q, _pack_vecs)[0].reshape(-1, 4)
+        if orbit.nbytes <= _ORBIT_MEMO_BYTES:
+            with _orbit_memo_lock:
+                _orbit_memo[key] = orbit
+                while sum(o.nbytes for o in _orbit_memo.values()) > _ORBIT_MEMO_BYTES:
+                    _orbit_memo.popitem(last=False)
+    return orbit.astype(np.int64)

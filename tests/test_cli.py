@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from apollonian.cli import main
@@ -198,3 +199,39 @@ def test_cli_report_threads_match_single(config_path):
     assert main(["report", "--config", path, "--threads", "1"]) == 0
     single = open(os.path.join(out, "spectral.csv"), "rb").read()
     assert multi == single
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ("level_D = 20", "level_D = 1"),
+        ("level_D = 20", "level_D = 257"),
+        ("element_cap = 100000", "element_cap = 0"),
+        ("dense_cap = 500", "dense_cap = 0"),
+    ],
+)
+def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):
+    path, out = config_path
+    with open(path) as fh:
+        text = fh.read()
+    assert line in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(line, value))
+    rc = main(["report", "--config", path])
+    assert rc == 2
+    assert value.split(" = ")[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_report_records_failed_packing_constant(config_path, capsys, monkeypatch):
+    from apollonian import counting
+
+    # no occupied boxes: the box-count proxy is 0 and the estimate divides by it
+    monkeypatch.setattr(counting, "box_counts", lambda circles, eps, viewport=None: np.zeros(len(eps)))
+    monkeypatch.setattr(counting, "boxcount_dimension", lambda circles, eps, viewport=None: 1.3)
+    path, out = config_path
+    rc = main(["report", "--config", path])
+    assert rc == 3
+    assert "packing-constant:" in capsys.readouterr().err
+    with open(os.path.join(out, "summary.txt")) as fh:
+        assert "failures:\n  packing-constant:" in fh.read()

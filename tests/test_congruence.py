@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -214,3 +217,134 @@ def test_orbit_crt_multiplicativity():
     n15 = len(cg.orbit_mod((-1, 2, 2, 3), 15))
     assert n6 == n2 * n3
     assert n15 == n3 * n5
+
+
+def naive_closure(start, q):
+    """Reference closure: level BFS with int64 matrix products by the swaps,
+    membership by a dict of raw bytes, result in lexicographic order."""
+    start = np.asarray(start, dtype=np.int64) % q
+    seen = {start.tobytes(): start}
+    frontier = [start]
+    while frontier:
+        stack = np.array(frontier)
+        frontier = []
+        for g in SWAP_MATRICES:
+            for x in (stack @ g) % q:
+                if x.tobytes() not in seen:
+                    seen[x.tobytes()] = x
+                    frontier.append(x)
+    flat = np.array(list(seen.values())).reshape(len(seen), -1)
+    return flat[np.lexsort(flat.T[::-1])].reshape(-1, *start.shape)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = OrderedDict()
+    monkeypatch.setattr(cg, "_orbit_memo", memo)
+    return memo
+
+
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7)])
+@pytest.mark.parametrize("q", [3, 5, 6, 7, 11, 15])
+def test_orbit_mod_matches_naive_closure(fresh_memo, root, q):
+    orb = cg.orbit_mod(root, q)
+    assert orb.dtype == np.int64
+    assert np.array_equal(orb, naive_closure(root, q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 6, 7])
+def test_reduce_group_mod_matches_naive_closure(q):
+    img = cg.reduce_group_mod(q)
+    assert np.array_equal(img.elements, naive_closure(np.eye(4, dtype=np.int64), q))
+    assert (img.keys[1:] > img.keys[:-1]).all()
+    assert np.array_equal(img.keys, cg._pack_mats(img.elements))
+
+
+def test_orbit_memo_returns_fresh_copies(fresh_memo):
+    root = (-1, 2, 2, 3)
+    first = cg.orbit_mod(root, 7)
+    again = cg.orbit_mod(root, 7)
+    assert again is not first and np.array_equal(first, again)
+    assert len(fresh_memo) == 1
+    first[:] = 0
+    again[0, 0] += 1
+    assert np.array_equal(cg.orbit_mod(root, 7), naive_closure(root, 7))
+
+
+def test_orbit_memo_shares_entries_across_congruent_roots(fresh_memo):
+    base = cg.orbit_mod((-1, 2, 2, 3), 5)
+    shifted = cg.orbit_mod((-1 + 5, 2 - 10, 2, 3 + 25), 5)
+    assert np.array_equal(base, shifted)
+    assert len(fresh_memo) == 1
+    cg.orbit_mod((-2, 3, 6, 7), 5)
+    assert len(fresh_memo) == 2
+
+
+def test_orbit_memo_evicts_least_recently_used(fresh_memo, monkeypatch):
+    root = (-1, 2, 2, 3)
+    sizes = {q: naive_closure(root, q).nbytes // 8 for q in (5, 7, 11)}  # uint8 bytes
+    # room for the orbits mod 5 and 7, not for the one mod 11 as well
+    monkeypatch.setattr(cg, "_ORBIT_MEMO_BYTES", sizes[11] + sizes[5])
+    cg.orbit_mod(root, 5)
+    cg.orbit_mod(root, 7)
+    cg.orbit_mod(root, 5)  # now 7 is the least recently used
+    cg.orbit_mod(root, 11)
+    assert [key[1] for key in fresh_memo] == [5, 11]
+    assert sum(o.nbytes for o in fresh_memo.values()) <= cg._ORBIT_MEMO_BYTES
+    for q in (5, 7, 11):
+        assert np.array_equal(cg.orbit_mod(root, q), naive_closure(root, q))
+    # an orbit larger than the whole budget is returned but not kept
+    monkeypatch.setattr(cg, "_ORBIT_MEMO_BYTES", sizes[5] - 1)
+    fresh_memo.clear()
+    assert np.array_equal(cg.orbit_mod(root, 5), naive_closure(root, 5))
+    assert len(fresh_memo) == 0
+
+
+def test_orbit_memo_under_concurrent_callers(fresh_memo, monkeypatch):
+    root = (-1, 2, 2, 3)
+    moduli = (3, 5, 6, 7, 10, 11, 13, 15)
+    expected = {q: naive_closure(root, q) for q in moduli}
+    uint8_bytes = {q: orb.nbytes // 8 for q, orb in expected.items()}
+    # room for the two largest orbits, so threads evict one another's entries
+    monkeypatch.setattr(cg, "_ORBIT_MEMO_BYTES", uint8_bytes[13] + uint8_bytes[15])
+    assert sum(uint8_bytes.values()) > cg._ORBIT_MEMO_BYTES
+    errors = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for q in rng.choice(moduli, size=1500):
+                if not np.array_equal(cg.orbit_mod(root, q), expected[q]):
+                    errors.append(f"wrong orbit mod {q}")
+        except Exception as exc:  # reported through the assertion below
+            errors.append(repr(exc))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(o.nbytes for o in fresh_memo.values()) <= cg._ORBIT_MEMO_BYTES
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_cayley_edges_match_unique_reference(q):
+    img = cg.reduce_group_mod(q)
+    idx = np.arange(img.order)
+    pairs = []
+    for g in range(4):
+        prods = (img.elements.astype(np.int64) @ img.generators[g].astype(np.int64)) % q
+        nb = img.index_of(prods)
+        pairs.append(np.stack([np.minimum(idx, nb), np.maximum(idx, nb)], axis=1))
+    expected = np.unique(np.concatenate(pairs), axis=0)
+    graph = cg.build_cayley(img)
+    assert graph.edges.dtype == np.int64
+    assert np.array_equal(graph.edges, expected)
+    assert not graph.loops.any()
