@@ -16,7 +16,7 @@ import numpy as np
 
 from . import arithmetic, congruence, counting, geometry, render, sieve
 from .config import ConfigError, RunConfig, load_config
-from .quadruples import enumerate_orbit, write_orbit_dump
+from .quadruples import enumerate_orbit, write_circles, write_orbit_dump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,22 +104,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     dump = os.path.join(cfg.out_dir, "orbit.txt")
     lines = write_orbit_dump(orbit, dump)
     circles_path = os.path.join(cfg.out_dir, "circles.csv")
-    with open(circles_path, "w", encoding="ascii", newline="\n") as fh:
-        if orbit.acc_rows is not None:
-            fh.write("curvature,x,y\n")
-            for b, row in sorted(
-                zip(orbit.curvatures.tolist(), orbit.acc_rows.tolist()),
-                key=lambda t: (abs(t[0]), t[1]),
-            ):
-                if b == 0:
-                    fh.write("0,,\n")
-                else:
-                    x, y = row[2] / b + 0.0, row[3] / b + 0.0
-                    fh.write(f"{b},{x if x != 0 else 0.0:.9f},{y if y != 0 else 0.0:.9f}\n")
-        else:
-            fh.write("curvature\n")
-            for b in sorted(orbit.curvatures.tolist(), key=abs):
-                fh.write(f"{b}\n")
+    write_circles(orbit, circles_path)
     n_t = orbit.circle_count
     print(f"N_P({cfg.bound}) = {n_t}")
     print(f"quadruples enumerated = {orbit.quad_count}")

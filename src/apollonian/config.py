@@ -6,7 +6,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field
 
-from .congruence import MAX_ORBIT_MODULUS
+from .congruence import MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
 from .quadruples import descartes_form, is_root, reduce_to_root
 from .sieve import Selector, parse_selector
 
@@ -112,8 +112,10 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
 
     cong = cp["congruence"] if "congruence" in cp else {}
     moduli = _parse_ints(cong.get("moduli", "2 3 5 6 7 10"))
-    if any(m < 2 for m in moduli):
-        raise ConfigError("congruence moduli must be >= 2")
+    if any(not 2 <= m <= MAX_GROUP_MODULUS for m in moduli):
+        raise ConfigError(
+            f"congruence moduli must lie in [2, {MAX_GROUP_MODULUS}]; got {moduli}"
+        )
     element_cap = int(cong.get("element_cap", 500_000))
     dense_cap = int(cong.get("dense_cap", 2000))
     if element_cap < 1 or dense_cap < 1:

@@ -26,7 +26,7 @@ from .quadruples import SWAP_MATRICES
 
 DENSE_CAP_DEFAULT = 5000
 ELEMENT_CAP_DEFAULT = 10**7
-_FAST_Q = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
+MAX_GROUP_MODULUS = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
 MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
 # orbit_mod keeps its results, one byte per coordinate, up to this many bytes
 # in all; the least recently used orbit goes first
@@ -130,9 +130,9 @@ def reduce_group_mod(q: int, element_cap: int = ELEMENT_CAP_DEFAULT) -> FiniteGr
     q = int(q)
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q > _FAST_Q:
+    if q > MAX_GROUP_MODULUS:
         raise ValueError(
-            f"group reduction is supported for moduli up to {_FAST_Q}; "
+            f"group reduction is supported for moduli up to {MAX_GROUP_MODULUS}; "
             f"orbit_mod covers larger moduli"
         )
     start = (np.eye(4, dtype=np.uint8) % q)[None]

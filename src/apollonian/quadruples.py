@@ -48,6 +48,10 @@ KNOWN_EMBEDDINGS: dict[Quad, tuple[tuple[int, int, int, int], ...]] = {
 # below 2^63.
 MAX_BOUND = 10**8
 
+# lines formatted per call in _write_rows: bounds the format string, the
+# argument tuple and the text held at once to a few MB
+ROWS_PER_CHUNK = 1 << 16
+
 
 class OverflowBoundError(ValueError):
     """Requested bound would risk silent int64 wraparound."""
@@ -424,6 +428,46 @@ def write_orbit_dump(orbit: PackingOrbit, path) -> int:
     if orbit.quads is None:
         raise ValueError("orbit was enumerated without keep_quads=True")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for d, row in zip(orbit.quad_depths, orbit.quads):
-            fh.write(f"{d} {row[0]},{row[1]},{row[2]},{row[3]}\n")
+        _write_rows(fh, "%d %d,%d,%d,%d\n", (orbit.quad_depths, *orbit.quads.T))
     return orbit.quads.shape[0]
+
+
+def write_circles(orbit: PackingOrbit, path) -> None:
+    """Write one line per circle, sorted by |curvature| and then by the exact
+    inversive row (cocurvature, curvature, curvature*x, curvature*y).  With an
+    embedding a line is ``curvature,x,y`` with the centre printed ``%.9f``,
+    and a straight line (curvature 0) is ``0,,``; without one it is the
+    signed curvature alone."""
+    b = orbit.curvatures
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        if orbit.acc_rows is None:
+            fh.write("curvature\n")
+            _write_rows(fh, "%d\n", (b[np.argsort(np.abs(b), kind="stable")],))
+            return
+        fh.write("curvature,x,y\n")
+        rows = orbit.acc_rows
+        order = np.lexsort((rows[:, 3], rows[:, 2], b, rows[:, 0], np.abs(b)))
+        n_lines = int(np.count_nonzero(b == 0))  # |b| = 0 sorts first
+        fh.write("0,,\n" * n_lines)
+        order = order[n_lines:]
+        bs = b[order]
+        # int64 entries below 2**53 convert to float exactly, so each quotient
+        # rounds as Python's int / int does; + 0.0 turns -0.0 into 0.0
+        x = rows[order, 2] / bs + 0.0
+        y = rows[order, 3] / bs + 0.0
+        _write_rows(fh, "%d,%.9f,%.9f\n", (bs, x, y))
+
+
+def _write_rows(fh, line_fmt: str, columns) -> None:
+    """Write ``line_fmt % (columns[0][k], columns[1][k], ...)`` for each row k
+    of the equal-length 1-D arrays ``columns``, ROWS_PER_CHUNK lines per
+    ``%`` call.  Columns are converted with ``tolist``, so ``%d`` sees Python
+    ints and ``%.9f`` Python floats, formatted exactly as an f-string would."""
+    width = len(columns)
+    n = len(columns[0])
+    for start in range(0, n, ROWS_PER_CHUNK):
+        stop = min(start + ROWS_PER_CHUNK, n)
+        flat = [None] * ((stop - start) * width)
+        for j, col in enumerate(columns):
+            flat[j::width] = col[start:stop].tolist()
+        fh.write((line_fmt * (stop - start)) % tuple(flat))

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ def test_cli_generate(config_path, capsys):
     assert rc == 0
     msg = capsys.readouterr().out
     assert "N_P(300)" in msg
-    dump = open(os.path.join(out, "orbit.txt")).read().splitlines()
+    dump = Path(out, "orbit.txt").read_text().splitlines()
     assert dump[0] == "0 -1,2,2,3"
     n_quads = int(msg.split("quadruples enumerated = ")[1].splitlines()[0])
     assert len(dump) == n_quads
@@ -103,9 +104,9 @@ def test_cli_generate(config_path, capsys):
 def test_cli_render_deterministic(config_path):
     path, out = config_path
     assert main(["render", "--config", path]) == 0
-    svg1 = open(os.path.join(out, "packing.svg"), "rb").read()
+    svg1 = Path(out, "packing.svg").read_bytes()
     assert main(["render", "--config", path]) == 0
-    svg2 = open(os.path.join(out, "packing.svg"), "rb").read()
+    svg2 = Path(out, "packing.svg").read_bytes()
     assert svg1 == svg2
     text = svg1.decode()
     orb_count = text.count("<circle")
@@ -122,7 +123,7 @@ def test_cli_render_single_circle(tmp_path):
         f"[output]\ndir = {out}\n"
     )
     assert main(["render", "--config", str(path)]) == 0
-    text = open(os.path.join(out, "packing.svg")).read()
+    text = Path(out, "packing.svg").read_text()
     assert text.count("<circle") == 1
 
 
@@ -135,7 +136,7 @@ def test_cli_render_strip_has_lines(tmp_path):
         f"[output]\ndir = {out}\n"
     )
     assert main(["render", "--config", str(path)]) == 0
-    text = open(os.path.join(out, "packing.svg")).read()
+    text = Path(out, "packing.svg").read_text()
     assert text.count("<line") == 2
 
 
@@ -155,12 +156,12 @@ def test_cli_report_outputs(config_path, capsys):
         "summary.txt",
     ):
         assert os.path.exists(os.path.join(out, name)), name
-    spectral = open(os.path.join(out, "spectral.csv")).read().splitlines()
+    spectral = Path(out, "spectral.csv").read_text().splitlines()
     assert spectral[0] == "q,group_order,lambda1,cheeger_lower,cheeger_upper"
     assert len(spectral) == 4  # header + three moduli
-    counts = open(os.path.join(out, "counts.csv")).read().splitlines()
+    counts = Path(out, "counts.csv").read_text().splitlines()
     assert counts[0] == "T,N"
-    summary = open(os.path.join(out, "summary.txt")).read()
+    summary = Path(out, "summary.txt").read_text()
     assert "alpha_hat" in summary
 
 
@@ -168,13 +169,13 @@ def test_cli_report_deterministic(config_path):
     path, out = config_path
     assert main(["report", "--config", path]) == 0
     first = {
-        name: open(os.path.join(out, name), "rb").read()
+        name: Path(out, name).read_bytes()
         for name in os.listdir(out)
         if name.endswith(".csv")
     }
     assert main(["report", "--config", path]) == 0
     for name, blob in first.items():
-        assert open(os.path.join(out, name), "rb").read() == blob, name
+        assert Path(out, name).read_bytes() == blob, name
 
 
 def test_cli_seed_check(config_path, capsys):
@@ -195,9 +196,9 @@ def test_cli_out_override(config_path, tmp_path):
 def test_cli_report_threads_match_single(config_path):
     path, out = config_path
     assert main(["report", "--config", path, "--threads", "2"]) == 0
-    multi = open(os.path.join(out, "spectral.csv"), "rb").read()
+    multi = Path(out, "spectral.csv").read_bytes()
     assert main(["report", "--config", path, "--threads", "1"]) == 0
-    single = open(os.path.join(out, "spectral.csv"), "rb").read()
+    single = Path(out, "spectral.csv").read_bytes()
     assert multi == single
 
 
@@ -208,6 +209,7 @@ def test_cli_report_threads_match_single(config_path):
         ("level_D = 20", "level_D = 257"),
         ("element_cap = 100000", "element_cap = 0"),
         ("dense_cap = 500", "dense_cap = 0"),
+        ("moduli = 2, 3, 6", "moduli = 3, 17"),
     ],
 )
 def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):

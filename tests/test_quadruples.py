@@ -13,8 +13,10 @@ from apollonian.quadruples import (
     is_primitive,
     is_root,
     reduce_to_root,
+    write_circles,
     write_orbit_dump,
 )
+from apollonian import quadruples
 
 STANDARD = (-1, 2, 2, 3)
 
@@ -258,6 +260,61 @@ def test_orbit_dump_format(tmp_path, std_orbit_1e4):
         assert int(depth) >= 0
         parts = [int(x) for x in quad.split(",")]
         assert len(parts) == 4
+
+
+def _per_row_outputs(orbit):
+    """orbit.txt and circles.csv as the former per-row writers made them: the
+    byte-for-byte reference for the bulk writers."""
+    dump = "".join(
+        f"{d} {row[0]},{row[1]},{row[2]},{row[3]}\n"
+        for d, row in zip(orbit.quad_depths, orbit.quads)
+    )
+    if orbit.acc_rows is None:
+        lines = ["curvature\n"] + [f"{b}\n" for b in sorted(orbit.curvatures.tolist(), key=abs)]
+        return dump, "".join(lines)
+    lines = ["curvature,x,y\n"]
+    for b, row in sorted(
+        zip(orbit.curvatures.tolist(), orbit.acc_rows.tolist()),
+        key=lambda t: (abs(t[0]), t[1]),
+    ):
+        if b == 0:
+            lines.append("0,,\n")
+        else:
+            x, y = row[2] / b + 0.0, row[3] / b + 0.0
+            lines.append(f"{b},{x if x != 0 else 0.0:.9f},{y if y != 0 else 0.0:.9f}\n")
+    return dump, "".join(lines)
+
+
+WRITER_CASES = [
+    pytest.param(STANDARD, 3000, None, id="standard-3000"),
+    pytest.param(STANDARD, 5000, (-0.2, 0.2, -0.2, 0.2), id="standard-window-5000"),
+    pytest.param((0, 0, 1, 1), 300, (0.0, 2.0, 0.0, 2.0), id="strip-300"),
+    pytest.param((0, 0, 1, 1), 150, (-0.3, 0.7, -0.1, 1.3), id="strip-offset-150"),
+    pytest.param((-2, 3, 6, 7), 20000, None, id="unembedded-20000"),
+    pytest.param(STANDARD, 2, None, id="empty-orbit"),
+]
+
+
+def _assert_writers_match_reference(tmp_path, root, bound, window):
+    orbit = enumerate_orbit(root, bound, keep_quads=True, embedding="auto", region=window)
+    dump, circles = _per_row_outputs(orbit)
+    assert write_orbit_dump(orbit, tmp_path / "orbit.txt") == orbit.quad_count
+    write_circles(orbit, tmp_path / "circles.csv")
+    assert (tmp_path / "orbit.txt").read_bytes() == dump.encode("ascii")
+    assert (tmp_path / "circles.csv").read_bytes() == circles.encode("ascii")
+    return orbit
+
+
+@pytest.mark.parametrize("rows_per_chunk", [quadruples.ROWS_PER_CHUNK, 97])
+@pytest.mark.parametrize("root, bound, window", WRITER_CASES)
+def test_writers_match_per_row_reference(tmp_path, monkeypatch, root, bound, window, rows_per_chunk):
+    monkeypatch.setattr(quadruples, "ROWS_PER_CHUNK", rows_per_chunk)
+    _assert_writers_match_reference(tmp_path, root, bound, window)
+
+
+def test_writers_match_per_row_reference_across_chunks(tmp_path):
+    orbit = _assert_writers_match_reference(tmp_path, STANDARD, 20000, None)
+    assert orbit.circle_count > 2 * quadruples.ROWS_PER_CHUNK
 
 
 def test_embedding_lookup():
