@@ -14,7 +14,6 @@ from .geometry import (
     Circle,
     InversionMap,
     SeedConfiguration,
-    circle_meets_region,
     dual_circles,
     generate_packing_geometric,
     invert_circle,
@@ -36,7 +35,6 @@ __all__ = [
     "Circle",
     "InversionMap",
     "SeedConfiguration",
-    "circle_meets_region",
     "dual_circles",
     "generate_packing_geometric",
     "invert_circle",

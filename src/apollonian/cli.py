@@ -85,17 +85,13 @@ def _seed_check(cfg: RunConfig) -> int:
 
 
 def _enumerate(cfg: RunConfig, *, tangency: bool, keep_quads: bool):
-    unbounded = any(x == 0 for x in cfg.root)
-    region = cfg.region_window if unbounded else None
-    if unbounded and region is None:
-        raise ConfigError("unbounded packing requires a region window")
     return enumerate_orbit(
         cfg.root,
         cfg.bound,
         tangency=tangency,
         keep_quads=keep_quads,
         embedding="auto",
-        region=region,
+        region=cfg.window,
     )
 
 
@@ -124,11 +120,9 @@ def cmd_render(cfg: RunConfig) -> int:
     if seed.descartes_residual() > 1e-9:
         print("error: seed fails the Descartes relation", file=sys.stderr)
         return EXIT_CONFIG
-    region = cfg.region_window
-    circles = geometry.generate_packing_geometric(seed, cfg.render_bound, region=region)
+    circles = geometry.generate_packing_geometric(seed, cfg.render_bound, region=cfg.window)
     path = os.path.join(cfg.out_dir, "packing.svg")
-    viewport = region if region is not None else None
-    render.write_svg(path, circles, viewport=viewport)
+    render.write_svg(path, circles, viewport=cfg.window)
     print(f"wrote {len(circles)} circles to {path}")
     return EXIT_OK
 
@@ -306,13 +300,13 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
         if orbit.acc_rows is not None:
             circles = geometry.circles_from_rows(orbit.acc_rows)
             eps = cfg.boxcount_eps
-            counts = counting.box_counts(circles, eps, viewport=cfg.region_window)
+            counts = counting.box_counts(circles, eps, viewport=cfg.window)
             _write_csv(
                 os.path.join(out, "boxcount.csv"),
                 "eps,boxes",
                 ([_f(e), str(int(b))] for e, b in zip(eps, counts)),
             )
-            dim = counting.boxcount_dimension(circles, eps, viewport=cfg.region_window)
+            dim = counting.boxcount_dimension(circles, eps, viewport=cfg.window)
             summary.append(f"box-counting dimension estimate {dim:.4f}")
             # uncontrolled prefactor estimate: c_hat over a box-count proxy for
             # the fractal measure of the residual set

@@ -4,10 +4,11 @@ before any computation runs."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .congruence import MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
-from .quadruples import descartes_form, is_root, reduce_to_root
+from .quadruples import descartes_form, embedding_for_root, is_root, reduce_to_root
 from .sieve import Selector, parse_selector
 
 
@@ -24,7 +25,7 @@ class RunConfig:
     grid_points_per_decade: int
     fit_window: tuple[float, float]
     fit_window_alt: tuple[float, float] | None
-    regions: dict[str, tuple[float, float, float, float]]
+    window: tuple[float, float, float, float] | None
     moduli: list[int]
     element_cap: int
     dense_cap: int
@@ -33,11 +34,6 @@ class RunConfig:
     boxcount_eps: list[float]
     render_bound: float
     out_dir: str
-
-    @property
-    def region_window(self):
-        """The rectangle used to make an unbounded enumeration finite."""
-        return self.regions.get("window")
 
 
 def _parse_ints(raw: str) -> list[int]:
@@ -97,14 +93,27 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         if len(window_alt) != 2 or window_alt[0] >= window_alt[1]:
             raise ConfigError(f"bad alternate window {window_alt}")
 
-    regions = {}
-    if "region" in cp:
-        for name, raw in cp["region"].items():
-            vals = _parse_floats(raw)
-            if len(vals) != 4 or vals[0] >= vals[1] or vals[2] >= vals[3]:
-                raise ConfigError(f"region {name} must be xmin,xmax,ymin,ymax; got {raw}")
-            regions[name] = tuple(vals)
-    if any(x == 0 for x in root) and "window" not in regions:
+    region = cp["region"] if "region" in cp else {}
+    unknown = sorted(set(region) - {"window"})
+    if unknown:
+        raise ConfigError(f"[region] takes only window; unknown keys {unknown}")
+    rect = None
+    if "window" in region:
+        raw = region["window"]
+        rect = tuple(_parse_floats(raw))
+        if (
+            len(rect) != 4
+            or not all(map(math.isfinite, rect))
+            or rect[0] >= rect[1]
+            or rect[2] >= rect[3]
+        ):
+            raise ConfigError(f"region window must be xmin,xmax,ymin,ymax; got {raw}")
+        if embedding_for_root(root) is None:
+            raise ConfigError(
+                f"a region window needs a plane embedding, and root {root} has "
+                f"no built-in one"
+            )
+    elif any(x == 0 for x in root):
         raise ConfigError(
             "unbounded packing (zero curvature in root) requires a [region] "
             "window = xmin,xmax,ymin,ymax"
@@ -150,7 +159,7 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         grid_points_per_decade=ppd,
         fit_window=window,
         fit_window_alt=window_alt,
-        regions=regions,
+        window=rect,
         moduli=moduli,
         element_cap=element_cap,
         dense_cap=dense_cap,

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, Rect, circle_meets_region
+from .geometry import Circle, Rect
 from .quadruples import PackingOrbit
+from .region import meets
 
 
 @dataclass
@@ -83,22 +84,21 @@ def fit_exponent(curve: CountCurve, window: tuple[float, float]) -> ExponentFit:
     )
 
 
-def count_in_region(circles: list[Circle], bound: float, rect: Rect) -> int:
-    """Circles meeting the rectangle with unsigned curvature <= bound."""
-    return sum(
-        1
-        for c in circles
-        if c.unsigned_curvature <= bound and circle_meets_region(c, rect)
-    )
+def count_in_region(rows: np.ndarray, bound: float, rect: Rect) -> int:
+    """Circles, given as (n, 4) inversive rows, with unsigned curvature
+    <= bound whose curve meets the closed rectangle (``region.meets``)."""
+    rows = np.asarray(rows)
+    return int(np.count_nonzero(meets(rows[np.abs(rows[:, 1]) <= bound], rect)))
 
 
-def ratio_uniformity(circles: list[Circle], bound: float, e1: Rect, e2: Rect) -> float:
-    """N(T, E1) / N(T, E2); the ratio stabilizes toward the ratio of the
-    residual-set measures of the two regions as T grows."""
-    denom = count_in_region(circles, bound, e2)
+def ratio_uniformity(rows: np.ndarray, bound: float, e1: Rect, e2: Rect) -> float:
+    """N(T, E1) / N(T, E2) over (n, 4) inversive rows; the ratio stabilizes
+    toward the ratio of the residual-set measures of the two regions as T
+    grows."""
+    denom = count_in_region(rows, bound, e2)
     if denom == 0:
         raise ZeroDivisionError(f"no circle of curvature <= {bound} meets {e2}")
-    return count_in_region(circles, bound, e1) / denom
+    return count_in_region(rows, bound, e1) / denom
 
 
 def curvilinear_triangle_contains(

@@ -25,9 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LINE_EPS = 1e-12
+from .region import LINE_EPS, branch_alive, meets, prune_margin
+
 TANGENCY_TOL = 1e-8
 SEED_TANGENCY_TOL = 1e-9
+# the walk's tolerance for tangency points of configuration circles, and the
+# decimals of the rounded coordinates that guard against duplicate circles
+WALK_TANGENCY_TOL = 1e-6
+DEDUP_DECIMALS = 6
 
 
 class NotTangentError(ValueError):
@@ -363,28 +368,8 @@ def seed_for_root(root) -> SeedConfiguration | None:
     return None
 
 
-def circle_meets_region(c: Circle, rect: Rect) -> bool:
-    """True iff the circle, as a curve, intersects the closed rectangle."""
-    x0, x1, y0, y1 = rect
-    if c.is_line:
-        vals = [
-            c.wx * x + c.wy * y - c.offset
-            for x in (x0, x1)
-            for y in (y0, y1)
-        ]
-        return min(vals) <= 0.0 <= max(vals)
-    cx, cy = c.center
-    r = c.radius
-    # distance from center to the rectangle, and to its farthest corner
-    dx = max(x0 - cx, 0.0, cx - x1)
-    dy = max(y0 - cy, 0.0, cy - y1)
-    dmin = math.hypot(dx, dy)
-    dmax = max(math.hypot(cx - x, cy - y) for x in (x0, x1) for y in (y0, y1))
-    return dmin <= r <= dmax
-
-
-def _dedup_key(c: Circle, decimals: int) -> tuple[int, int, int, int]:
-    q = 10.0 ** decimals
+def _dedup_key(c: Circle) -> tuple[int, int, int, int]:
+    q = 10.0 ** DEDUP_DECIMALS
     return (
         round(c.cocurv * q),
         round(c.curv * q),
@@ -393,36 +378,10 @@ def _dedup_key(c: Circle, decimals: int) -> tuple[int, int, int, int]:
     )
 
 
-def _config_alive(cfg: tuple[Circle, ...], window: Rect) -> bool:
-    """All descendants of a configuration stay inside the coordinate hull of
-    its proper circles, so a configuration whose hull misses the window is a
-    dead branch.  Configurations without proper circles are kept."""
-    x0, x1, y0, y1 = window
-    xmin = ymin = math.inf
-    xmax = ymax = -math.inf
-    any_proper = False
-    for c in cfg:
-        if c.is_line:
-            continue
-        any_proper = True
-        cx, cy = c.center
-        r = c.radius
-        xmin = min(xmin, cx - r)
-        xmax = max(xmax, cx + r)
-        ymin = min(ymin, cy - r)
-        ymax = max(ymax, cy + r)
-    if not any_proper:
-        return True
-    return xmax >= x0 and xmin <= x1 and ymax >= y0 and ymin <= y1
-
-
 def generate_packing_geometric(
     seed: SeedConfiguration,
     bound: float,
     region: Rect | None = None,
-    dedup_decimals: int = 6,
-    region_margin: float | None = None,
-    tangency_tol: float = 1e-6,
 ) -> list[Circle]:
     """All circles of the packing with |curvature| <= bound, generated by
     walking configurations of four mutually tangent circles.
@@ -433,9 +392,9 @@ def generate_packing_geometric(
     solution of the tangency problem.  Words never repeat the index just
     swapped, and a branch dies once its new circle exceeds the curvature
     bound, since curvatures never decrease along a branch.  For an unbounded
-    (strip) packing a region rectangle is required; branches whose
-    configuration hull leaves the widened rectangle are pruned and only
-    circles meeting the exact rectangle are returned.
+    (strip) packing a region rectangle is required; configurations are
+    pruned by ``region.branch_alive`` and only circles that
+    ``region.meets`` are returned.
 
     Every reduced word contributes one circle and distinct words give
     distinct circles; rounded inversive coordinates are used as a safety net,
@@ -447,16 +406,10 @@ def generate_packing_geometric(
     unbounded = any(c.is_line for c in seed.circles)
     if unbounded and region is None:
         raise ValueError("unbounded packing: a region rectangle is required")
-    if region is not None and region_margin is None:
-        region_margin = 2.0 * max(c.radius for c in proper_seed)
-    widened = _widen(region, region_margin) if region is not None else None
+    if region is not None:
+        margin = prune_margin(_rows(seed.circles))
 
-    out: list[Circle] = []
-    for c in seed.circles:
-        if c.unsigned_curvature <= bound + 1e-9:
-            if region is None or circle_meets_region(c, region):
-                out.append(c)
-
+    out = [c for c in seed.circles if c.unsigned_curvature <= bound + 1e-9]
     stack: list[tuple[tuple[Circle, ...], int]] = [(tuple(seed.circles), -1)]
     # inversive arithmetic drifts by ~1e-10 relative per generation; admit
     # boundary circles with a curvature-scaled tolerance
@@ -467,26 +420,30 @@ def generate_packing_geometric(
             if i == last:
                 continue
             kept = [cfg[j] for j in range(4) if j != i]
-            dual = _dual_through_tangencies(kept, tol=tangency_tol)
+            dual = _dual_through_tangencies(kept, tol=WALK_TANGENCY_TOL)
             newc = invert_circle(dual, cfg[i])
             if newc.unsigned_curvature > bound_cut:
                 continue
             child = tuple(newc if j == i else cfg[j] for j in range(4))
-            if widened is not None and not _config_alive(child, widened):
+            if region is not None and not branch_alive(
+                _rows(child)[None], region, margin
+            )[0]:
                 continue
-            if region is None or circle_meets_region(newc, region):
-                out.append(newc)
+            out.append(newc)
             stack.append((child, i))
 
+    if region is not None:
+        inside = meets(_rows(out), region)
+        out = [c for c, ok in zip(out, inside) if ok]
     out.sort(key=lambda c: (c.unsigned_curvature, _sort_center(c)))
-    _check_collisions(out, dedup_decimals)
+    _check_collisions(out)
     return out
 
 
-def _check_collisions(circles: list[Circle], decimals: int) -> None:
+def _check_collisions(circles: list[Circle]) -> None:
     seen: dict[tuple, Circle] = {}
     for c in circles:
-        key = _dedup_key(c, decimals)
+        key = _dedup_key(c)
         if key in seen:
             raise DedupCollisionError(
                 f"two circles share the dedup key {key}; the reduced-word "
@@ -495,9 +452,11 @@ def _check_collisions(circles: list[Circle], decimals: int) -> None:
         seen[key] = c
 
 
-def _widen(rect: Rect, margin: float) -> Rect:
-    x0, x1, y0, y1 = rect
-    return (x0 - margin, x1 + margin, y0 - margin, y1 + margin)
+def _rows(circles) -> np.ndarray:
+    """The (n, 4) float inversive rows of the circles."""
+    return np.array(
+        [(c.cocurv, c.curv, c.wx, c.wy) for c in circles], dtype=float
+    ).reshape(-1, 4)
 
 
 def _sort_center(c: Circle) -> tuple[float, float]:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .region import branch_alive, meets, prune_margin
+
 Quad = tuple[int, int, int, int]
 
 # Reflection matrices acting on row vectors (v -> v @ S_i).  Entry i of the
@@ -154,67 +156,6 @@ class PackingOrbit:
         return int(self.curvatures.shape[0])
 
 
-def _rows_meet_window(rows: np.ndarray, window, margin: float) -> np.ndarray:
-    """Vectorized test whether a circle given by inversive rows can meet the
-    window once widened by ``margin``.  rows has shape (n, 4)."""
-    x0, x1, y0, y1 = window
-    cocurv = rows[:, 0].astype(float)
-    b = rows[:, 1].astype(float)
-    wx = rows[:, 2].astype(float)
-    wy = rows[:, 3].astype(float)
-    ok = np.ones(len(rows), dtype=bool)
-    proper = b != 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = 1.0 / np.abs(b)
-        cx = wx / b
-        cy = wy / b
-    p = proper
-    ok[p] &= (cx[p] + r[p] >= x0 - margin) & (cx[p] - r[p] <= x1 + margin)
-    ok[p] &= (cy[p] + r[p] >= y0 - margin) & (cy[p] - r[p] <= y1 + margin)
-    # line {w.z = cocurv/2}: meets any expanded window unless all four corners
-    # are strictly on its positive/negative side
-    ln = ~proper
-    if ln.any():
-        c = cocurv[ln] / 2.0
-        corners = [
-            wx[ln] * (x0 - margin) + wy[ln] * (y0 - margin),
-            wx[ln] * (x0 - margin) + wy[ln] * (y1 + margin),
-            wx[ln] * (x1 + margin) + wy[ln] * (y0 - margin),
-            wx[ln] * (x1 + margin) + wy[ln] * (y1 + margin),
-        ]
-        lo = np.minimum.reduce(corners) - c
-        hi = np.maximum.reduce(corners) - c
-        ok[ln] = (lo <= 0) & (hi >= 0)
-    return ok
-
-
-def _branch_alive(rows4: np.ndarray, window, margin: float) -> np.ndarray:
-    """Prune test for BFS branches under a region restriction.
-
-    rows4 has shape (n, 4, 4): the four inversive rows of each quadruple.
-    All descendants of a quadruple stay inside the coordinate hull of its
-    proper circles (lines excepted), so a branch whose hull of proper circles
-    misses the widened window on either axis is dead.
-    """
-    x0, x1, y0, y1 = window
-    b = rows4[:, :, 1].astype(float)
-    proper = b != 0
-    bsafe = np.where(proper, b, 1.0)
-    r = 1.0 / np.abs(bsafe)
-    cx = rows4[:, :, 2] / bsafe
-    cy = rows4[:, :, 3] / bsafe
-    big = np.inf
-    xmin = np.where(proper, cx - r, big).min(axis=1)
-    xmax = np.where(proper, cx + r, -big).max(axis=1)
-    ymin = np.where(proper, cy - r, big).min(axis=1)
-    ymax = np.where(proper, cy + r, -big).max(axis=1)
-    alive = (xmax >= x0 - margin) & (xmin <= x1 + margin)
-    alive &= (ymax >= y0 - margin) & (ymin <= y1 + margin)
-    # no proper circle at all: keep (cannot bound the branch)
-    alive |= ~proper.any(axis=1)
-    return alive
-
-
 def embedding_for_root(root: Quad) -> np.ndarray | None:
     rows = KNOWN_EMBEDDINGS.get(tuple(int(x) for x in root))
     return None if rows is None else np.array(rows, dtype=np.int64)
@@ -228,7 +169,6 @@ def enumerate_orbit(
     keep_quads: bool = False,
     embedding: np.ndarray | str | None = None,
     region: tuple[float, float, float, float] | None = None,
-    region_margin: float | None = None,
     max_depth: int | None = None,
 ) -> PackingOrbit:
     """Breadth-first enumeration of all packing circles with |curvature| <= bound.
@@ -241,10 +181,11 @@ def enumerate_orbit(
 
     ``embedding`` may be "auto" (look up the exact integral embedding of the
     root), an explicit (4, 4) integer array of inversive rows, or None.
-    ``region`` (xmin, xmax, ymin, ymax) restricts the output to circles that
-    meet the rectangle and prunes branches that leave it; it requires an
-    embedding and is the only way to enumerate an unbounded (strip) packing,
-    short of ``max_depth``.
+    ``region`` (xmin, xmax, ymin, ymax) restricts the output to circles whose
+    curve meets the closed rectangle, decided exactly by ``region.meets``, and
+    prunes branches with ``region.branch_alive``; it requires an embedding and
+    is the only way to enumerate an unbounded (strip) packing, short of
+    ``max_depth``.
     """
     root = tuple(int(x) for x in root)
     q0 = descartes_form(root)
@@ -282,9 +223,7 @@ def enumerate_orbit(
     if region is not None:
         if rows0 is None:
             raise ValueError("region filtering requires an embedding")
-        if region_margin is None:
-            proper = rows0[:, 1] != 0
-            region_margin = 2.0 / np.abs(rows0[proper, 1]).min()
+        margin = prune_margin(rows0)
 
     with_rows = rows0 is not None
     track_ids = tangency
@@ -326,23 +265,15 @@ def enumerate_orbit(
                 continue
             child = q[keep].copy()
             child[:, i] = new_entry[keep]
+            keep_idx = np.flatnonzero(keep)
             crows = None
             if with_rows:
                 r = frontier_rows[mask][keep]
                 crows = r.copy()
                 crows[:, i, :] = 2 * r.sum(axis=1) - 3 * r[:, i, :]
-                if region is not None:
-                    alive = _branch_alive(crows, region, region_margin)
-                    if not alive.all():
-                        child = child[alive]
-                        crows = crows[alive]
-                        keep_idx = np.flatnonzero(keep)[alive]
-                    else:
-                        keep_idx = np.flatnonzero(keep)
-                else:
-                    keep_idx = np.flatnonzero(keep)
-            else:
-                keep_idx = np.flatnonzero(keep)
+            if region is not None:
+                alive = branch_alive(crows, region, margin)
+                child, crows, keep_idx = child[alive], crows[alive], keep_idx[alive]
             n = child.shape[0]
             if n == 0:
                 continue
@@ -383,7 +314,7 @@ def enumerate_orbit(
 
     keep_mask = np.abs(curv) <= bound
     if region is not None:
-        keep_mask &= _rows_meet_window(rows_all, region, 0.0)
+        keep_mask &= meets(rows_all, region)
 
     edges = None
     if track_ids:

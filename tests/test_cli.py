@@ -101,6 +101,46 @@ def test_cli_generate(config_path, capsys):
     assert os.path.exists(os.path.join(out, "circles.csv"))
 
 
+def test_cli_generate_applies_window_to_bounded_root(tmp_path, capsys):
+    from apollonian.quadruples import enumerate_orbit, write_circles
+
+    out = tmp_path / "o"
+    path = tmp_path / "win.ini"
+    path.write_text(
+        f"[packing]\nroot = -1, 2, 2, 3\nbound = 500\n"
+        f"[region]\nwindow = -0.2, 0.2, -0.2, 0.2\n[output]\ndir = {out}\n"
+    )
+    assert main(["generate", "--config", str(path)]) == 0
+    orbit = enumerate_orbit(
+        (-1, 2, 2, 3), 500, embedding="auto", region=(-0.2, 0.2, -0.2, 0.2)
+    )
+    assert f"N_P(500) = {orbit.circle_count}\n" in capsys.readouterr().out
+    assert orbit.circle_count < enumerate_orbit((-1, 2, 2, 3), 500).circle_count
+    write_circles(orbit, tmp_path / "expected.csv")
+    assert (out / "circles.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "root, region",
+    [
+        ("-2, 3, 6, 7", "window = -0.2, 0.2, -0.2, 0.2"),  # no built-in embedding
+        ("-1, 2, 2, 3", "e1 = -1, 0, -1, 1"),  # only window is read
+        ("-1, 2, 2, 3", "window = 0, inf, 0, 1"),
+    ],
+)
+def test_cli_rejects_unusable_region(tmp_path, capsys, root, region):
+    out = tmp_path / "o"
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        f"[packing]\nroot = {root}\nbound = 100\n[region]\n{region}\n"
+        f"[output]\ndir = {out}\n"
+    )
+    for command in ("generate", "report", "render"):
+        assert main([command, "--config", str(path)]) == 2
+        assert "window" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_render_deterministic(config_path):
     path, out = config_path
     assert main(["render", "--config", path]) == 0

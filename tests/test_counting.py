@@ -8,6 +8,7 @@ from apollonian import counting as ct
 from apollonian import geometry as geo
 from apollonian.geometry import Circle
 from apollonian.quadruples import enumerate_orbit
+from apollonian.region import meets
 
 
 def test_count_by_curvature_small():
@@ -56,74 +57,70 @@ def test_count_curve_monotonicity_enforced():
         ct.CountCurve([1, 2, 3], [5, 4, 6])
 
 
-def test_count_in_region_basics(std_circles_1e4):
+def test_count_in_region_basics(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
     full = (-1.0, 1.0, -1.0, 1.0)
-    n_all = ct.count_in_region(std_circles_1e4, 100, full)
+    n_all = ct.count_in_region(rows, 100, full)
     orb = enumerate_orbit((-1, 2, 2, 3), 100)
     assert n_all == orb.circle_count
     # mirror halves agree by symmetry
-    left = ct.count_in_region(std_circles_1e4, 1000, (-1.0, 0.0, -1.0, 1.0))
-    right = ct.count_in_region(std_circles_1e4, 1000, (0.0, 1.0, -1.0, 1.0))
+    left = ct.count_in_region(rows, 1000, (-1.0, 0.0, -1.0, 1.0))
+    right = ct.count_in_region(rows, 1000, (0.0, 1.0, -1.0, 1.0))
     assert left == right
     # region away from the disk
-    assert ct.count_in_region(std_circles_1e4, 1000, (5.0, 6.0, 5.0, 6.0)) == 0
+    assert ct.count_in_region(rows, 1000, (5.0, 6.0, 5.0, 6.0)) == 0
 
 
-def test_region_additivity(std_circles_1e4):
+def test_region_additivity(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
     t = 1000
     e1 = (-1.0, -0.3, -1.0, 1.0)
     e2 = (0.3, 1.0, -1.0, 1.0)
-    n1 = ct.count_in_region(std_circles_1e4, t, e1)
-    n2 = ct.count_in_region(std_circles_1e4, t, e2)
-    both = sum(
-        1
-        for c in std_circles_1e4
-        if c.unsigned_curvature <= t
-        and geo.circle_meets_region(c, e1)
-        and geo.circle_meets_region(c, e2)
-    )
-    union = sum(
-        1
-        for c in std_circles_1e4
-        if c.unsigned_curvature <= t
-        and (geo.circle_meets_region(c, e1) or geo.circle_meets_region(c, e2))
-    )
+    n1 = ct.count_in_region(rows, t, e1)
+    n2 = ct.count_in_region(rows, t, e2)
+    in_bound = rows[np.abs(rows[:, 1]) <= t]
+    both = int(np.count_nonzero(meets(in_bound, e1) & meets(in_bound, e2)))
+    union = int(np.count_nonzero(meets(in_bound, e1) | meets(in_bound, e2)))
     assert union == n1 + n2 - both
     assert union <= n1 + n2
 
 
-def test_scale_covariance(std_circles_1e4):
+def test_scale_covariance(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
     lam = 4.0
     t = 500
     rect = (-0.8, 0.4, -0.9, 0.7)
-    scaled = [c.scaled(lam) for c in std_circles_1e4]
+    # dilation about the origin by lam: (cocurv, curv, wx, wy) scale by
+    # (lam, 1/lam, 1, 1)
+    scaled = rows * np.array([lam, 1.0 / lam, 1.0, 1.0])
     rect_s = tuple(v * lam for v in rect)
-    assert ct.count_in_region(std_circles_1e4, t, rect) == ct.count_in_region(
+    assert ct.count_in_region(rows, t, rect) == ct.count_in_region(
         scaled, t / lam, rect_s
     )
 
 
-def test_ratio_uniformity(std_circles_1e4):
+def test_ratio_uniformity(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
     full = (-1.0, 1.0, -1.0, 1.0)
     left = (-1.0, 0.0, -1.0, 1.0)
-    assert ct.ratio_uniformity(std_circles_1e4, 1000, full, full) == 1.0
-    r3 = ct.ratio_uniformity(std_circles_1e4, 1000, left, full)
-    r4 = ct.ratio_uniformity(std_circles_1e4, 10000, left, full)
+    assert ct.ratio_uniformity(rows, 1000, full, full) == 1.0
+    r3 = ct.ratio_uniformity(rows, 1000, left, full)
+    r4 = ct.ratio_uniformity(rows, 10000, left, full)
     assert abs(r3 - 0.5) < 0.02
     assert abs(r4 - 0.5) < 0.02
     assert abs(r4 - r3) < 0.02
 
 
-def test_ratio_zero_denominator(std_circles_1e4):
+def test_ratio_zero_denominator(std_orbit_1e4):
     with pytest.raises(ZeroDivisionError):
-        ct.ratio_uniformity(std_circles_1e4, 10, (-1, 1, -1, 1), (7, 8, 7, 8))
+        ct.ratio_uniformity(std_orbit_1e4.acc_rows, 10, (-1, 1, -1, 1), (7, 8, 7, 8))
 
 
-def test_mirror_symmetric_ratio_exact(std_circles_1e4):
+def test_mirror_symmetric_ratio_exact(std_orbit_1e4):
     left = (-1.0, 0.0, -1.0, 1.0)
     right = (0.0, 1.0, -1.0, 1.0)
     for t in (100, 1000, 10000):
-        assert ct.ratio_uniformity(std_circles_1e4, t, left, right) == 1.0
+        assert ct.ratio_uniformity(std_orbit_1e4.acc_rows, t, left, right) == 1.0
 
 
 def test_boxcount_single_circle():

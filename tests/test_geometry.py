@@ -154,17 +154,6 @@ def test_seed_validation_rejects_bad_circles():
         )
 
 
-def test_circle_meets_region():
-    unit = Circle.from_center_radius((0, 0), 1.0)
-    assert geo.circle_meets_region(unit, (-2, 2, -2, 2))
-    assert not geo.circle_meets_region(unit, (5, 6, 5, 6))
-    # rectangle strictly inside the disk: the curve does not enter
-    assert not geo.circle_meets_region(unit, (0, 0.5, 0, 0.5))
-    line = Circle.line((0, 1), 0.0)
-    assert geo.circle_meets_region(line, (-1, 1, -1, 1))
-    assert not geo.circle_meets_region(line, (-1, 1, 0.5, 1))
-
-
 def test_descartes_consistency_of_generated_quadruples():
     """Any four mutually tangent circles produced geometrically satisfy the
     Descartes relation on signed curvatures."""
