@@ -10,6 +10,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -175,7 +176,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
 
     # prime statistics
     try:
-        ts = [10 ** k for k in range(2, int(math.log10(cfg.bound)) + 1)]
+        # the decades from 100 up to the bound, or the bound alone below 100
+        ts = [10 ** k for k in range(2, int(math.log10(cfg.bound)) + 1)] or [cfg.bound]
         stats = arithmetic.prime_count_curve(orbit, ts)
         u = np.sort(orbit.unsigned_curvatures)
         rows = []
@@ -298,15 +300,17 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
     # box-counting dimension (needs an embedding)
     try:
         if orbit.acc_rows is not None:
-            circles = geometry.circles_from_rows(orbit.acc_rows)
             eps = cfg.boxcount_eps
-            counts = counting.box_counts(circles, eps, viewport=cfg.window)
+            counts = counting.box_counts(orbit.acc_rows, eps, viewport=cfg.window)
             _write_csv(
                 os.path.join(out, "boxcount.csv"),
                 "eps,boxes",
                 ([_f(e), str(int(b))] for e, b in zip(eps, counts)),
             )
-            dim = counting.boxcount_dimension(circles, eps, viewport=cfg.window)
+            with warnings.catch_warnings():
+                # box_counts above has already warned about these box sizes
+                warnings.simplefilter("ignore", counting.ResolutionWarning)
+                dim = counting.boxcount_dimension(orbit.acc_rows, eps, viewport=cfg.window)
             summary.append(f"box-counting dimension estimate {dim:.4f}")
             # uncontrolled prefactor estimate: c_hat over a box-count proxy for
             # the fractal measure of the residual set

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Circle, Rect
+from .geometry import Rect
 from .quadruples import PackingOrbit
-from .region import meets
+from .region import LINE_EPS, meets
 
 
 @dataclass
@@ -101,27 +101,30 @@ def ratio_uniformity(rows: np.ndarray, bound: float, e1: Rect, e2: Rect) -> floa
     return count_in_region(rows, bound, e1) / denom
 
 
-def curvilinear_triangle_contains(
-    triple, c: Circle, side_point=None, tol: float = 1e-9
-) -> bool:
-    """Whether circle ``c`` lies inside the curvilinear triangle bounded by
-    three mutually tangent circles.
+def count_in_curvilinear_triangle(
+    rows: np.ndarray, bound: float, triple, side_point=None
+) -> int:
+    """Circles, given as (n, 4) inversive rows, with unsigned curvature <=
+    bound that lie inside the curvilinear triangle bounded by three mutually
+    tangent circles.
 
     A point of the triangle lies outside each of the three disks and inside
     the disk of the triple's dual circle (the circle through its three
     tangency points, which separates the two tangent completions); a circle
-    belongs to the triangle when its whole disk does.  When the tangency
-    points are collinear the dual is a line and both half-planes hold a
-    mirror triangle, so ``side_point`` must pick one.
+    belongs to the triangle when its whole disk does, up to a slack of
+    1e-9 * max(1, r).  Lines never do.  When the tangency points are
+    collinear the dual is a line and both half-planes hold a mirror
+    triangle, so ``side_point`` must pick one.
     """
     from .geometry import _dual_through_tangencies
 
     dual = _dual_through_tangencies(list(triple), tol=1e-8)
-    if c.is_line:
-        return False
-    cx, cy = c.center
-    r = c.radius
-    slack = tol * max(1.0, r)
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
+    u = np.abs(rows[:, 1])
+    _, b, wx, wy = rows[(u <= bound) & (u >= LINE_EPS)].T
+    cx, cy = wx / b, wy / b
+    r = 1.0 / np.abs(b)
+    slack = 1e-9 * np.maximum(1.0, r)
     if dual.is_line:
         if side_point is None:
             raise ValueError(
@@ -134,67 +137,57 @@ def curvilinear_triangle_contains(
         if ref == 0:
             raise ValueError("side_point lies on the dual line")
         sign = 1.0 if ref > 0 else -1.0
-        if sign * (nx * cx + ny * cy - off) < r - slack:
-            return False
+        inside = sign * (nx * cx + ny * cy - off) >= r - slack
     else:
         dx, dy = dual.center
-        if math.hypot(cx - dx, cy - dy) + r > dual.radius + slack:
-            return False
+        inside = np.hypot(cx - dx, cy - dy) + r <= dual.radius + slack
     for t in triple:
         if t.is_line:
             tn = t.normal
             # the line's normal points into its interior, away from the gap
-            if tn[0] * cx + tn[1] * cy - t.offset > -(r - slack):
-                return False
+            inside &= tn[0] * cx + tn[1] * cy - t.offset <= -(r - slack)
         else:
             tx, ty = t.center
-            d = math.hypot(cx - tx, cy - ty)
+            d = np.hypot(cx - tx, cy - ty)
             if t.curv < 0:
                 # bounding orientation: the gap lies inside the disk
-                if d + r > t.radius + slack:
-                    return False
-            elif d < t.radius + r - slack:
-                return False
-    return True
+                inside &= d + r <= t.radius + slack
+            else:
+                inside &= d >= t.radius + r - slack
+    return int(np.count_nonzero(inside))
 
 
-def count_in_curvilinear_triangle(
-    circles: list[Circle], bound: float, triple, side_point=None
-) -> int:
-    """Circles of curvature <= bound inside the curvilinear triangle of three
-    mutually tangent circles."""
-    return sum(
-        1
-        for c in circles
-        if c.unsigned_curvature <= bound
-        and curvilinear_triangle_contains(triple, c, side_point=side_point)
-    )
+class ResolutionWarning(UserWarning):
+    """A box size is finer than the enumeration bound resolves."""
 
 
-def box_counts(circles: list[Circle], eps_grid, viewport: Rect | None = None) -> np.ndarray:
-    """Occupied-box counts B(eps) for the union of circle curves.
+def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.ndarray:
+    """Occupied-box counts B(eps) for the union of the curves of the (n, 4)
+    inversive rows.
 
-    Each circle curve is sampled at arc steps of eps/3 and its samples are
-    binned to the eps-mesh; circles smaller than a box mark their bounding
-    boxes.  Lines are sampled across the viewport when one is given and
-    skipped otherwise.
+    Each circle curve is sampled at arc steps of eps/3 (at least 8 samples)
+    and its samples are binned to the eps-mesh; circles smaller than a box
+    mark their bounding boxes.  Lines are sampled across the viewport when
+    one is given and skipped otherwise.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0):
         raise ValueError("box sizes must be positive")
-    max_curv = max((c.unsigned_curvature for c in circles if not c.is_line), default=0.0)
+    rows = np.asarray(rows).reshape(-1, 4)
+    lines = np.abs(rows[:, 1]) < LINE_EPS
+    line_rows = rows[lines].astype(float)
+    b, wx, wy = rows[~lines, 1:].astype(float).T
+    max_curv = np.abs(b).max(initial=0.0)
     if max_curv > 0 and eps_grid.min() < 2.0 / max_curv:
         warnings.warn(
             f"box size {eps_grid.min():g} is below the resolution supported by "
             f"the enumeration bound {max_curv:g}",
+            ResolutionWarning,
             stacklevel=2,
         )
     out = np.empty(eps_grid.size, dtype=np.int64)
-    centers = np.array(
-        [c.center for c in circles if not c.is_line], dtype=float
-    ).reshape(-1, 2)
-    radii = np.array([c.radius for c in circles if not c.is_line], dtype=float)
-    lines = [c for c in circles if c.is_line]
+    centers = np.column_stack((wx / b, wy / b))
+    radii = 1.0 / np.abs(b)
     for k, eps in enumerate(eps_grid):
         boxes: list[np.ndarray] = []
         small = radii <= eps / 2.0
@@ -207,16 +200,22 @@ def box_counts(circles: list[Circle], eps_grid, viewport: Rect | None = None) ->
                     ix = np.minimum(lo[:, 0] + dx, hi[:, 0])
                     iy = np.minimum(lo[:, 1] + dy, hi[:, 1])
                     boxes.append(_pack(ix, iy))
-        for c, r in zip(centers[~small], radii[~small]):
-            n = max(8, int(math.ceil(2 * math.pi * r / (eps / 3.0))))
-            th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-            xs = c[0] + r * np.cos(th)
-            ys = c[1] + r * np.sin(th)
-            boxes.append(_pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
+        # every sample of every larger circle in one flat array; sample j of
+        # a circle with n samples sits at angle j * (2 pi / n), which is
+        # np.linspace(0, 2 pi, n, endpoint=False) to the bit
+        c = centers[~small]
+        r = radii[~small]
+        n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
+        owner = np.repeat(np.arange(r.size), n)
+        j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+        th = j * (2 * math.pi / n[owner])
+        xs = c[owner, 0] + r[owner] * np.cos(th)
+        ys = c[owner, 1] + r[owner] * np.sin(th)
+        boxes.append(_pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
         if viewport is not None:
-            for ln in lines:
-                boxes.append(_line_boxes(ln, eps, viewport))
-        out[k] = np.unique(np.concatenate(boxes)).size if boxes else 0
+            for a, _, nx, ny in line_rows:
+                boxes.append(_line_boxes(nx, ny, a / 2.0, eps, viewport))
+        out[k] = np.unique(np.concatenate(boxes)).size
     return out
 
 
@@ -224,10 +223,9 @@ def _pack(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     return (ix.astype(np.int64) << 32) ^ (iy.astype(np.int64) & 0xFFFFFFFF)
 
 
-def _line_boxes(line: Circle, eps: float, viewport: Rect) -> np.ndarray:
+def _line_boxes(nx: float, ny: float, c: float, eps: float, viewport: Rect) -> np.ndarray:
+    """Boxes of the line {(nx, ny) . p = c} inside the viewport."""
     x0, x1, y0, y1 = viewport
-    nx, ny = line.wx, line.wy
-    c = line.offset
     # parametrize p = c*n + t*(-ny, nx)
     px, py = c * nx, c * ny
     span = math.hypot(x1 - x0, y1 - y0)
@@ -239,12 +237,13 @@ def _line_boxes(line: Circle, eps: float, viewport: Rect) -> np.ndarray:
 
 
 def boxcount_dimension(
-    circles: list[Circle], eps_grid, viewport: Rect | None = None
+    rows: np.ndarray, eps_grid, viewport: Rect | None = None
 ) -> float:
     """Least-squares slope of log B(eps) against log(1/eps): the box-counting
-    dimension estimate of the union of circle curves."""
+    dimension estimate of the union of the curves of the (n, 4) inversive
+    rows."""
     eps_grid = np.asarray(eps_grid, dtype=float)
-    b = box_counts(circles, eps_grid, viewport=viewport)
+    b = box_counts(rows, eps_grid, viewport=viewport)
     if np.any(b <= 0):
         raise ValueError("a box size produced zero occupied boxes")
     x = np.log(1.0 / eps_grid)

@@ -28,10 +28,5 @@ def std_orbit_1e5():
 
 
 @pytest.fixture(scope="session")
-def std_circles_1e4(std_orbit_1e4):
-    return geometry.circles_from_rows(std_orbit_1e4.acc_rows)
-
-
-@pytest.fixture(scope="session")
 def std_geo_1e3():
     return geometry.generate_packing_geometric(geometry.standard_seed(), 1000)

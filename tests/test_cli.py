@@ -1,4 +1,5 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,11 +270,49 @@ def test_cli_report_records_failed_packing_constant(config_path, capsys, monkeyp
     from apollonian import counting
 
     # no occupied boxes: the box-count proxy is 0 and the estimate divides by it
-    monkeypatch.setattr(counting, "box_counts", lambda circles, eps, viewport=None: np.zeros(len(eps)))
-    monkeypatch.setattr(counting, "boxcount_dimension", lambda circles, eps, viewport=None: 1.3)
+    monkeypatch.setattr(counting, "box_counts", lambda rows, eps, viewport=None: np.zeros(len(eps)))
+    monkeypatch.setattr(counting, "boxcount_dimension", lambda rows, eps, viewport=None: 1.3)
     path, out = config_path
     rc = main(["report", "--config", path])
     assert rc == 3
     assert "packing-constant:" in capsys.readouterr().err
     with open(os.path.join(out, "summary.txt")) as fh:
         assert "failures:\n  packing-constant:" in fh.read()
+
+
+def test_cli_report_below_first_decade(config_path, capsys):
+    path, out = config_path
+    text = Path(path).read_text()
+    for old, new in (
+        ("bound = 300", "bound = 50"),
+        ("t_max = 300", "t_max = 50"),
+        ("window = 10, 300", "window = 10, 50"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 3, 4"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    Path(path).write_text(text)
+    rc = main(["report", "--config", path])
+    assert rc == 0, capsys.readouterr().err
+    from apollonian import arithmetic
+    from apollonian.quadruples import enumerate_orbit
+
+    orbit = enumerate_orbit((-1, 2, 2, 3), 50, tangency=True)
+    (s,) = arithmetic.prime_count_curve(orbit, [50])
+    primes = Path(out, "primes.csv").read_text().splitlines()
+    assert primes == ["T,pi,pi2,N", f"50,{s.pi},{s.pi2},{orbit.circle_count}"]
+    assert f"twin pairs {s.pi2} at T=50\n" in Path(out, "summary.txt").read_text()
+
+
+def test_cli_report_warns_once_below_resolution(config_path):
+    path, out = config_path
+    text = Path(path).read_text()
+    # 2^-8 is below the resolution 2 / 300 of bound 300
+    Path(path).write_text(text.replace("eps_exponents = 3, 4, 5, 6", "eps_exponents = 3, 4, 5, 6, 8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["report", "--config", path]) == 0
+    msgs = [str(w.message) for w in caught if "below the resolution" in str(w.message)]
+    assert len(msgs) == 1
+    assert msgs[0].startswith("box size 0.00390625 is below the resolution")
+    assert "box-counting dimension estimate" in Path(out, "summary.txt").read_text()

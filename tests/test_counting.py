@@ -9,6 +9,7 @@ from apollonian import geometry as geo
 from apollonian.geometry import Circle
 from apollonian.quadruples import enumerate_orbit
 from apollonian.region import meets
+from conftest import STRIP_ROOT, STRIP_WINDOW
 
 
 def test_count_by_curvature_small():
@@ -127,7 +128,7 @@ def test_boxcount_single_circle():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         dim = ct.boxcount_dimension(
-            [Circle.from_center_radius((0, 0), 1.0)],
+            geo._rows([Circle.from_center_radius((0, 0), 1.0)]),
             [2.0**-k for k in range(4, 10)],
         )
     assert dim == pytest.approx(1.0, abs=0.05)
@@ -141,29 +142,106 @@ def test_boxcount_area_filling():
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dim = ct.boxcount_dimension(grid, [2.0**-k for k in range(2, 7)])
+        dim = ct.boxcount_dimension(geo._rows(grid), [2.0**-k for k in range(2, 7)])
     assert dim == pytest.approx(2.0, abs=0.1)
 
 
-def test_boxcount_packing_dimension(std_circles_1e4):
+def test_boxcount_packing_dimension(std_orbit_1e4):
     eps = [2.0**-k for k in range(4, 10)]
-    dim = ct.boxcount_dimension(std_circles_1e4, eps)
+    dim = ct.boxcount_dimension(std_orbit_1e4.acc_rows, eps)
     assert 1.25 <= dim <= 1.36
 
 
 def test_boxcount_warns_below_resolution():
-    circles = [Circle.from_center_radius((0, 0), 1.0)]
+    rows = geo._rows([Circle.from_center_radius((0, 0), 1.0)])
     with pytest.warns(UserWarning):
-        ct.box_counts(circles, [0.1])
+        ct.box_counts(rows, [0.1])
 
 
-def test_box_counts_monotone_in_eps(std_circles_1e4):
+def test_box_counts_monotone_in_eps(std_orbit_1e4):
     eps = [2.0**-k for k in range(3, 9)]
-    b = ct.box_counts(std_circles_1e4, eps)
+    b = ct.box_counts(std_orbit_1e4.acc_rows, eps)
     assert (np.diff(b) > 0).all()
 
 
-def test_curvilinear_triangle_standard(std_circles_1e4):
+def _box_counts_per_circle(circles, eps_grid, viewport=None):
+    """The former box counter on Circle objects, which sampled each circle
+    larger than a box in its own loop step: the reference for
+    ``box_counts`` on rows."""
+    out = []
+    centers = np.array([c.center for c in circles if not c.is_line]).reshape(-1, 2)
+    radii = np.array([c.radius for c in circles if not c.is_line])
+    lines = [c for c in circles if c.is_line]
+    for eps in eps_grid:
+        boxes = []
+        small = radii <= eps / 2.0
+        if small.any():
+            lo = np.floor((centers[small] - radii[small, None]) / eps).astype(np.int64)
+            hi = np.floor((centers[small] + radii[small, None]) / eps).astype(np.int64)
+            for dx in (0, 1):
+                for dy in (0, 1):
+                    ix = np.minimum(lo[:, 0] + dx, hi[:, 0])
+                    iy = np.minimum(lo[:, 1] + dy, hi[:, 1])
+                    boxes.append(ct._pack(ix, iy))
+        for c, r in zip(centers[~small], radii[~small]):
+            n = max(8, int(math.ceil(2 * math.pi * r / (eps / 3.0))))
+            th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+            xs = c[0] + r * np.cos(th)
+            ys = c[1] + r * np.sin(th)
+            boxes.append(ct._pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
+        if viewport is not None:
+            x0, x1, y0, y1 = viewport
+            for ln in lines:
+                nx, ny = ln.wx, ln.wy
+                px, py = ln.offset * nx, ln.offset * ny
+                span = math.hypot(x1 - x0, y1 - y0)
+                ts = np.arange(-span, span, eps / 3.0)
+                xs = px - ts * ny
+                ys = py + ts * nx
+                m = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+                boxes.append(ct._pack(np.floor(xs[m] / eps).astype(np.int64), np.floor(ys[m] / eps).astype(np.int64)))
+        out.append(np.unique(np.concatenate(boxes)).size if boxes else 0)
+    return out
+
+
+def test_box_counts_match_per_circle_reference_standard(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
+    eps = [2.0**-k for k in range(3, 10)]
+    ref = _box_counts_per_circle(geo.circles_from_rows(rows), eps)
+    assert ct.box_counts(rows, eps).tolist() == ref
+
+
+def test_box_counts_match_per_circle_reference_strip():
+    rows = enumerate_orbit(STRIP_ROOT, 1000, embedding="auto", region=STRIP_WINDOW).acc_rows
+    assert (rows[:, 1] == 0).sum() == 2
+    eps = [2.0**-k for k in range(3, 9)]
+    circles = geo.circles_from_rows(rows)
+    for viewport in (STRIP_WINDOW, None):
+        ref = _box_counts_per_circle(circles, eps, viewport)
+        assert ct.box_counts(rows, eps, viewport=viewport).tolist() == ref
+
+
+def test_box_counts_match_per_circle_reference_float_rows():
+    circles = [
+        Circle.from_center_radius((0.0, 0.0), 1.0, bounding=True),
+        Circle.from_center_radius((0.3, -0.2), 0.25),
+        Circle.from_center_radius((-0.41, 0.37), 0.013),
+        Circle.from_center_radius((0.05, 0.6), 0.0021),
+        Circle.from_curvature_center(-7.5, (0.2, 0.1)),
+        Circle.line((1.0, 2.0), 0.35),
+        Circle.line((0.0, -1.0), 0.8),
+    ]
+    eps = [2.0**-k for k in range(2, 10)] + [0.3, 0.0071]
+    rows = np.array([c.vector() for c in circles])
+    viewport = (-1.0, 1.0, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        for vp in (viewport, None):
+            ref = _box_counts_per_circle(circles, eps, vp)
+            assert ct.box_counts(rows, eps, viewport=vp).tolist() == ref
+
+
+def test_curvilinear_triangle_standard(std_orbit_1e4):
     """Dual route: circles inside the gap of (2L, 2R, 3T) equal the counts
     from the swap subtree rooted at the quadruple (15, 2, 2, 3)."""
     from apollonian.quadruples import apply_swap
@@ -187,30 +265,50 @@ def test_curvilinear_triangle_standard(std_circles_1e4):
         return total
 
     for bound in (15, 100, 2000):
-        geom = ct.count_in_curvilinear_triangle(std_circles_1e4, bound, triple)
+        geom = ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, bound, triple)
         assert geom == subtree_count(bound)
 
 
-def test_curvilinear_triangle_growth_exponent(std_circles_1e4):
+def test_curvilinear_triangle_growth_exponent(std_orbit_1e4):
     seed = geo.standard_seed()
     triple = (seed.circles[1], seed.circles[2], seed.circles[3])
     ts = np.geomspace(100, 10**4, 17)
-    ns = [ct.count_in_curvilinear_triangle(std_circles_1e4, t, triple) for t in ts]
+    ns = [ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, t, triple) for t in ts]
     curve = ct.CountCurve(ts, ns)
     fit = ct.fit_exponent(curve, (100, 10**4))
     assert abs(fit.alpha_hat - 1.30568) < 0.06
 
 
-def test_curvilinear_triangle_collinear_needs_side(std_circles_1e4):
+def test_curvilinear_triangle_collinear_needs_side(std_orbit_1e4):
     seed = geo.standard_seed()
     triple = (seed.circles[0], seed.circles[1], seed.circles[2])
     with pytest.raises(ValueError):
-        ct.count_in_curvilinear_triangle(std_circles_1e4, 100, triple)
+        ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, 100, triple)
     top = ct.count_in_curvilinear_triangle(
-        std_circles_1e4, 1000, triple, side_point=(0.0, 0.6)
+        std_orbit_1e4.acc_rows, 1000, triple, side_point=(0.0, 0.6)
     )
     bottom = ct.count_in_curvilinear_triangle(
-        std_circles_1e4, 1000, triple, side_point=(0.0, -0.6)
+        std_orbit_1e4.acc_rows, 1000, triple, side_point=(0.0, -0.6)
     )
     assert top == bottom  # mirror symmetry
     assert top > 0
+
+
+def test_curvilinear_triangle_strip_halves():
+    """The two lines of the strip and its unit circle at (2, 1) bound two
+    mirror half-strips; over the window (1, 3, 0, 2), symmetric about x = 2,
+    they hold equal counts, and every other proper circle lies in one."""
+    seed = geo.strip_seed()
+    triple = (seed.circles[0], seed.circles[1], seed.circles[3])
+    rows = enumerate_orbit(STRIP_ROOT, 1000, embedding="auto", region=(1.0, 3.0, 0.0, 2.0)).acc_rows
+    for bound in (1, 10, 100, 1000):
+        left = ct.count_in_curvilinear_triangle(rows, bound, triple, side_point=(1.5, 1.0))
+        right = ct.count_in_curvilinear_triangle(rows, bound, triple, side_point=(2.5, 1.0))
+        proper = int(np.count_nonzero((rows[:, 1] != 0) & (np.abs(rows[:, 1]) <= bound)))
+        assert left == right
+        assert left + right == proper - 1
+    # a disk on the right that crosses the line y = 0 is not inside
+    crossing = Circle.from_center_radius((2.8, -0.2), 0.3).vector()
+    assert ct.count_in_curvilinear_triangle(
+        np.vstack([rows, crossing]), 1000, triple, side_point=(2.5, 1.0)
+    ) == right
