@@ -12,7 +12,6 @@ from .quadruples import (
 )
 from .geometry import (
     Circle,
-    InversionMap,
     SeedConfiguration,
     dual_circles,
     generate_packing_geometric,
@@ -33,7 +32,6 @@ __all__ = [
     "is_root",
     "reduce_to_root",
     "Circle",
-    "InversionMap",
     "SeedConfiguration",
     "dual_circles",
     "generate_packing_geometric",

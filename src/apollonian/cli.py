@@ -179,7 +179,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
         # the decades from 100 up to the bound, or the bound alone below 100
         ts = [10 ** k for k in range(2, int(math.log10(cfg.bound)) + 1)] or [cfg.bound]
         stats = arithmetic.prime_count_curve(orbit, ts)
-        u = np.sort(orbit.unsigned_curvatures)
+        u = orbit.unsigned_curvatures  # a fresh array, so sorted in place
+        u.sort()
         rows = []
         for s in stats:
             n_at = int(np.searchsorted(u, s.bound, side="right"))

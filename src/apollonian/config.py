@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .congruence import MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
-from .quadruples import descartes_form, embedding_for_root, is_root, reduce_to_root
+from .quadruples import MAX_BOUND, descartes_form, embedding_for_root, is_root, reduce_to_root
 from .sieve import Selector, parse_selector
 
 
@@ -72,8 +72,12 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
             f"{root} is not a root quadruple; its root is {reduce_to_root(root)}"
         )
     bound = cp["packing"].getint("bound", fallback=10000)
-    if bound < 1:
-        raise ConfigError("bound must be positive")
+    # the walk needs a root circle within the bound and int64 headroom
+    lowest = max(1, min(abs(x) for x in root))
+    if not lowest <= bound <= MAX_BOUND:
+        raise ConfigError(
+            f"bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; got {bound}"
+        )
 
     grid = cp["grid"] if "grid" in cp else {}
     tmax = float(grid.get("t_max", bound))

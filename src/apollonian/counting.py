@@ -47,8 +47,13 @@ def count_by_curvature(orbit: PackingOrbit, grid) -> CountCurve:
         raise ValueError(
             f"grid point {grid.max():g} exceeds the orbit bound {orbit.bound}"
         )
-    u = np.sort(orbit.unsigned_curvatures)
-    counts = np.searchsorted(u, grid, side="right")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid points must be finite")
+    u = orbit.unsigned_curvatures  # a fresh array, so sorted in place
+    u.sort()
+    # |b| <= t exactly when |b| <= floor(t); integer keys keep searchsorted
+    # from casting the whole of u to float
+    counts = np.searchsorted(u, np.floor(grid).astype(u.dtype), side="right")
     return CountCurve(grid, counts, packing_id=str(orbit.root))
 
 
@@ -194,12 +199,15 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
         if small.any():
             lo = np.floor((centers[small] - radii[small, None]) / eps).astype(np.int64)
             hi = np.floor((centers[small] + radii[small, None]) / eps).astype(np.int64)
-            # bounding boxes are at most 2x2 cells here
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    ix = np.minimum(lo[:, 0] + dx, hi[:, 0])
-                    iy = np.minimum(lo[:, 1] + dy, hi[:, 1])
-                    boxes.append(_pack(ix, iy))
+            # bounding boxes are at most 2x2 cells here, and most are one
+            # cell, so each distinct cell is packed once
+            hi = np.minimum(hi, lo + 1)
+            wide, tall = (hi > lo).T
+            both = wide & tall
+            boxes.append(_pack(lo[:, 0], lo[:, 1]))
+            boxes.append(_pack(hi[wide, 0], lo[wide, 1]))
+            boxes.append(_pack(lo[tall, 0], hi[tall, 1]))
+            boxes.append(_pack(hi[both, 0], hi[both, 1]))
         # every sample of every larger circle in one flat array; sample j of
         # a circle with n samples sits at angle j * (2 pi / n), which is
         # np.linspace(0, 2 pi, n, endpoint=False) to the bit

@@ -145,51 +145,35 @@ def inversive_product(c1: Circle, c2: Circle) -> float:
     )
 
 
-@dataclass(frozen=True)
-class InversionMap:
-    """Inversion (reflection) in a mirror circle or line."""
-
-    mirror: Circle
-
-    def point(self, p: Point, on_pole: str = "raise") -> Point:
-        m = self.mirror
-        if m.is_line:
-            nx, ny = m.wx, m.wy
-            s = nx * p[0] + ny * p[1] - m.offset
-            return (p[0] - 2 * s * nx, p[1] - 2 * s * ny)
-        ax, ay = m.center
-        r2 = m.radius ** 2
-        dx, dy = p[0] - ax, p[1] - ay
-        d2 = dx * dx + dy * dy
-        if d2 == 0.0:
-            if on_pole == "infinity":
-                return (math.inf, math.inf)
-            raise PoleAtCenterError("point coincides with the mirror center")
-        s = r2 / d2
-        return (ax + s * dx, ay + s * dy)
-
-    def circle(self, c: Circle) -> Circle:
-        m = self.mirror
-        t = inversive_product(c, m)
-        return Circle(
-            c.cocurv - 2 * t * m.cocurv,
-            c.curv - 2 * t * m.curv,
-            c.wx - 2 * t * m.wx,
-            c.wy - 2 * t * m.wy,
-        )
-
-    def __call__(self, obj):
-        if isinstance(obj, Circle):
-            return self.circle(obj)
-        return self.point(obj)
-
-
 def invert_point(mirror: Circle, p: Point, on_pole: str = "raise") -> Point:
-    return InversionMap(mirror).point(p, on_pole=on_pole)
+    """Inversion (reflection) of a point in a mirror circle or line.  The
+    mirror's centre maps to infinity with ``on_pole="infinity"`` and raises
+    PoleAtCenterError otherwise."""
+    if mirror.is_line:
+        nx, ny = mirror.wx, mirror.wy
+        s = nx * p[0] + ny * p[1] - mirror.offset
+        return (p[0] - 2 * s * nx, p[1] - 2 * s * ny)
+    ax, ay = mirror.center
+    r2 = mirror.radius ** 2
+    dx, dy = p[0] - ax, p[1] - ay
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        if on_pole == "infinity":
+            return (math.inf, math.inf)
+        raise PoleAtCenterError("point coincides with the mirror center")
+    s = r2 / d2
+    return (ax + s * dx, ay + s * dy)
 
 
 def invert_circle(mirror: Circle, c: Circle) -> Circle:
-    return InversionMap(mirror).circle(c)
+    """Inversion (reflection) of a circle in a mirror circle or line."""
+    t = inversive_product(c, mirror)
+    return Circle(
+        c.cocurv - 2 * t * mirror.cocurv,
+        c.curv - 2 * t * mirror.curv,
+        c.wx - 2 * t * mirror.wx,
+        c.wy - 2 * t * mirror.wy,
+    )
 
 
 def tangency_residual(c1: Circle, c2: Circle) -> float:
@@ -211,10 +195,6 @@ def tangency_residual(c1: Circle, c2: Circle) -> float:
     r1, r2 = c1.radius, c2.radius
     res = min(abs(d - (r1 + r2)), abs(d - abs(r1 - r2)))
     return res * max(c1.unsigned_curvature, c2.unsigned_curvature)
-
-
-def is_tangent(c1: Circle, c2: Circle, tol: float = TANGENCY_TOL) -> bool:
-    return tangency_residual(c1, c2) < tol
 
 
 def tangency_point(c1: Circle, c2: Circle, tol: float = TANGENCY_TOL) -> Point:

@@ -50,6 +50,9 @@ KNOWN_EMBEDDINGS: dict[Quad, tuple[tuple[int, int, int, int], ...]] = {
 # below 2^63.
 MAX_BOUND = 10**8
 
+# the entries a swap leaves in place, for each swap index
+KEPT_POSITIONS = np.array([[p for p in range(4) if p != i] for i in range(4)])
+
 # lines formatted per call in _write_rows: bounds the format string, the
 # argument tuple and the text held at once to a few MB
 ROWS_PER_CHUNK = 1 << 16
@@ -242,84 +245,90 @@ def enumerate_orbit(
     if track_ids:
         edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)]
 
-    frontier_q = np.array([root], dtype=np.int64)
-    frontier_last = np.array([-1], dtype=np.int8)
-    frontier_ids = np.array([[0, 1, 2, 3]], dtype=np.int64) if track_ids else None
-    frontier_rows = rows0[None, :, :].copy() if with_rows else None
+    # frontier arrays are entry-major: quads and circle ids have shape (4, n)
+    # and inversive rows (4, n, 4), so that each entry position is one
+    # contiguous block
+    frontier_q = np.array(root, dtype=np.int64)[:, None]
+    frontier_last = None  # swap that made each frontier quad; the root has none
+    frontier_ids = np.arange(4, dtype=np.int64)[:, None] if track_ids else None
+    frontier_rows = rows0[:, None, :].copy() if with_rows else None
     next_id = 4
     depth = 0
 
-    while frontier_q.shape[0] > 0:
+    while True:
         depth += 1
         if max_depth is not None and depth > max_depth:
             break
-        nq, nlast, nids, nrows = [], [], [], []
-        for i in range(4):
-            mask = frontier_last != i
-            if not mask.any():
-                continue
-            q = frontier_q[mask]
-            new_entry = 2 * (q.sum(axis=1) - q[:, i]) - q[:, i]
-            keep = new_entry <= bound
-            if not keep.any():
-                continue
-            child = q[keep].copy()
-            child[:, i] = new_entry[keep]
-            keep_idx = np.flatnonzero(keep)
-            crows = None
-            if with_rows:
-                r = frontier_rows[mask][keep]
-                crows = r.copy()
-                crows[:, i, :] = 2 * r.sum(axis=1) - 3 * r[:, i, :]
-            if region is not None:
-                alive = branch_alive(crows, region, margin)
-                child, crows, keep_idx = child[alive], crows[alive], keep_idx[alive]
-            n = child.shape[0]
-            if n == 0:
-                continue
-            quad_count += n
-            circ_curv.append(child[:, i].copy())
-            if with_rows:
-                circ_rows.append(crows[:, i, :].copy())
-            if keep_quads:
-                quads_acc.append(child)
-                depths_acc.append(np.full(n, depth, dtype=np.int32))
-            if track_ids:
-                ids = frontier_ids[mask][keep_idx].copy()
-                new_ids = np.arange(next_id, next_id + n, dtype=np.int64)
-                kept_pos = [p for p in range(4) if p != i]
-                e = np.empty((3 * n, 2), dtype=np.int64)
-                for k, p in enumerate(kept_pos):
-                    e[k * n : (k + 1) * n, 0] = ids[:, p]
-                    e[k * n : (k + 1) * n, 1] = new_ids
-                edge_acc.append(e)
-                ids[:, i] = new_ids
-                nids.append(ids)
-            next_id += n
-            nq.append(child)
-            nlast.append(np.full(n, i, dtype=np.int8))
-            if with_rows:
-                nrows.append(crows)
-        if not nq:
-            break
-        frontier_q = np.concatenate(nq)
-        frontier_last = np.concatenate(nlast)
-        if track_ids:
-            frontier_ids = np.concatenate(nids)
+        width = frontier_q.shape[1]
+        # swap i replaces q_i by 2*sum(q) - 3*q_i, which stays within the
+        # bound exactly when q_i >= ceil((2*sum(q) - bound) / 3)
+        twice_sum = 2 * frontier_q.sum(axis=0)
+        keep = frontier_q >= (twice_sum - bound + 2) // 3
+        if frontier_last is not None:
+            keep[frontier_last, np.arange(width)] = False  # no swap repeats
+        # children ordered by swap index, then by parent position; ``flat``
+        # indexes the swapped entry in frontier_q
+        flat = np.flatnonzero(keep)
+        swap = np.repeat(np.arange(4), np.count_nonzero(keep, axis=1))
+        parent = flat - swap * width
+        new_entry = np.take(twice_sum, parent) - 3 * np.take(frontier_q, flat)
         if with_rows:
-            frontier_rows = np.concatenate(nrows)
+            crows = np.take(frontier_rows, parent, axis=1)
+            at = np.arange(parent.size)
+            twice_row_sum = 2 * frontier_rows.sum(axis=0)
+            new_rows = np.take(twice_row_sum, parent, axis=0) - 3 * crows[swap, at]
+            crows[swap, at] = new_rows
+            if region is not None:
+                alive = branch_alive(crows.transpose(1, 0, 2), region, margin)
+                swap, parent, new_entry = swap[alive], parent[alive], new_entry[alive]
+                crows, new_rows = crows[:, alive], new_rows[alive]
+        n = parent.size
+        if n == 0:
+            break
+        at = np.arange(n)
+        child = np.take(frontier_q, parent, axis=1)
+        child[swap, at] = new_entry
+        quad_count += n
+        circ_curv.append(new_entry)
+        if with_rows:
+            circ_rows.append(new_rows)
+        if keep_quads:
+            quads_acc.append(child.T)
+            depths_acc.append(np.full(n, depth, dtype=np.int32))
+        if track_ids:
+            ids = np.take(frontier_ids, parent, axis=1)
+            new_ids = np.arange(next_id, next_id + n, dtype=np.int64)
+            # edges from the three kept circles to the new one, grouped by
+            # swap, then by kept position, then by child
+            per_swap = np.bincount(swap, minlength=4)
+            first = np.cumsum(per_swap) - per_swap
+            slot = (2 * first[swap] + at)[:, None] + per_swap[swap][:, None] * np.arange(3)
+            e = np.empty((3 * n, 2), dtype=np.int64)
+            e[slot, 0] = ids[KEPT_POSITIONS[swap], at[:, None]]
+            e[slot, 1] = new_ids[:, None]
+            edge_acc.append(e)
+            ids[swap, at] = new_ids
+            frontier_ids = ids
+        next_id += n
+        frontier_q, frontier_last = child, swap
+        if with_rows:
+            frontier_rows = crows
 
+    # each per-generation list is dropped once joined, so that it never
+    # coexists with the filtered copy
     curv = np.concatenate(circ_curv)
     rows_all = np.concatenate(circ_rows) if with_rows else None
+    edges = np.concatenate(edge_acc) if track_ids else None
+    del circ_curv, circ_rows, edge_acc
 
     keep_mask = np.abs(curv) <= bound
     if region is not None:
         keep_mask &= meets(rows_all, region)
-
-    edges = None
-    if track_ids:
-        edges = np.concatenate(edge_acc)
-        if not keep_mask.all():
+    if not keep_mask.all():
+        curv = curv[keep_mask]
+        if with_rows:
+            rows_all = rows_all[keep_mask]
+        if track_ids:
             edges = edges[keep_mask[edges[:, 0]] & keep_mask[edges[:, 1]]]
             remap = np.cumsum(keep_mask) - 1
             edges = remap[edges]
@@ -327,12 +336,12 @@ def enumerate_orbit(
     orbit = PackingOrbit(
         root=root,
         bound=bound,
-        curvatures=curv[keep_mask],
+        curvatures=curv,
         quad_count=quad_count,
         edges=edges,
         quads=np.concatenate(quads_acc) if keep_quads and quads_acc else (np.empty((0, 4), dtype=np.int64) if keep_quads else None),
         quad_depths=np.concatenate(depths_acc) if keep_quads and depths_acc else (np.empty(0, dtype=np.int32) if keep_quads else None),
-        acc_rows=rows_all[keep_mask] if with_rows else None,
+        acc_rows=rows_all,
         region=region,
         generations=depth,
     )

@@ -142,6 +142,23 @@ def test_cli_rejects_unusable_region(tmp_path, capsys, root, region):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "root, bound",
+    [
+        ("-1, 2, 2, 3", 200_000_000),  # above MAX_BOUND
+        ("-2, 3, 6, 7", 1),  # below every root curvature
+    ],
+)
+def test_cli_rejects_bound_out_of_range(tmp_path, capsys, root, bound):
+    out = tmp_path / "o"
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[packing]\nroot = {root}\nbound = {bound}\n[output]\ndir = {out}\n")
+    for command in ("generate", "report", "render"):
+        assert main([command, "--config", str(path)]) == 2
+        assert "bound must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_render_deterministic(config_path):
     path, out = config_path
     assert main(["render", "--config", path]) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apollonian import geometry as geo
-from apollonian.geometry import Circle, InversionMap
+from apollonian.geometry import Circle
 from apollonian.quadruples import enumerate_orbit
 
 
@@ -134,10 +134,9 @@ def test_dual_circles_standard_seed():
 def test_duals_respect_mirror_symmetry():
     seed = geo.standard_seed()
     mirror = Circle.line((1, 0), 0.0)  # x = 0
-    refl = InversionMap(mirror)
     # seed circles 2L <-> 2R swap, bounding and top fixed; the duals permute
     # the same way
-    d_left = refl.circle(seed.duals[1])
+    d_left = geo.invert_circle(mirror, seed.duals[1])
     assert d_left.center == pytest.approx(seed.duals[2].center, abs=1e-12)
     assert d_left.radius == pytest.approx(seed.duals[2].radius, abs=1e-12)
 

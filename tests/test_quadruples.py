@@ -359,3 +359,161 @@ def test_any_decreasing_swap_choice_reaches_same_root(std_orbit_1e4):
                 break
             cur = options[rng.integers(len(options))]
         assert cur == STANDARD
+
+
+# --- the generation kernel against the per-swap reference walk ---
+
+
+def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=None,
+                    region=None, max_depth=None):
+    """The former body of ``enumerate_orbit``: one masked pass over the
+    frontier per swap index.  Takes validated arguments and returns the
+    ``PackingOrbit`` fields as a dict."""
+    from apollonian.region import branch_alive, meets, prune_margin
+
+    rows0 = embedding_for_root(root) if embedding == "auto" else None
+    if region is not None:
+        margin = prune_margin(rows0)
+    with_rows = rows0 is not None
+    track_ids = tangency
+    circ_curv = [np.array(root, dtype=np.int64)]
+    circ_rows = [rows0] if with_rows else None
+    root_in_ball = max(abs(x) for x in root) <= bound
+    quad_count = 1 if root_in_ball else 0
+    quads_acc = [np.array([root], dtype=np.int64)] if (keep_quads and root_in_ball) else []
+    depths_acc = [np.array([0], dtype=np.int32)] if (keep_quads and root_in_ball) else []
+    edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)]
+
+    frontier_q = np.array([root], dtype=np.int64)
+    frontier_last = np.array([-1], dtype=np.int8)
+    frontier_ids = np.array([[0, 1, 2, 3]], dtype=np.int64)
+    frontier_rows = rows0[None, :, :].copy() if with_rows else None
+    next_id = 4
+    depth = 0
+    while frontier_q.shape[0] > 0:
+        depth += 1
+        if max_depth is not None and depth > max_depth:
+            break
+        nq, nlast, nids, nrows = [], [], [], []
+        for i in range(4):
+            mask = frontier_last != i
+            if not mask.any():
+                continue
+            q = frontier_q[mask]
+            new_entry = 2 * (q.sum(axis=1) - q[:, i]) - q[:, i]
+            keep = new_entry <= bound
+            if not keep.any():
+                continue
+            child = q[keep].copy()
+            child[:, i] = new_entry[keep]
+            keep_idx = np.flatnonzero(keep)
+            crows = None
+            if with_rows:
+                r = frontier_rows[mask][keep]
+                crows = r.copy()
+                crows[:, i, :] = 2 * r.sum(axis=1) - 3 * r[:, i, :]
+            if region is not None:
+                alive = branch_alive(crows, region, margin)
+                child, crows, keep_idx = child[alive], crows[alive], keep_idx[alive]
+            n = child.shape[0]
+            if n == 0:
+                continue
+            quad_count += n
+            circ_curv.append(child[:, i].copy())
+            if with_rows:
+                circ_rows.append(crows[:, i, :].copy())
+            if keep_quads:
+                quads_acc.append(child)
+                depths_acc.append(np.full(n, depth, dtype=np.int32))
+            if track_ids:
+                ids = frontier_ids[mask][keep_idx].copy()
+                new_ids = np.arange(next_id, next_id + n, dtype=np.int64)
+                kept_pos = [p for p in range(4) if p != i]
+                e = np.empty((3 * n, 2), dtype=np.int64)
+                for k, p in enumerate(kept_pos):
+                    e[k * n : (k + 1) * n, 0] = ids[:, p]
+                    e[k * n : (k + 1) * n, 1] = new_ids
+                edge_acc.append(e)
+                ids[:, i] = new_ids
+                nids.append(ids)
+            next_id += n
+            nq.append(child)
+            nlast.append(np.full(n, i, dtype=np.int8))
+            if with_rows:
+                nrows.append(crows)
+        if not nq:
+            break
+        frontier_q = np.concatenate(nq)
+        frontier_last = np.concatenate(nlast)
+        if track_ids:
+            frontier_ids = np.concatenate(nids)
+        if with_rows:
+            frontier_rows = np.concatenate(nrows)
+
+    curv = np.concatenate(circ_curv)
+    rows_all = np.concatenate(circ_rows) if with_rows else None
+    keep_mask = np.abs(curv) <= bound
+    if region is not None:
+        keep_mask &= meets(rows_all, region)
+    edges = None
+    if track_ids:
+        edges = np.concatenate(edge_acc)
+        if not keep_mask.all():
+            edges = edges[keep_mask[edges[:, 0]] & keep_mask[edges[:, 1]]]
+            edges = (np.cumsum(keep_mask) - 1)[edges]
+    return {
+        "curvatures": curv[keep_mask],
+        "quad_count": quad_count,
+        "edges": edges,
+        "quads": np.concatenate(quads_acc) if quads_acc else (np.empty((0, 4), dtype=np.int64) if keep_quads else None),
+        "quad_depths": np.concatenate(depths_acc) if depths_acc else (np.empty(0, dtype=np.int32) if keep_quads else None),
+        "acc_rows": rows_all[keep_mask] if with_rows else None,
+        "generations": depth,
+    }
+
+
+def _assert_matches_reference(root, bound, **kw):
+    orbit = enumerate_orbit(root, bound, **kw)
+    expected = _reference_walk(root, bound, **kw)
+    for name, want in expected.items():
+        got = getattr(orbit, name)
+        if want is None or got is None:
+            assert got is None and want is None, name
+        elif isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
+
+
+FULL = dict(tangency=True, keep_quads=True, embedding="auto")
+STRIP = (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "root, bound, kw",
+    [
+        pytest.param(STANDARD, 2, FULL, id="standard-2"),
+        pytest.param(STANDARD, 20_000, FULL, id="standard-2e4"),
+        pytest.param(STANDARD, 100_000, FULL, id="standard-1e5"),
+        # what the exponent fit asks for: curvatures only
+        pytest.param(STANDARD, 300_000, {}, id="standard-3e5"),
+        pytest.param(STANDARD, 20_000, {**FULL, "region": (-0.2, 0.2, -0.2, 0.2)}, id="standard-window"),
+        pytest.param(STRIP, 2000, {**FULL, "region": (0.0, 2.0, 0.0, 2.0)}, id="strip-window"),
+        pytest.param(STRIP, 2000, {**FULL, "region": (-0.3, 0.7, -0.1, 1.3)}, id="strip-offset-window"),
+        pytest.param(STRIP, 2000, {**FULL, "max_depth": 12}, id="strip-depth-12"),
+        pytest.param((-2, 3, 6, 7), 20_000, FULL, id="unembedded-2e4"),
+    ],
+)
+def test_generation_kernel_matches_per_swap_walk(root, bound, kw):
+    _assert_matches_reference(root, bound, **kw)
+
+
+@given(st.sampled_from([STANDARD, (-2, 3, 6, 7)]), st.integers(min_value=1, max_value=3000))
+@settings(max_examples=60, deadline=None)
+def test_generation_kernel_matches_per_swap_walk_any_bound(root, bound):
+    if bound < min(abs(x) for x in root):
+        with pytest.raises(ValueError, match="below every root curvature"):
+            enumerate_orbit(root, bound)
+        return
+    _assert_matches_reference(root, bound, **FULL)
