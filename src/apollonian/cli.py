@@ -232,11 +232,13 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
         if skipped:
             summary.append(f"non-square-free moduli skipped: {skipped}")
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for res in pool.map(_guard(one), moduli):
+            for q, res in zip(moduli, pool.map(_guard(one), moduli)):
+                if isinstance(res, congruence.SizeCapError):
+                    continue
                 if isinstance(res, Exception):
-                    if isinstance(res, congruence.SizeCapError):
-                        continue
-                    raise res
+                    # the other moduli's rows are still written
+                    failures.append(f"spectral q={q}: {res}")
+                    continue
                 reports.append(res)
         reports.sort(key=lambda r: r[0])
         for q, order, rep in reports:

@@ -28,6 +28,9 @@ DENSE_CAP_DEFAULT = 5000
 ELEMENT_CAP_DEFAULT = 10**7
 MAX_GROUP_MODULUS = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
 MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
+# a Lanczos eigenpair (lam, v) is accepted when
+# |A v - lam v| <= _EIGEN_TOL * max(1, |lam|) * sqrt(n)
+_EIGEN_TOL = 1e-8
 # orbit_mod keeps its results, one byte per coordinate, up to this many bytes
 # in all; the least recently used orbit goes first
 _ORBIT_MEMO_BYTES = 32 << 20
@@ -116,7 +119,9 @@ class FiniteGroupImage:
         return int(len(self.elements))
 
     def index_of(self, mats: np.ndarray) -> np.ndarray:
-        keys = _pack_mats(mats % self.modulus)
+        return self._index_of_keys(_pack_mats(mats % self.modulus))
+
+    def _index_of_keys(self, keys: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.keys, keys)
         idx = np.clip(idx, 0, len(self.keys) - 1)
         ok = self.keys[idx] == keys
@@ -186,7 +191,8 @@ def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
     loops = np.zeros(n, dtype=np.int64)
     pair_keys = []
     for images in _swaps(img.elements, img.modulus):
-        nb = img.index_of(images)
+        # _swaps reduces mod q already, so the keys are searched as they are
+        nb = img._index_of_keys(_pack_mats(images))
         loops += nb == idx
         # each swap is an involution, so {u, u S_i} is found from both ends:
         # keep it from the smaller one
@@ -206,20 +212,54 @@ class SpectralReport:
     cheeger_upper: float | None
     n: int
     method: str
-    exact_cheeger: float | None = None
 
 
-def spectrum(
-    g: CayleyGraph,
-    dense_cap: int = DENSE_CAP_DEFAULT,
-    tol: float = 1e-8,
-) -> SpectralReport:
-    """lambda_0, lambda_1, lambda_min of the adjacency operator plus the
+def _two_colouring(a: sp.csr_matrix) -> np.ndarray | None:
+    """Sides (False, True) of a proper 2-colouring of the graph with
+    symmetric adjacency matrix ``a``, or None when the graph has a self-loop,
+    is disconnected, or has an odd cycle.
+
+    The side of a vertex is the parity of its breadth-first distance from
+    vertex 0; every edge is then checked to join the two sides.
+    """
+    n = a.shape[0]
+    if a.diagonal().any():
+        return None
+    # a is symmetric, so the directed search is the undirected one;
+    # sp.csgraph is imported on first use, not with this module
+    order, pred = sp.csgraph.breadth_first_order(a, 0, directed=True)
+    if len(order) < n:
+        return None
+    # pointer jumping: side[v] is the parity of the path from v to pred[v];
+    # doubling the jumps reaches vertex 0 after log2(depth) rounds
+    pred[0] = 0
+    side = np.ones(n, dtype=bool)
+    side[0] = False
+    while pred.any():
+        side ^= side[pred]
+        pred = pred[pred]
+    tails = np.repeat(np.arange(n), np.diff(a.indptr))
+    return side if (side[tails] != side[a.indices]).all() else None
+
+
+def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralReport:
+    """lambda_0, lambda_1, lambda_min of the adjacency operator A plus the
     Cheeger bounds (k - lambda_1)/2 <= h <= sqrt(2k(k - lambda_1)).
 
-    Dense symmetric solver up to ``dense_cap`` vertices; deterministic
-    Lanczos iteration above it, with the Rayleigh residual of every returned
-    eigenpair checked against ``tol``.
+    Up to ``dense_cap`` vertices, a dense symmetric solver.  Above it, one
+    deterministic Lanczos (ARPACK) run:
+
+    - a connected, loop-free graph with a proper 2-colouring (every swap
+      Cayley graph mod q >= 3: the swaps have determinant -1, so the sides
+      are det = +1 and det = -1) has A = [[0, B], [B^T, 0]] with eigenvalues
+      +-sigma(B).  The top two eigenvalues sigma_0^2, sigma_1^2 of B B^T on
+      the side of vertex 0 give lambda_0 = sigma_0, lambda_1 = sigma_1 and
+      lambda_min = -sigma_0; each eigenvector u lifts to (u, +-B^T u/sigma);
+    - any other graph takes the two largest and the smallest eigenpair of A.
+
+    Every returned eigenpair (lam, v) is checked on the full A:
+    |A v - lam v| <= 1e-8 * max(1, |lam|) * sqrt(n), else
+    EigenConvergenceError.
     """
     a = g.adjacency()
     k = g.degree
@@ -230,22 +270,40 @@ def spectrum(
         lam0, lam1, lammin = float(vals[-1]), float(vals[-2]), float(vals[0])
         method = "dense"
     else:
+        side = _two_colouring(a)
         rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(g.n)
-        af = a.astype(float)
         try:
-            vals, vecs = spla.eigsh(af, k=2, which="LA", v0=v0)
-            vmin, wmin = spla.eigsh(af, k=1, which="SA", v0=v0)
+            if side is None:
+                vals, vecs = spla.eigsh(a, k=3, which="BE", v0=rng.standard_normal(g.n))
+                pairs = list(zip(vals, vecs.T))  # lambda_min, lambda_1, lambda_0
+            else:
+                rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
+                b = a[rows][:, cols]
+                bbt = spla.LinearOperator(
+                    (len(rows), len(rows)), matvec=lambda x: b @ (b.T @ x), dtype=float
+                )
+                vals, vecs = spla.eigsh(
+                    bbt, k=2, which="LA", v0=rng.standard_normal(len(rows))
+                )
+                (s1, s0), (u1, u0) = np.sqrt(np.maximum(vals, 0.0)), vecs.T
+
+                def lift(u, s, sign):
+                    v = np.empty(g.n)
+                    v[rows] = u
+                    # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
+                    # dividing rounding noise by s would not give it
+                    v[cols] = sign * (b.T @ u) / s if s > _EIGEN_TOL else 0.0
+                    return v / np.linalg.norm(v)
+
+                pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise EigenConvergenceError(str(exc)) from exc
-        for lam, vec in zip(
-            np.concatenate([vals, vmin]), np.concatenate([vecs.T, wmin.T])
-        ):
-            resid = float(np.linalg.norm(af @ vec - lam * vec))
-            if resid > tol * max(1.0, abs(lam)) * np.sqrt(g.n):
+        for lam, vec in pairs:
+            resid = float(np.linalg.norm(a @ vec - lam * vec))
+            # written so that a NaN residual fails too
+            if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(g.n):
                 raise EigenConvergenceError(f"eigen residual {resid:.2e} above tolerance")
-        lam0, lam1 = float(vals[-1]), float(vals[-2])
-        lammin = float(vmin[0])
+        lammin, lam1, lam0 = (float(lam) for lam, _ in pairs)
         method = "lanczos"
     gap = k - lam1
     return SpectralReport(

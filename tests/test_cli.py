@@ -297,6 +297,29 @@ def test_cli_report_records_failed_packing_constant(config_path, capsys, monkeyp
         assert "failures:\n  packing-constant:" in fh.read()
 
 
+def test_cli_report_keeps_spectral_rows_of_other_moduli(config_path, capsys, monkeypatch):
+    from apollonian import congruence
+
+    real = congruence.spectrum
+
+    def failing(g, dense_cap=congruence.DENSE_CAP_DEFAULT):
+        if g.modulus == 5:
+            raise congruence.EigenConvergenceError("no convergence")
+        return real(g, dense_cap=dense_cap)
+
+    monkeypatch.setattr(congruence, "spectrum", failing)
+    path, out = config_path
+    Path(path).write_text(Path(path).read_text().replace("moduli = 2, 3, 6", "moduli = 3, 5"))
+    rc = main(["report", "--config", path])
+    assert rc == 3
+    assert "spectral q=5: no convergence" in capsys.readouterr().err
+    spectral = Path(out, "spectral.csv").read_text().splitlines()
+    assert len(spectral) == 2 and spectral[1].startswith("3,120,")
+    summary = Path(out, "summary.txt").read_text()
+    assert "failures:\n  spectral q=5: no convergence\n" in summary
+    assert "expander gap epsilon" in summary and "over moduli [3]" in summary
+
+
 def test_cli_report_below_first_decade(config_path, capsys):
     path, out = config_path
     text = Path(path).read_text()

@@ -122,13 +122,107 @@ def test_spectrum_iterative_matches_dense(img3):
     assert lan.lambda_min == pytest.approx(dense.lambda_min, abs=1e-8)
 
 
-def test_spectral_gap_small_moduli():
+def record_eigsh(monkeypatch):
+    """Patch eigsh to log (operator shape, k, which) of every call."""
+    calls = []
+    real = cg.spla.eigsh
+
+    def logged(op, k, which, **kw):
+        calls.append((op.shape, k, which))
+        return real(op, k=k, which=which, **kw)
+
+    monkeypatch.setattr(cg.spla, "eigsh", logged)
+    return calls
+
+
+def circulant(n, steps):
+    return graph_from_edges(n, [(i, (i + d) % n) for i in range(n) for d in steps])
+
+
+def circulant_spectrum(n, steps):
+    return sorted(
+        sum(2 * math.cos(2 * math.pi * j * d / n) for d in steps) for j in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, steps, half",
+    [
+        (41, (1, 2), False),  # odd cycles: the general path
+        (40, (1, 3), True),  # odd steps on an even cycle: bipartite
+    ],
+)
+def test_spectrum_lanczos_paths_circulant_closed_form(monkeypatch, n, steps, half):
+    calls = record_eigsh(monkeypatch)
+    rep = cg.spectrum(circulant(n, steps), dense_cap=10)
+    lam = circulant_spectrum(n, steps)
+    assert rep.method == "lanczos"
+    assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
+    assert rep.lambda1 == pytest.approx(lam[-2], abs=1e-9)
+    assert rep.lambda_min == pytest.approx(lam[0], abs=1e-9)
+    if half:
+        assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
+        assert calls == [((n // 2, n // 2), 2, "LA")]
+    else:
+        assert calls == [((n, n), 3, "BE")]
+
+
+def test_spectrum_lanczos_complete_bipartite(monkeypatch):
+    # K_{m,m}: eigenvalues m, -m and 0 (2m - 2 times), so sigma_1 = 0 and
+    # the second eigenvector lifts to (u, 0)
+    m = 20
+    k = graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+    calls = record_eigsh(monkeypatch)
+    rep = cg.spectrum(k, dense_cap=10)
+    assert calls == [((m, m), 2, "LA")]
+    assert rep.lambda0 == pytest.approx(m, abs=1e-9)
+    assert rep.lambda1 == pytest.approx(0.0, abs=1e-9)
+    assert rep.lambda_min == pytest.approx(-m, abs=1e-9)
+
+
+@pytest.mark.parametrize("graph", [circulant(41, (1, 2)), circulant(40, (1, 3))])
+def test_spectrum_lanczos_rejects_inexact_eigenvectors(monkeypatch, graph):
+    real = cg.spla.eigsh
+
+    def perturbed(op, **kw):
+        vals, vecs = real(op, **kw)
+        vecs = vecs + 1e-4 * np.random.default_rng(1).standard_normal(vecs.shape)
+        return vals, vecs / np.linalg.norm(vecs, axis=0)
+
+    monkeypatch.setattr(cg.spla, "eigsh", perturbed)
+    with pytest.raises(cg.EigenConvergenceError):
+        cg.spectrum(graph, dense_cap=10)
+
+
+def test_two_colouring_rejects_loops_odd_cycles_and_disconnected():
+    assert cg._two_colouring(circulant(41, (1, 2)).adjacency()) is None
+    assert cg._two_colouring(circulant(40, (1, 2)).adjacency()) is None
+    two_squares = graph_from_edges(8, [(i, (i + 1) % 4 + 4 * (i // 4)) for i in range(8)])
+    assert cg._two_colouring(two_squares.adjacency()) is None
+    looped = cg.CayleyGraph(modulus=0, n=2, edges=np.array([[0, 1]]), loops=np.array([1, 0]))
+    assert cg._two_colouring(looped.adjacency()) is None
+    side = cg._two_colouring(circulant(40, (1, 3)).adjacency())
+    assert side.tolist() == [i % 2 == 1 for i in range(40)]
+
+
+def test_spectral_gap_small_moduli(monkeypatch):
+    calls = record_eigsh(monkeypatch)
     lam1 = {}
     for q in (3, 5, 6, 7, 10):
         img = cg.reduce_group_mod(q)
-        rep = cg.spectrum(cg.build_cayley(img), dense_cap=2000)
+        graph = cg.build_cayley(img)
+        # every swap has determinant -1, so the sides are det = +1 and -1
+        det = np.rint(np.linalg.det(img.elements.astype(float))).astype(np.int64) % q
+        assert set(det.tolist()) == {1, q - 1}
+        side = cg._two_colouring(graph.adjacency())
+        assert side is not None
+        assert np.array_equal(side, det != det[0])
+        rep = cg.spectrum(graph, dense_cap=2000)
         assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
+        assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
         lam1[q] = rep.lambda1
+    # one half-operator run for each graph above the dense cap
+    assert calls == [((n // 2, n // 2), 2, "LA") for n in (14400, 117600, 14400)]
     assert lam1[6] == pytest.approx(lam1[3], abs=1e-7)
     assert lam1[10] == pytest.approx(lam1[5], abs=1e-7)
     assert max(lam1.values()) < 4.0 - 0.05
