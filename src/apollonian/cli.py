@@ -264,9 +264,10 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
     except Exception as exc:
         failures.append(f"spectral: {exc}")
 
-    # sieve tables
-    try:
-        for sel in cfg.selectors:
+    # sieve tables, each selector guarded on its own: one that fails keeps
+    # the other selectors' tables
+    for sel in cfg.selectors:
+        try:
             series = sieve.build_series(orbit, sel)
             name = sieve.selector_name(sel).replace(":", "_")
             excl = sieve.detect_excluded_primes(series)
@@ -297,8 +298,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
                 f"{dim_slope:.3f}"
                 + (f", excluded primes {sorted(excl)}" if excl else "")
             )
-    except Exception as exc:
-        failures.append(f"sieve: {exc}")
+        except Exception as exc:
+            failures.append(f"sieve {sieve.selector_name(sel)}: {exc}")
 
     # box-counting dimension (needs an embedding)
     try:

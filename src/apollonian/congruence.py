@@ -12,6 +12,7 @@ operator exactly 4-regular.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -372,10 +373,81 @@ _orbit_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _orbit_memo_lock = threading.Lock()
 
 
+def _split_modulus(q: int) -> tuple[int, list[int]]:
+    """q = q1 * p_1 * ... * p_k, the p_i the primes >= 5 that divide q
+    exactly once, ascending.  For square-free q, q1 divides 6."""
+    primes, rest, p = [], q, 2
+    while p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if p >= 5 and e == 1:
+            primes.append(p)
+        p += 1
+    if rest >= 5:
+        primes.append(rest)
+    return q // math.prod(primes), primes
+
+
+def _cone_keys(p: int) -> np.ndarray:
+    """Packed keys (as ``_pack_vecs`` packs them), ascending, of the nonzero
+    solutions of Q(v) = 2 * sum(v_i^2) - (sum v_i)^2 = 0 mod an odd prime p.
+
+    With s = v1 + v2 + v3 and t = v1^2 + v2^2 + v3^2, Q = 0 exactly when
+    (v4 - s)^2 = 2 s^2 - 2 t: each triple takes v4 = s -+ y for the square
+    roots +-y of the right side, none, one (y = 0) or two of them.
+    """
+    a = np.arange(p, dtype=np.int16)
+    sq = (np.arange(p) ** 2 % p).astype(np.int16)  # a * a overflows int16
+    count = np.bincount(sq, minlength=p).astype(np.uint8)  # roots of y^2 = r
+    root = np.zeros(p, dtype=np.int16)
+    half = (p + 1) // 2
+    root[sq[:half]] = a[:half]  # 0 .. (p-1)/2 have distinct squares
+    s = (a[:, None, None] + a[None, :, None] + a) % p
+    t = sq[:, None, None] + sq[None, :, None] + sq
+    d = ((2 * sq)[s] - 2 * t) % p
+    n, y = count[d], root[d]
+    lo, hi = (s - y) % p, (s + y) % p
+    wide = a.astype(np.uint32)
+    triple = (wide[:, None, None] << 24) | (wide[None, :, None] << 16) | (wide << 8)
+    pairs = np.empty((p, p, p, 2), dtype=np.uint32)
+    pairs[..., 0] = triple | np.minimum(lo, hi)
+    pairs[..., 1] = triple | np.maximum(lo, hi)
+    keys = pairs[np.stack([n >= 1, n == 2], axis=-1)]
+    # triples in lexicographic order, each with its v4 ascending: the keys
+    # come out sorted, and the first is the zero vector
+    return keys[1:]
+
+
+def _crt_keys(keys_a: np.ndarray, a: int, keys_b: np.ndarray, b: int) -> np.ndarray:
+    """Packed keys of every vector mod a*b (a, b coprime) whose reductions
+    mod a and mod b have keys in ``keys_a`` and ``keys_b``, unsorted."""
+    x = np.arange(a * b)
+    crt = np.empty((a, b), dtype=np.uint8)
+    crt[x % a, x % b] = x
+    out = np.zeros((len(keys_a), len(keys_b)), dtype=np.uint32)
+    for shift in (24, 16, 8, 0):
+        # one coordinate of every pair at a time, gathered in uint8
+        out <<= 8
+        out |= crt[(keys_a >> shift) & 0xFF][:, (keys_b >> shift) & 0xFF]
+    return out.reshape(-1)
+
+
 def orbit_mod(root, q: int) -> np.ndarray:
     """Orbit of the root quadruple under the swaps mod q, as a sorted (n, 4)
     array; the proportion of the orbit satisfying a congruence is the natural
     density estimate for the matching congruence slice of the sieve.
+
+    The orbit is built from the factors of q by strong approximation for the
+    Apollonian group (Fuchs, J. Number Theory 2011): mod a prime p >= 5 it is
+    the whole nonzero cone Q = 0 mod p, or {0} when p divides the root, and
+    for coprime moduli it is the CRT product of the factors' orbits, the 2-
+    and 3-parts kept together.  So q = q1 * p_1 * ... * p_k, with p_i the
+    primes >= 5 dividing q once; only the orbit mod q1 comes from a
+    breadth-first closure under the swaps, each p_i from ``_cone_keys``.
+    The factors are joined by CRT on packed keys and sorted once.  The root
+    must satisfy the Descartes relation mod q.
 
     Each orbit is computed once per process and kept, keyed by (root mod q,
     q), within ``_ORBIT_MEMO_BYTES``; every call returns a fresh array.
@@ -386,13 +458,24 @@ def orbit_mod(root, q: int) -> np.ndarray:
     if q > MAX_ORBIT_MODULUS:
         raise ValueError(f"moduli above {MAX_ORBIT_MODULUS} are not supported")
     start = np.array([int(x) % q for x in root], dtype=np.uint8)
-    key = (tuple(start.tolist()), q)
+    wide = [int(x) for x in start]
+    if (2 * sum(x * x for x in wide) - sum(wide) ** 2) % q:
+        raise ValueError(f"root {tuple(root)} is not a Descartes quadruple mod {q}")
+    key = (tuple(wide), q)
     with _orbit_memo_lock:
         orbit = _orbit_memo.get(key)
         if orbit is not None:
             _orbit_memo.move_to_end(key)
     if orbit is None:
-        orbit = _swap_closure(start.reshape(1, 1, 4), q, _pack_vecs)[0].reshape(-1, 4)
+        q1, primes = _split_modulus(q)
+        keys = _swap_closure((start % q1).reshape(1, 1, 4), q1, _pack_vecs)[1]
+        m = q1
+        for p in primes:
+            cone = _cone_keys(p) if (start % p).any() else np.zeros(1, dtype=np.uint32)
+            keys = _crt_keys(keys, m, cone, p)
+            m *= p
+        keys.sort()
+        orbit = keys.astype(">u4").view(np.uint8).reshape(-1, 4)
         if orbit.nbytes <= _ORBIT_MEMO_BYTES:
             with _orbit_memo_lock:
                 _orbit_memo[key] = orbit

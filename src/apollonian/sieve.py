@@ -110,9 +110,9 @@ def slice_series(series: SieveSeries, q: int) -> CongruenceSlice:
         raise ValueError("slice moduli start at 2")
     if not is_squarefree(q):
         raise ValueError(f"slice moduli must be square-free; got {q}")
-    mass = int((series.values % q == 0).sum())
     if series.selector[0] == "max":
         raise ValueError("the max selector has no congruence density; use coord/product")
+    mass = int((series.values % q == 0).sum())
     om = orbit_mod(series.root, q)
     fvals = apply_selector(series.selector, om)
     g_hat = float((fvals % q == 0).sum() / len(om))
@@ -132,22 +132,26 @@ def sieve_primes(z: float, excluded=frozenset()) -> list[int]:
     return out
 
 
+def _coprime_mask(series: SieveSeries, z: float, excluded) -> np.ndarray:
+    """Which series values are coprime to every prime p < z outside the
+    excluded set."""
+    mask = np.ones(series.values.size, dtype=bool)
+    for p in sieve_primes(z, excluded):
+        mask &= series.values % p != 0
+    return mask
+
+
 def almost_prime_count(series: SieveSeries, z: float, excluded=frozenset()) -> int:
     """S(A, P_z): the number of series values coprime to every prime p < z
     outside the excluded set.  z=2 leaves the empty product, so S = X."""
     if z < 2:
         raise ValueError("z must be >= 2")
-    mask = np.ones(series.values.size, dtype=bool)
-    for p in sieve_primes(z, excluded):
-        mask &= series.values % p != 0
-    return int(mask.sum())
+    return int(_coprime_mask(series, z, excluded).sum())
 
 
 def survivors(series: SieveSeries, z: float, excluded=frozenset()) -> np.ndarray:
-    mask = np.ones(series.values.size, dtype=bool)
-    for p in sieve_primes(z, excluded):
-        mask &= series.values % p != 0
-    return series.values[mask]
+    """The series values that almost_prime_count counts."""
+    return series.values[_coprime_mask(series, z, excluded)]
 
 
 def prime_factor_count(n: int) -> int:
@@ -250,7 +254,14 @@ def sieve_dimension_trace(series: SieveSeries, zs, excluded=frozenset()) -> list
 
 
 def crt_remainder_probe(series: SieveSeries, q1: int, q2: int) -> dict[str, float]:
-    """Compare |r| at coprime q1, q2 and their product; reported, not asserted."""
+    """Compare |r| at coprime q1, q2 and their product; reported, not asserted.
+
+    ``orbit_mod`` builds the orbit mod q1*q2 as the CRT product of the
+    orbits mod q1 and mod q2, unless one of them is even and the other a
+    multiple of 3 (the orbit mod 6 is walked whole).  Apart from that case
+    ``g_product_defect`` is zero up to float rounding, by construction: it
+    measures the construction, not the packing.
+    """
     if math.gcd(q1, q2) != 1:
         raise ValueError("probe moduli must be coprime")
     s1 = slice_series(series, q1)

@@ -268,6 +268,7 @@ def test_cli_report_threads_match_single(config_path):
         ("element_cap = 100000", "element_cap = 0"),
         ("dense_cap = 500", "dense_cap = 0"),
         ("moduli = 2, 3, 6", "moduli = 3, 17"),
+        ("selectors = coord:4", "selectors = max coord:4"),
     ],
 )
 def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):
@@ -318,6 +319,31 @@ def test_cli_report_keeps_spectral_rows_of_other_moduli(config_path, capsys, mon
     summary = Path(out, "summary.txt").read_text()
     assert "failures:\n  spectral q=5: no convergence\n" in summary
     assert "expander gap epsilon" in summary and "over moduli [3]" in summary
+
+
+def test_cli_report_keeps_sieve_tables_of_other_selectors(config_path, capsys, monkeypatch):
+    from apollonian import sieve
+
+    real = sieve.level_distribution_report
+
+    def failing(series, D):
+        if series.selector == ("coord", 4):
+            raise ArithmeticError("no slices")
+        return real(series, D)
+
+    monkeypatch.setattr(sieve, "level_distribution_report", failing)
+    path, out = config_path
+    text = Path(path).read_text().replace("selectors = coord:4", "selectors = coord:4 coord:1")
+    Path(path).write_text(text)
+    rc = main(["report", "--config", path])
+    assert rc == 3
+    assert "sieve coord:4: no slices" in capsys.readouterr().err
+    assert not Path(out, "sieve_coord_4.csv").exists()
+    assert Path(out, "sieve_coord_1.csv").read_text().startswith("q,mass,g_hat,r_hat\n2,")
+    assert Path(out, "sieve_coord_1_survivors.csv").exists()
+    summary = Path(out, "summary.txt").read_text()
+    assert "sieve coord:1: X " in summary
+    assert "failures:\n  sieve coord:4: no slices\n" in summary
 
 
 def test_cli_report_below_first_decade(config_path, capsys):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from apollonian import congruence as cg
+from apollonian.arithmetic import is_prime, is_squarefree
 from apollonian.quadruples import SWAP_MATRICES
+from conftest import STRIP_ROOT, TEST_ROOTS
 
 
 def graph_from_edges(n, edges):
@@ -344,6 +346,90 @@ def test_orbit_mod_matches_naive_closure(fresh_memo, root, q):
     orb = cg.orbit_mod(root, q)
     assert orb.dtype == np.int64
     assert np.array_equal(orb, naive_closure(root, q))
+
+
+def dense_orbit(root, q):
+    """Reference orbit for the sweep below, where naive_closure is too slow:
+    level BFS with int32 matrix products by the swaps, each vector coded by
+    its base-q digits and marked in a table over all q^4 vectors, so the
+    marked codes in ascending order are the orbit in lexicographic order."""
+    digits = (q ** np.arange(3, -1, -1)).astype(np.int32)
+    visited = np.zeros(q**4, dtype=bool)
+    owner = np.empty(q**4, dtype=np.int32)
+    frontier = np.asarray(root, dtype=np.int32)[None] % q
+    visited[frontier @ digits] = True
+    while len(frontier):
+        cand = (frontier @ SWAP_MATRICES.astype(np.int32) % q).reshape(-1, 4)
+        codes = cand @ digits
+        new = ~visited[codes]
+        cand, codes = cand[new], codes[new]
+        # one copy of each repeated code: the one whose index the write kept
+        idx = np.arange(len(codes), dtype=np.int32)
+        owner[codes] = idx
+        first = owner[codes] == idx
+        frontier = cand[first]
+        visited[codes[first]] = True
+    return np.flatnonzero(visited)[:, None] // digits % q
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 6, 9, 10, 11, 12])
+def test_dense_orbit_matches_naive_closure(q):
+    for root in TEST_ROOTS[:2] + [STRIP_ROOT]:
+        assert np.array_equal(dense_orbit(root, q), naive_closure(root, q))
+
+
+SWEEP_ROOTS = TEST_ROOTS + [STRIP_ROOT, (-2, 4, 4, 6)]
+
+
+@pytest.mark.parametrize("q", range(1, 71))
+def test_orbit_mod_matches_reference_for_every_small_modulus(fresh_memo, q):
+    orbits = []  # the orbits mod q are disjoint: roots in one share it
+    for root in SWEEP_ROOTS:
+        start = np.array(root) % q
+        ref = next((o for o in orbits if (o == start).all(axis=1).any()), None)
+        if ref is None:
+            ref = dense_orbit(root, q)
+            orbits.append(ref)
+        assert np.array_equal(cg.orbit_mod(root, q), ref), root
+
+
+@pytest.mark.parametrize("root", [(-5, 10, 10, 15), (0, 0, 5, 5), (-7, 14, 14, 21)])
+@pytest.mark.parametrize("q", [5, 7, 10, 14, 15, 35, 70])
+def test_orbit_mod_of_a_root_divisible_by_a_prime_of_q(fresh_memo, root, q):
+    assert np.array_equal(cg.orbit_mod(root, q), dense_orbit(root, q))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
+def test_orbit_mod_prime_is_the_nonzero_cone(fresh_memo, p):
+    orb = cg.orbit_mod((-1, 2, 2, 3), p)
+    chi = 1 if p % 4 == 1 else -1
+    assert len(orb) == p**3 + chi * (p * p - p) - 1
+    assert not ((2 * (orb**2).sum(axis=1) - orb.sum(axis=1) ** 2) % p).any()
+    assert orb.any(axis=1).all()
+
+
+def test_orbit_mod_walks_only_the_part_of_q_at_2_and_3(fresh_memo, monkeypatch):
+    walked = []
+    real = cg._swap_closure
+
+    def recording(start, q, pack, cap=None):
+        walked.append(q)
+        return real(start, q, pack, cap)
+
+    monkeypatch.setattr(cg, "_swap_closure", recording)
+    for q in [q for q in range(1, 71) if is_squarefree(q)] + [210, 231]:
+        walked.clear()
+        cg.orbit_mod((-1, 2, 2, 3), q)
+        assert walked == [math.gcd(q, 6)]
+    # 5 divides 50 = 2 * 5^2 more than once, so the whole of 50 is walked
+    walked.clear()
+    cg.orbit_mod((-1, 2, 2, 3), 50)
+    assert walked == [50]
+
+
+def test_orbit_mod_rejects_a_root_off_the_cone():
+    with pytest.raises(ValueError, match="Descartes"):
+        cg.orbit_mod((1, 2, 3, 4), 7)
 
 
 @pytest.mark.parametrize("q", [3, 5, 6, 7])
