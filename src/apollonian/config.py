@@ -12,6 +12,10 @@ from .quadruples import MAX_BOUND, descartes_form, embedding_for_root, is_root, 
 from .sieve import Selector, parse_selector
 
 
+# box sizes are 2^-k for k in [0, MAX_EPS_EXPONENT]
+MAX_EPS_EXPONENT = 14
+
+
 class ConfigError(ValueError):
     pass
 
@@ -150,6 +154,12 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
 
     box = cp["boxcount"] if "boxcount" in cp else {}
     exps = _parse_ints(box.get("eps_exponents", "4 5 6 7 8 9"))
+    # a slope needs two box sizes; 2^-14 already samples ~1.3e7 curve points
+    # at T=1e5, and each finer size quadruples the cells
+    if len(set(exps)) < 2:
+        raise ConfigError(f"eps_exponents needs at least two distinct exponents; got {exps}")
+    if not all(0 <= e <= MAX_EPS_EXPONENT for e in exps):
+        raise ConfigError(f"eps_exponents must lie in [0, {MAX_EPS_EXPONENT}]; got {exps}")
     eps = [2.0 ** -k for k in exps]
 
     render_sec = cp["render"] if "render" in cp else {}

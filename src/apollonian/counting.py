@@ -173,7 +173,8 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
     Each circle curve is sampled at arc steps of eps/3 (at least 8 samples)
     and its samples are binned to the eps-mesh; circles smaller than a box
     mark their bounding boxes.  Lines are sampled across the viewport when
-    one is given and skipped otherwise.
+    one is given and skipped otherwise.  Occupied boxes are counted on a
+    cell bitmap (``_count_cells``).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0):
@@ -191,57 +192,108 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
             stacklevel=2,
         )
     out = np.empty(eps_grid.size, dtype=np.int64)
-    centers = np.column_stack((wx / b, wy / b))
+    # circles by increasing radius, so that those smaller than a box are a
+    # prefix at every box size
     radii = 1.0 / np.abs(b)
+    order = np.argsort(radii)
+    radii = radii[order]
+    cx = (wx / b)[order]
+    cy = (wy / b)[order]
     for k, eps in enumerate(eps_grid):
-        boxes: list[np.ndarray] = []
-        small = radii <= eps / 2.0
-        if small.any():
-            lo = np.floor((centers[small] - radii[small, None]) / eps).astype(np.int64)
-            hi = np.floor((centers[small] + radii[small, None]) / eps).astype(np.int64)
-            # bounding boxes are at most 2x2 cells here, and most are one
-            # cell, so each distinct cell is packed once
-            hi = np.minimum(hi, lo + 1)
-            wide, tall = (hi > lo).T
-            both = wide & tall
-            boxes.append(_pack(lo[:, 0], lo[:, 1]))
-            boxes.append(_pack(hi[wide, 0], lo[wide, 1]))
-            boxes.append(_pack(lo[tall, 0], hi[tall, 1]))
-            boxes.append(_pack(hi[both, 0], hi[both, 1]))
-        # every sample of every larger circle in one flat array; sample j of
-        # a circle with n samples sits at angle j * (2 pi / n), which is
-        # np.linspace(0, 2 pi, n, endpoint=False) to the bit
-        c = centers[~small]
-        r = radii[~small]
-        n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
-        owner = np.repeat(np.arange(r.size), n)
-        j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-        th = j * (2 * math.pi / n[owner])
-        xs = c[owner, 0] + r[owner] * np.cos(th)
-        ys = c[owner, 1] + r[owner] * np.sin(th)
-        boxes.append(_pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
-        if viewport is not None:
+        m = int(np.searchsorted(radii, eps / 2.0, side="right"))
+        r = radii[:m]
+        lox = np.floor((cx[:m] - r) / eps).astype(np.int64)
+        loy = np.floor((cy[:m] - r) / eps).astype(np.int64)
+        # bounding boxes are at most 2x2 cells here, and most are one
+        # cell, so only the wide and tall ones mark a second column or row
+        hix = np.minimum(np.floor((cx[:m] + r) / eps).astype(np.int64), lox + 1)
+        hiy = np.minimum(np.floor((cy[:m] + r) / eps).astype(np.int64), loy + 1)
+        wide = hix > lox
+        tall = hiy > loy
+        both = wide & tall
+        cells = [
+            (lox, loy),
+            (hix[wide], loy[wide]),
+            (lox[tall], hiy[tall]),
+            (hix[both], hiy[both]),
+            _sample_cells(cx[m:], cy[m:], radii[m:], eps),
+        ]
+        if viewport is not None and line_rows.size:
+            x0, x1, y0, y1 = viewport
+            span = math.hypot(x1 - x0, y1 - y0)
+            ts = np.arange(-span, span, eps / 3.0)
+            # the line {(nx, ny) . p = a/2} as p = (a/2) n + t (-ny, nx)
             for a, _, nx, ny in line_rows:
-                boxes.append(_line_boxes(nx, ny, a / 2.0, eps, viewport))
-        out[k] = np.unique(np.concatenate(boxes)).size
+                xs = a / 2.0 * nx - ts * ny
+                ys = a / 2.0 * ny + ts * nx
+                inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+                cells.append(
+                    (np.floor(xs[inside] / eps).astype(np.int64), np.floor(ys[inside] / eps).astype(np.int64))
+                )
+        out[k] = _count_cells(cells)
     return out
 
 
-def _pack(ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    return (ix.astype(np.int64) << 32) ^ (iy.astype(np.int64) & 0xFFFFFFFF)
+def _sample_cells(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, eps: float):
+    """Cells (ix, iy) of the samples of the circles at arc steps of eps/3,
+    at least 8 per circle.  The sampling temporaries die on return, before
+    the cells are counted."""
+    # every sample of every circle in one flat array; sample j of a circle
+    # with n samples sits at angle j * (2 pi / n), which is
+    # np.linspace(0, 2 pi, n, endpoint=False) to the bit
+    n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
+    owner = np.repeat(np.arange(r.size), n)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
+    th = j * (2 * math.pi / n[owner])
+    xs = cx[owner] + r[owner] * np.cos(th)
+    ys = cy[owner] + r[owner] * np.sin(th)
+    return np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)
 
 
-def _line_boxes(nx: float, ny: float, c: float, eps: float, viewport: Rect) -> np.ndarray:
-    """Boxes of the line {(nx, ny) . p = c} inside the viewport."""
-    x0, x1, y0, y1 = viewport
-    # parametrize p = c*n + t*(-ny, nx)
-    px, py = c * nx, c * ny
-    span = math.hypot(x1 - x0, y1 - y0)
-    ts = np.arange(-span, span, eps / 3.0)
-    xs = px - ts * ny
-    ys = py + ts * nx
-    m = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-    return _pack(np.floor(xs[m] / eps).astype(np.int64), np.floor(ys[m] / eps).astype(np.int64))
+# cells per band of the bitmap in _count_cells (bytes, as it is boolean)
+_BOX_BAND_CELLS = 1 << 22
+
+
+def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
+    """Distinct cells among the (ix, iy) int64 index pairs of all parts.
+
+    The cells are marked on a boolean map of the bounding rectangle of the
+    parts, one band of whole rows at a time, each band at most
+    ``_BOX_BAND_CELLS`` cells or one row.  With more than one band, each
+    part is keyed row-major and sorted, so a band takes one slice of each
+    part.
+    """
+    parts = [(ix, iy) for ix, iy in parts if ix.size]
+    if not parts:
+        return 0
+    x0 = min(int(ix.min()) for ix, _ in parts)
+    y0 = min(int(iy.min()) for _, iy in parts)
+    width = max(int(ix.max()) for ix, _ in parts) - x0 + 1
+    height = max(int(iy.max()) for _, iy in parts) - y0 + 1
+    band_rows = min(height, max(1, _BOX_BAND_CELLS // width))
+    band = np.zeros(band_rows * width, dtype=bool)
+    if band_rows == height:
+        for ix, iy in parts:
+            band[_row_major(ix, iy, x0, y0, width)] = True
+        return int(np.count_nonzero(band))
+    keys = [np.sort(_row_major(ix, iy, x0, y0, width)) for ix, iy in parts]
+    total = 0
+    for start in range(0, height * width, band.size):
+        band.fill(False)
+        for key in keys:
+            lo, hi = np.searchsorted(key, (start, start + band.size))
+            band[key[lo:hi] - start] = True
+        total += int(np.count_nonzero(band))
+    return total
+
+
+def _row_major(ix: np.ndarray, iy: np.ndarray, x0: int, y0: int, width: int) -> np.ndarray:
+    """(iy - y0) * width + (ix - x0), computed in place in one new array."""
+    key = iy - y0
+    key *= width
+    key += ix
+    key -= x0
+    return key
 
 
 def boxcount_dimension(
@@ -249,8 +301,10 @@ def boxcount_dimension(
 ) -> float:
     """Least-squares slope of log B(eps) against log(1/eps): the box-counting
     dimension estimate of the union of the curves of the (n, 4) inversive
-    rows."""
+    rows.  It needs at least two distinct box sizes."""
     eps_grid = np.asarray(eps_grid, dtype=float)
+    if len(set(eps_grid.tolist())) < 2:
+        raise ValueError(f"a slope needs at least two distinct box sizes; got {eps_grid.tolist()}")
     b = box_counts(rows, eps_grid, viewport=viewport)
     if np.any(b <= 0):
         raise ValueError("a box size produced zero occupied boxes")

@@ -269,6 +269,12 @@ def test_cli_report_threads_match_single(config_path):
         ("dense_cap = 500", "dense_cap = 0"),
         ("moduli = 2, 3, 6", "moduli = 3, 17"),
         ("selectors = coord:4", "selectors = max coord:4"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 5"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 5 5"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = "),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 31 32"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = -1, 4"),
+        ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 4, 15"),
     ],
 )
 def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):

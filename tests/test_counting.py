@@ -152,6 +152,13 @@ def test_boxcount_packing_dimension(std_orbit_1e4):
     assert 1.25 <= dim <= 1.36
 
 
+@pytest.mark.parametrize("eps", [[2.0**-5], [2.0**-5, 2.0**-5], []])
+def test_boxcount_dimension_needs_two_box_sizes(eps):
+    rows = geo._rows([Circle.from_center_radius((0, 0), 1.0)])
+    with pytest.raises(ValueError, match="two distinct box sizes"):
+        ct.boxcount_dimension(rows, eps)
+
+
 def test_boxcount_warns_below_resolution():
     rows = geo._rows([Circle.from_center_radius((0, 0), 1.0)])
     with pytest.warns(UserWarning):
@@ -162,6 +169,10 @@ def test_box_counts_monotone_in_eps(std_orbit_1e4):
     eps = [2.0**-k for k in range(3, 9)]
     b = ct.box_counts(std_orbit_1e4.acc_rows, eps)
     assert (np.diff(b) > 0).all()
+
+
+def _pack(ix, iy):
+    return (ix.astype(np.int64) << 32) ^ (iy.astype(np.int64) & 0xFFFFFFFF)
 
 
 def _box_counts_per_circle(circles, eps_grid, viewport=None):
@@ -182,13 +193,13 @@ def _box_counts_per_circle(circles, eps_grid, viewport=None):
                 for dy in (0, 1):
                     ix = np.minimum(lo[:, 0] + dx, hi[:, 0])
                     iy = np.minimum(lo[:, 1] + dy, hi[:, 1])
-                    boxes.append(ct._pack(ix, iy))
+                    boxes.append(_pack(ix, iy))
         for c, r in zip(centers[~small], radii[~small]):
             n = max(8, int(math.ceil(2 * math.pi * r / (eps / 3.0))))
             th = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
             xs = c[0] + r * np.cos(th)
             ys = c[1] + r * np.sin(th)
-            boxes.append(ct._pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
+            boxes.append(_pack(np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
         if viewport is not None:
             x0, x1, y0, y1 = viewport
             for ln in lines:
@@ -199,7 +210,7 @@ def _box_counts_per_circle(circles, eps_grid, viewport=None):
                 xs = px - ts * ny
                 ys = py + ts * nx
                 m = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-                boxes.append(ct._pack(np.floor(xs[m] / eps).astype(np.int64), np.floor(ys[m] / eps).astype(np.int64)))
+                boxes.append(_pack(np.floor(xs[m] / eps).astype(np.int64), np.floor(ys[m] / eps).astype(np.int64)))
         out.append(np.unique(np.concatenate(boxes)).size if boxes else 0)
     return out
 
@@ -239,6 +250,50 @@ def test_box_counts_match_per_circle_reference_float_rows():
         for vp in (viewport, None):
             ref = _box_counts_per_circle(circles, eps, vp)
             assert ct.box_counts(rows, eps, viewport=vp).tolist() == ref
+
+
+def test_box_counts_match_per_circle_reference_in_narrow_bands(monkeypatch, std_orbit_1e4):
+    # every box size of the reference tests then spans many bands
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 64)
+    test_box_counts_match_per_circle_reference_standard(std_orbit_1e4)
+    test_box_counts_match_per_circle_reference_strip()
+    test_box_counts_match_per_circle_reference_float_rows()
+
+
+@pytest.mark.parametrize("band_cells", [1 << 22, 64])
+def test_box_counts_negative_cells(monkeypatch, band_cells):
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", band_cells)
+    circles = [
+        Circle.from_center_radius((-3.7, -2.2), 0.9),
+        Circle.from_center_radius((-2.05, -1.3), 0.004),
+        Circle.from_center_radius((-1.2, -4.4), 0.03),
+        Circle.line((1.0, 1.0), -3.0),
+    ]
+    rows = np.array([c.vector() for c in circles])
+    eps = [2.0**-k for k in range(2, 8)]
+    viewport = (-5.0, -1.0, -5.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        for vp in (viewport, None):
+            ref = _box_counts_per_circle(circles, eps, vp)
+            assert ct.box_counts(rows, eps, viewport=vp).tolist() == ref
+
+
+@pytest.mark.parametrize("band_cells", [1 << 22, 250, 99, 1])
+def test_count_cells_matches_a_set(monkeypatch, band_cells):
+    # rows are 100 cells wide: 250 cells make bands of two rows, and from
+    # 99 cells down each band is one row
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", band_cells)
+    rng = np.random.default_rng(7)
+    parts = [
+        (rng.integers(-60, 40, size), rng.integers(-9, 3, size))
+        for size in (500, 1, 0, 80)
+    ]
+    # the extreme cells of the rectangle: each sits on a band edge
+    parts.append((np.array([-60, 39, -60, 39]), np.array([-9, -9, 2, 2])))
+    cells = {(int(x), int(y)) for ix, iy in parts for x, y in zip(ix, iy)}
+    assert ct._count_cells(parts) == len(cells)
+    assert ct._count_cells([(ix[:0], iy[:0]) for ix, iy in parts]) == 0
 
 
 def test_curvilinear_triangle_standard(std_orbit_1e4):
