@@ -16,11 +16,8 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .arithmetic import is_squarefree
 from .quadruples import SWAP_MATRICES
@@ -32,6 +29,14 @@ MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
 # a Lanczos eigenpair (lam, v) is accepted when
 # |A v - lam v| <= _EIGEN_TOL * max(1, |lam|) * sqrt(n)
 _EIGEN_TOL = 1e-8
+# thick-restart Lanczos: basis size (ARPACK's default ncv), restarts before
+# EigenConvergenceError, and the converged residual relative to the largest
+# Ritz value; Ritz values of B B^T at most _ZERO_RITZ times the largest are
+# zero singular values
+_LANCZOS_BASIS = 20
+_LANCZOS_RESTARTS = 100
+_LANCZOS_TOL = 1e-12
+_ZERO_RITZ = 1e-12
 # orbit_mod keeps its results, one byte per coordinate, up to this many bytes
 # in all; the least recently used orbit goes first
 _ORBIT_MEMO_BYTES = 32 << 20
@@ -153,32 +158,20 @@ def reduce_group_mod(q: int, element_cap: int = ELEMENT_CAP_DEFAULT) -> FiniteGr
 
 @dataclass
 class CayleyGraph:
-    modulus: int
-    n: int
-    edges: np.ndarray  # (m, 2) int64, u < v, each undirected edge once
-    loops: np.ndarray  # (n,) int64: weight-1 self-loop count per vertex
-    degree: int = 4
+    """A regular graph as its neighbour table: ``table[u, i]`` is the index
+    of the i-th neighbour of u (for a Cayley graph, of u * S_i), and an entry
+    equal to u is a weight-1 self-loop.  The adjacency operator is
+    A[u, v] = #{i : table[u, i] = v}."""
 
-    def adjacency(self) -> sp.csr_matrix:
-        n = self.n
-        if len(self.edges):
-            u, v = self.edges[:, 0], self.edges[:, 1]
-            a = sp.coo_matrix(
-                (
-                    np.ones(2 * len(self.edges)),
-                    (np.concatenate([u, v]), np.concatenate([v, u])),
-                ),
-                shape=(n, n),
-            )
-        else:
-            a = sp.coo_matrix((n, n))
-        if self.loops.any():
-            a = a + sp.diags(self.loops.astype(float))
-        return a.tocsr()
+    modulus: int
+    table: np.ndarray  # (n, k) int32
+
+    @property
+    def n(self) -> int:
+        return len(self.table)
 
     def is_connected(self) -> bool:
-        ncomp, _ = sp.csgraph.connected_components(self.adjacency(), directed=False)
-        return bool(ncomp == 1)
+        return bool(_breadth_first_sides(self.table)[0].all())
 
 
 def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
@@ -187,21 +180,11 @@ def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
     A generator fixing an element (which happens exactly when it reduces to
     the identity, i.e. q <= 2) contributes a weight-1 self-loop.
     """
-    n = img.order
-    idx = np.arange(n, dtype=np.int64)
-    loops = np.zeros(n, dtype=np.int64)
-    pair_keys = []
-    for images in _swaps(img.elements, img.modulus):
+    table = np.empty((img.order, 4), dtype=np.int32)
+    for i, images in enumerate(_swaps(img.elements, img.modulus)):
         # _swaps reduces mod q already, so the keys are searched as they are
-        nb = img._index_of_keys(_pack_mats(images))
-        loops += nb == idx
-        # each swap is an involution, so {u, u S_i} is found from both ends:
-        # keep it from the smaller one
-        up = idx < nb
-        pair_keys.append(idx[up] * n + nb[up])
-    key = np.sort(np.concatenate(pair_keys))
-    edges = np.stack([key // n, key % n], axis=1)
-    return CayleyGraph(modulus=img.modulus, n=n, edges=edges, loops=loops)
+        table[:, i] = img._index_of_keys(_pack_mats(images))
+    return CayleyGraph(modulus=img.modulus, table=table)
 
 
 @dataclass
@@ -215,94 +198,186 @@ class SpectralReport:
     method: str
 
 
-def _two_colouring(a: sp.csr_matrix) -> np.ndarray | None:
-    """Sides (False, True) of a proper 2-colouring of the graph with
-    symmetric adjacency matrix ``a``, or None when the graph has a self-loop,
-    is disconnected, or has an odd cycle.
+def _breadth_first_sides(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reached, side) of a breadth-first search from vertex 0: which
+    vertices it reaches, and the parity of each one's depth."""
+    n = len(table)
+    reached = np.zeros(n, dtype=bool)
+    side = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier, parity = np.zeros(1, dtype=np.intp), False
+    while len(frontier):
+        parity = not parity
+        fresh = np.zeros(n, dtype=bool)
+        fresh[table[frontier]] = True
+        fresh &= ~reached
+        frontier = np.flatnonzero(fresh)
+        reached |= fresh
+        side[frontier] = parity
+    return reached, side
 
-    The side of a vertex is the parity of its breadth-first distance from
-    vertex 0; every edge is then checked to join the two sides.
+
+def _two_colouring(table: np.ndarray) -> np.ndarray | None:
+    """Sides (False, True) of a proper 2-colouring of the graph with
+    neighbour table ``table``, or None when the graph is disconnected, has a
+    self-loop or has an odd cycle.
+
+    The side of a vertex is the parity of its breadth-first depth from
+    vertex 0; every table entry is then checked to join the two sides, so a
+    self-loop fails the check by itself.
     """
-    n = a.shape[0]
-    if a.diagonal().any():
+    reached, side = _breadth_first_sides(table)
+    if not reached.all():
         return None
-    # a is symmetric, so the directed search is the undirected one;
-    # sp.csgraph is imported on first use, not with this module
-    order, pred = sp.csgraph.breadth_first_order(a, 0, directed=True)
-    if len(order) < n:
-        return None
-    # pointer jumping: side[v] is the parity of the path from v to pred[v];
-    # doubling the jumps reaches vertex 0 after log2(depth) rounds
-    pred[0] = 0
-    side = np.ones(n, dtype=bool)
-    side[0] = False
-    while pred.any():
-        side ^= side[pred]
-        pred = pred[pred]
-    tails = np.repeat(np.arange(n), np.diff(a.indptr))
-    return side if (side[tails] != side[a.indices]).all() else None
+    return side if (side[table] != side[:, None]).all() else None
+
+
+def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum over i of x[table[:, i]]: the adjacency operator of the table
+    applied to x, one column of the table at a time."""
+    out = np.take(x, table[:, 0])
+    for i in range(1, table.shape[1]):
+        out += np.take(x, table[:, i])
+    return out
+
+
+def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k largest eigenvalues (ascending) and unit eigenvectors (rows) of
+    the symmetric operator ``op`` (a function x -> A x on float64 vectors),
+    by thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 2000)
+    started from ``v0``.
+
+    The basis holds ``_LANCZOS_BASIS`` vectors, each orthogonalised against
+    all earlier ones by two classical Gram-Schmidt passes, so the projected
+    matrix is kept whole rather than tridiagonal.  A restart keeps the top
+    half of the Ritz vectors.  A Ritz pair has converged when its residual
+    is at most ``_LANCZOS_TOL`` times the largest Ritz value; after
+    ``_LANCZOS_RESTARTS`` restarts without convergence of the top k,
+    EigenConvergenceError.  When the basis spans an invariant subspace
+    before it is full, it goes on from a random vector orthogonal to it.
+    """
+    n = len(v0)
+    m = min(_LANCZOS_BASIS, n)
+    basis = np.empty((m + 1, n))
+    basis[0] = v0 / np.linalg.norm(v0)
+    h = np.zeros((m, m))  # basis[:m] A basis[:m]^T
+    rng = np.random.default_rng(1)
+    kept = 0
+    for _ in range(_LANCZOS_RESTARTS):
+        for i in range(kept, m):
+            w = op(basis[i])
+            coef = np.zeros(i + 1)
+            for _ in range(2):
+                c = basis[: i + 1] @ w
+                w -= c @ basis[: i + 1]
+                coef += c
+            h[: i + 1, i] = h[i, : i + 1] = coef
+            beta = float(np.linalg.norm(w))
+            if i + 1 < m and not beta > _LANCZOS_TOL * np.abs(h[: i + 1, : i + 1]).max():
+                # an invariant subspace: go on from a fresh direction
+                beta, w = 0.0, rng.standard_normal(n)
+                for _ in range(2):
+                    w -= (basis[: i + 1] @ w) @ basis[: i + 1]
+                w /= np.linalg.norm(w)
+            elif beta > 0:
+                w /= beta
+            basis[i + 1] = w
+            if i + 1 < m:
+                h[i + 1, i] = h[i, i + 1] = beta
+        theta, y = np.linalg.eigh(h)
+        # the residual of Ritz pair j is beta * |y[m - 1, j]|
+        if (beta * np.abs(y[-1, -k:]) <= _LANCZOS_TOL * np.abs(theta).max()).all():
+            return theta[-k:], y[:, -k:].T @ basis[:m]
+        kept = max(k, m // 2)
+        basis[:kept] = y[:, -kept:].T @ basis[:m]
+        basis[kept] = basis[m]
+        # the Ritz values on the diagonal; the next step fills row and
+        # column ``kept`` (the arrow beta * y[m - 1]) from its Gram-Schmidt
+        h[:] = 0.0
+        h[:kept, :kept] = np.diag(theta[-kept:])
+    raise EigenConvergenceError(
+        f"Lanczos did not converge within {_LANCZOS_RESTARTS} restarts"
+    )
 
 
 def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralReport:
     """lambda_0, lambda_1, lambda_min of the adjacency operator A plus the
-    Cheeger bounds (k - lambda_1)/2 <= h <= sqrt(2k(k - lambda_1)).
+    Cheeger bounds (k - lambda_1)/2 <= h <= sqrt(2k(k - lambda_1)), k the
+    degree (the table's row length).
 
-    Up to ``dense_cap`` vertices, a dense symmetric solver.  Above it, one
-    deterministic Lanczos (ARPACK) run:
+    Up to ``dense_cap`` vertices, a dense symmetric solver.  Above it,
+    thick-restart Lanczos (``_top_eigenpairs``) with A applied from the
+    neighbour table:
 
     - a connected, loop-free graph with a proper 2-colouring (every swap
       Cayley graph mod q >= 3: the swaps have determinant -1, so the sides
       are det = +1 and det = -1) has A = [[0, B], [B^T, 0]] with eigenvalues
-      +-sigma(B).  The top two eigenvalues sigma_0^2, sigma_1^2 of B B^T on
-      the side of vertex 0 give lambda_0 = sigma_0, lambda_1 = sigma_1 and
-      lambda_min = -sigma_0; each eigenvector u lifts to (u, +-B^T u/sigma);
-    - any other graph takes the two largest and the smallest eigenpair of A.
+      +-sigma(B).  One run gives the top two eigenvalues sigma_0^2, sigma_1^2
+      of B B^T on the side of vertex 0, and lambda_0 = sigma_0,
+      lambda_1 = sigma_1 and lambda_min = -sigma_0; each eigenvector u lifts
+      to (u, +-B^T u/sigma);
+    - any other graph takes the top two eigenpairs of A and the top one of -A.
 
     Every returned eigenpair (lam, v) is checked on the full A:
     |A v - lam v| <= 1e-8 * max(1, |lam|) * sqrt(n), else
-    EigenConvergenceError.
+    EigenConvergenceError.  A graph that is not regular (some vertex appears
+    in the table other than k times) raises ValueError.
     """
-    a = g.adjacency()
-    k = g.degree
-    if g.n == 1:
-        return SpectralReport(float(a[0, 0]), None, None, None, None, 1, "trivial")
-    if g.n <= dense_cap:
-        vals = np.linalg.eigvalsh(a.toarray())
+    table = g.table
+    n, k = table.shape
+    if n == 1:
+        return SpectralReport(float(k), None, None, None, None, 1, "trivial")
+    if (np.bincount(table.ravel(), minlength=n) != k).any():
+        raise ValueError("spectrum needs a regular graph: every vertex k times in the table")
+
+    def adjacency(x):
+        return _gather_sum(x, table)
+
+    if n <= dense_cap:
+        a = np.zeros((n, n))
+        np.add.at(a, (np.repeat(np.arange(n), k), table.ravel()), 1.0)
+        vals = np.linalg.eigvalsh(a)
         lam0, lam1, lammin = float(vals[-1]), float(vals[-2]), float(vals[0])
         method = "dense"
     else:
-        side = _two_colouring(a)
+        side = _two_colouring(table)
         rng = np.random.default_rng(0)
-        try:
-            if side is None:
-                vals, vecs = spla.eigsh(a, k=3, which="BE", v0=rng.standard_normal(g.n))
-                pairs = list(zip(vals, vecs.T))  # lambda_min, lambda_1, lambda_0
-            else:
-                rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
-                b = a[rows][:, cols]
-                bbt = spla.LinearOperator(
-                    (len(rows), len(rows)), matvec=lambda x: b @ (b.T @ x), dtype=float
-                )
-                vals, vecs = spla.eigsh(
-                    bbt, k=2, which="LA", v0=rng.standard_normal(len(rows))
-                )
-                (s1, s0), (u1, u0) = np.sqrt(np.maximum(vals, 0.0)), vecs.T
+        if side is None:
+            v0 = rng.standard_normal(n)
+            vals, vecs = _top_eigenpairs(adjacency, v0, 2)
+            low, low_vec = _top_eigenpairs(lambda x: -adjacency(x), v0, 1)
+            pairs = [(-low[0], low_vec[0]), (vals[0], vecs[0]), (vals[1], vecs[1])]
+        else:
+            rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
+            # neighbours of each side, as positions within the other side
+            pos = np.empty(n, dtype=table.dtype)
+            pos[rows] = np.arange(len(rows))
+            pos[cols] = np.arange(len(cols))
+            row_nb, col_nb = pos[table[rows]], pos[table[cols]]
 
-                def lift(u, s, sign):
-                    v = np.empty(g.n)
-                    v[rows] = u
-                    # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
-                    # dividing rounding noise by s would not give it
-                    v[cols] = sign * (b.T @ u) / s if s > _EIGEN_TOL else 0.0
-                    return v / np.linalg.norm(v)
+            def bt(x):  # B^T x
+                return _gather_sum(x, col_nb)
 
-                pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
-        except spla.ArpackNoConvergence as exc:  # pragma: no cover
-            raise EigenConvergenceError(str(exc)) from exc
+            vals, vecs = _top_eigenpairs(
+                lambda x: _gather_sum(bt(x), row_nb), rng.standard_normal(len(rows)), 2
+            )
+            # Ritz values at rounding level of sigma_0^2 are zero singular values
+            vals = np.where(vals > _ZERO_RITZ * vals[-1], vals, 0.0)
+            (s1, s0), (u1, u0) = np.sqrt(vals), vecs
+
+            def lift(u, s, sign):
+                v = np.empty(n)
+                v[rows] = u
+                # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
+                # dividing rounding noise by s would not give it
+                v[cols] = sign * bt(u) / s if s > _EIGEN_TOL else 0.0
+                return v / np.linalg.norm(v)
+
+            pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
         for lam, vec in pairs:
-            resid = float(np.linalg.norm(a @ vec - lam * vec))
+            resid = float(np.linalg.norm(adjacency(vec) - lam * vec))
             # written so that a NaN residual fails too
-            if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(g.n):
+            if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(n):
                 raise EigenConvergenceError(f"eigen residual {resid:.2e} above tolerance")
         lammin, lam1, lam0 = (float(lam) for lam, _ in pairs)
         method = "lanczos"
@@ -313,7 +388,7 @@ def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralRepo
         lambda_min=lammin,
         cheeger_lower=gap / 2.0,
         cheeger_upper=float(np.sqrt(2.0 * k * gap)),
-        n=g.n,
+        n=n,
         method=method,
     )
 
@@ -326,26 +401,19 @@ def exact_cheeger(g: CayleyGraph, cap: int = 20) -> float:
         raise ValueError("Cheeger constant needs at least two vertices")
     if n > cap:
         raise SizeCapError(f"exhaustive Cheeger limited to {cap} vertices")
-    adj_bits = [0] * n
-    deg = [0] * n
-    for u, v in g.edges:
-        adj_bits[u] |= 1 << int(v)
-        adj_bits[v] |= 1 << int(u)
-        deg[u] += 1
-        deg[v] += 1
-    best = float("inf")
-    for size in range(1, n // 2 + 1):
-        for subset in combinations(range(n), size):
-            wmask = 0
-            for v in subset:
-                wmask |= 1 << v
-            # deg(v) counts boundary edges once and internal edges once per
-            # endpoint; subtracting internal neighbors leaves the boundary
-            boundary = sum(
-                deg[v] - bin(adj_bits[v] & wmask).count("1") for v in subset
-            )
-            best = min(best, boundary / size)
-    return best
+    # every subset W at once, as the bits of its index; an edge {u, v}
+    # appears in the table from both ends, and crosses the cut from u's
+    # entry exactly when u is in W and v is not
+    subsets = np.arange(1, 1 << n, dtype=np.int64)
+    size = np.zeros(len(subsets), dtype=np.int64)
+    boundary = np.zeros(len(subsets), dtype=np.int64)
+    for u, nbrs in enumerate(g.table.tolist()):
+        inside = (subsets >> u) & 1
+        size += inside
+        for v in nbrs:
+            boundary += inside & ~(subsets >> v) & 1
+    small = size <= n // 2
+    return float((boundary[small] / size[small]).min())
 
 
 def expander_report(

@@ -261,7 +261,8 @@ def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
     parts, one band of whole rows at a time, each band at most
     ``_BOX_BAND_CELLS`` cells or one row.  With more than one band, each
     part is keyed row-major and sorted, so a band takes one slice of each
-    part.
+    part, and only the bands that hold a key are visited: the work grows
+    with the occupied bands, not with the area of the rectangle.
     """
     parts = [(ix, iy) for ix, iy in parts if ix.size]
     if not parts:
@@ -277,8 +278,12 @@ def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
             band[_row_major(ix, iy, x0, y0, width)] = True
         return int(np.count_nonzero(band))
     keys = [np.sort(_row_major(ix, iy, x0, y0, width)) for ix, iy in parts]
+    occupied = set()
+    for key in keys:
+        ids = key // band.size
+        occupied.update(ids[np.flatnonzero(np.diff(ids, prepend=-1))].tolist())
     total = 0
-    for start in range(0, height * width, band.size):
+    for start in sorted(b * band.size for b in occupied):
         band.fill(False)
         for key in keys:
             lo, hi = np.searchsorted(key, (start, start + band.size))

@@ -16,7 +16,7 @@ from apollonian import geometry as geo
 from apollonian import sieve as sv
 from apollonian.quadruples import SWAP_MATRICES, enumerate_orbit
 
-from conftest import STANDARD_ROOT, STRIP_ROOT, STRIP_WINDOW, TEST_ROOTS
+from conftest import STANDARD_ROOT, STRIP_ROOT, STRIP_WINDOW, TEST_ROOTS, graph_from_edges
 
 ALPHA_REF = 1.30568  # residual dimension, reference value
 GOLDEN_QUAD_COUNT_1E5 = 1_359_168  # recorded from the first verified run
@@ -168,13 +168,9 @@ def test_criterion_8_expander_gap():
 
 
 def test_criterion_9_cheeger_sandwich():
-    def graph(n, edges):
-        e = np.array(sorted(set((min(a, b), max(a, b)) for a, b in edges)), dtype=np.int64)
-        return cg.CayleyGraph(modulus=0, n=n, edges=e, loops=np.zeros(n, dtype=np.int64))
-
-    k5 = graph(5, itertools.combinations(range(5), 2))
-    c12 = graph(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
-    c6 = graph(6, [(i, (i + d) % 6) for i in range(6) for d in (1, 2)])
+    k5 = graph_from_edges(5, itertools.combinations(range(5), 2))
+    c12 = graph_from_edges(12, [(i, (i + d) % 12) for i in range(12) for d in (1, 2)])
+    c6 = graph_from_edges(6, [(i, (i + d) % 6) for i in range(6) for d in (1, 2)])
 
     rep = cg.spectrum(k5)
     assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)

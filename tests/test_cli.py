@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apollonian
 from apollonian.cli import main
 from apollonian.config import ConfigError, load_config
 
@@ -388,3 +391,16 @@ def test_cli_report_warns_once_below_resolution(config_path):
     assert len(msgs) == 1
     assert msgs[0].startswith("box size 0.00390625 is below the resolution")
     assert "box-counting dimension estimate" in Path(out, "summary.txt").read_text()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, so that modules other tests imported do not count
+    code = (
+        "import sys, apollonian, apollonian.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(apollonian.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"

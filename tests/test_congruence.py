@@ -10,12 +10,19 @@ import pytest
 from apollonian import congruence as cg
 from apollonian.arithmetic import is_prime, is_squarefree
 from apollonian.quadruples import SWAP_MATRICES
-from conftest import STRIP_ROOT, TEST_ROOTS
+from conftest import STRIP_ROOT, TEST_ROOTS, graph_from_edges
 
 
-def graph_from_edges(n, edges):
-    e = np.array(sorted(set((min(a, b), max(a, b)) for a, b in edges)), dtype=np.int64)
-    return cg.CayleyGraph(modulus=0, n=n, edges=e, loops=np.zeros(n, dtype=np.int64))
+def edges_and_loops(g):
+    """The graph's undirected edges (u < v, lexicographic, repeated for each
+    table entry that gives them) and its self-loop count per vertex, read
+    off the neighbour table."""
+    u = np.repeat(np.arange(g.n), g.table.shape[1])
+    v = g.table.ravel().astype(np.int64)
+    up = u < v
+    edges = np.stack([u[up], v[up]], axis=1)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return edges, np.bincount(u[u == v], minlength=g.n)
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +58,7 @@ def test_mod2_image_trivial():
     assert img.order == 1
     g = cg.build_cayley(img)
     assert g.n == 1
-    assert len(g.edges) == 0
-    assert g.loops.tolist() == [4]
+    assert g.table.tolist() == [[0, 0, 0, 0]]
     rep = cg.spectrum(g)
     assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
     assert rep.lambda1 is None
@@ -83,13 +89,14 @@ def test_closure_under_generators(img3):
 def test_cayley_regularity_and_connectivity(img3, img5):
     for img in (img3, img5):
         g = cg.build_cayley(img)
-        assert 2 * len(g.edges) + int(g.loops.sum()) == 4 * g.n
+        edges, loops = edges_and_loops(g)
+        assert 2 * len(edges) + int(loops.sum()) == 4 * g.n
         assert g.is_connected()
         deg = np.zeros(g.n, dtype=int)
-        for u, v in g.edges:
+        for u, v in edges:
             deg[u] += 1
             deg[v] += 1
-        deg += g.loops
+        deg += loops
         assert (deg == 4).all()
 
 
@@ -124,16 +131,16 @@ def test_spectrum_iterative_matches_dense(img3):
     assert lan.lambda_min == pytest.approx(dense.lambda_min, abs=1e-8)
 
 
-def record_eigsh(monkeypatch):
-    """Patch eigsh to log (operator shape, k, which) of every call."""
+def record_lanczos(monkeypatch):
+    """Patch the Lanczos solver to log (operator size, k) of every call."""
     calls = []
-    real = cg.spla.eigsh
+    real = cg._top_eigenpairs
 
-    def logged(op, k, which, **kw):
-        calls.append((op.shape, k, which))
-        return real(op, k=k, which=which, **kw)
+    def logged(op, v0, k):
+        calls.append((len(v0), k))
+        return real(op, v0, k)
 
-    monkeypatch.setattr(cg.spla, "eigsh", logged)
+    monkeypatch.setattr(cg, "_top_eigenpairs", logged)
     return calls
 
 
@@ -155,7 +162,7 @@ def circulant_spectrum(n, steps):
     ],
 )
 def test_spectrum_lanczos_paths_circulant_closed_form(monkeypatch, n, steps, half):
-    calls = record_eigsh(monkeypatch)
+    calls = record_lanczos(monkeypatch)
     rep = cg.spectrum(circulant(n, steps), dense_cap=10)
     lam = circulant_spectrum(n, steps)
     assert rep.method == "lanczos"
@@ -164,51 +171,103 @@ def test_spectrum_lanczos_paths_circulant_closed_form(monkeypatch, n, steps, hal
     assert rep.lambda_min == pytest.approx(lam[0], abs=1e-9)
     if half:
         assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
-        assert calls == [((n // 2, n // 2), 2, "LA")]
+        assert calls == [(n // 2, 2)]
     else:
-        assert calls == [((n, n), 3, "BE")]
+        # the top two of A and the top one of -A
+        assert calls == [(n, 2), (n, 1)]
 
 
 def test_spectrum_lanczos_complete_bipartite(monkeypatch):
     # K_{m,m}: eigenvalues m, -m and 0 (2m - 2 times), so sigma_1 = 0 and
-    # the second eigenvector lifts to (u, 0)
-    m = 20
-    k = graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
-    calls = record_eigsh(monkeypatch)
-    rep = cg.spectrum(k, dense_cap=10)
-    assert calls == [((m, m), 2, "LA")]
-    assert rep.lambda0 == pytest.approx(m, abs=1e-9)
-    assert rep.lambda1 == pytest.approx(0.0, abs=1e-9)
-    assert rep.lambda_min == pytest.approx(-m, abs=1e-9)
+    # the second eigenvector lifts to (u, 0).  At m = 40 the Ritz value of
+    # that eigenvector is rounding noise of about 1e-13, whose square root
+    # would be far above the lift's threshold
+    calls = record_lanczos(monkeypatch)
+    for m in (20, 40):
+        k = graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+        del calls[:]
+        rep = cg.spectrum(k, dense_cap=10)
+        assert calls == [(m, 2)]
+        assert rep.lambda0 == pytest.approx(m, abs=1e-9)
+        assert rep.lambda1 == pytest.approx(0.0, abs=1e-9)
+        assert rep.lambda_min == pytest.approx(-m, abs=1e-9)
+        # the degree is m, not 4: the gap is m - 0
+        assert rep.cheeger_lower == pytest.approx(m / 2, abs=1e-9)
+        dense = cg.spectrum(k)
+        assert dense.method == "dense"
+        assert dense.cheeger_lower == pytest.approx(m / 2, abs=1e-9)
+
+
+def test_spectrum_rejects_an_irregular_table():
+    # vertex 0 is the neighbour of 1 and of 2, and has only one entry itself:
+    # as a graph, the path 1 - 0 - 2 with degrees 2, 1, 1
+    path = cg.CayleyGraph(modulus=0, table=np.array([[1], [0], [0]], dtype=np.int32))
+    with pytest.raises(ValueError, match="regular"):
+        cg.spectrum(path)
+
+
+def test_top_eigenpairs_match_dense_eigh():
+    rng = np.random.default_rng(3)
+    n = 300
+    a = rng.standard_normal((n, n))
+    a = (a + a.T) / 2
+    vals, vecs = cg._top_eigenpairs(lambda x: a @ x, rng.standard_normal(n), 2)
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    assert vals == pytest.approx(ref_vals[-2:], abs=1e-10)
+    assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0)
+    for vec, ref in zip(vecs, ref_vecs[:, -2:].T):
+        assert abs(float(vec @ ref)) == pytest.approx(1.0, abs=1e-8)
+        assert np.linalg.norm(a @ vec - (vec @ a @ vec) * vec) < 1e-8
+
+
+def test_top_eigenpairs_go_on_past_an_invariant_start():
+    # e_0 is an eigenvector: the first step leaves exactly nothing, and the
+    # second copy of the top eigenvalue 5 is found from a fresh direction
+    d = np.ones(100)
+    d[:2] = 5.0
+    vals, vecs = cg._top_eigenpairs(lambda x: d * x, np.eye(100)[0], 2)
+    assert vals == pytest.approx([5.0, 5.0], abs=1e-10)
+    assert np.allclose(np.linalg.norm(vecs[:, :2], axis=1), 1.0)
+
+
+def test_top_eigenpairs_raises_after_the_restart_cap(monkeypatch):
+    graph = cg.build_cayley(cg.reduce_group_mod(7))
+    monkeypatch.setattr(cg, "_LANCZOS_RESTARTS", 1)
+    with pytest.raises(cg.EigenConvergenceError, match="restarts"):
+        cg.spectrum(graph)
 
 
 @pytest.mark.parametrize("graph", [circulant(41, (1, 2)), circulant(40, (1, 3))])
 def test_spectrum_lanczos_rejects_inexact_eigenvectors(monkeypatch, graph):
-    real = cg.spla.eigsh
+    real = cg._top_eigenpairs
 
-    def perturbed(op, **kw):
-        vals, vecs = real(op, **kw)
+    def perturbed(op, v0, k):
+        vals, vecs = real(op, v0, k)
         vecs = vecs + 1e-4 * np.random.default_rng(1).standard_normal(vecs.shape)
-        return vals, vecs / np.linalg.norm(vecs, axis=0)
+        return vals, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
-    monkeypatch.setattr(cg.spla, "eigsh", perturbed)
+    monkeypatch.setattr(cg, "_top_eigenpairs", perturbed)
     with pytest.raises(cg.EigenConvergenceError):
         cg.spectrum(graph, dense_cap=10)
 
 
 def test_two_colouring_rejects_loops_odd_cycles_and_disconnected():
-    assert cg._two_colouring(circulant(41, (1, 2)).adjacency()) is None
-    assert cg._two_colouring(circulant(40, (1, 2)).adjacency()) is None
+    assert cg._two_colouring(circulant(41, (1, 2)).table) is None
+    assert cg._two_colouring(circulant(40, (1, 2)).table) is None
     two_squares = graph_from_edges(8, [(i, (i + 1) % 4 + 4 * (i // 4)) for i in range(8)])
-    assert cg._two_colouring(two_squares.adjacency()) is None
-    looped = cg.CayleyGraph(modulus=0, n=2, edges=np.array([[0, 1]]), loops=np.array([1, 0]))
-    assert cg._two_colouring(looped.adjacency()) is None
-    side = cg._two_colouring(circulant(40, (1, 3)).adjacency())
+    assert cg._two_colouring(two_squares.table) is None
+    assert not two_squares.is_connected()
+    # one edge and a self-loop at each end: connected, no odd cycle, but a
+    # loop joins a side to itself
+    looped = cg.CayleyGraph(modulus=0, table=np.array([[1, 0], [0, 1]], dtype=np.int32))
+    assert looped.is_connected()
+    assert cg._two_colouring(looped.table) is None
+    side = cg._two_colouring(circulant(40, (1, 3)).table)
     assert side.tolist() == [i % 2 == 1 for i in range(40)]
 
 
 def test_spectral_gap_small_moduli(monkeypatch):
-    calls = record_eigsh(monkeypatch)
+    calls = record_lanczos(monkeypatch)
     lam1 = {}
     for q in (3, 5, 6, 7, 10):
         img = cg.reduce_group_mod(q)
@@ -216,7 +275,7 @@ def test_spectral_gap_small_moduli(monkeypatch):
         # every swap has determinant -1, so the sides are det = +1 and -1
         det = np.rint(np.linalg.det(img.elements.astype(float))).astype(np.int64) % q
         assert set(det.tolist()) == {1, q - 1}
-        side = cg._two_colouring(graph.adjacency())
+        side = cg._two_colouring(graph.table)
         assert side is not None
         assert np.array_equal(side, det != det[0])
         rep = cg.spectrum(graph, dense_cap=2000)
@@ -224,7 +283,7 @@ def test_spectral_gap_small_moduli(monkeypatch):
         assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
         lam1[q] = rep.lambda1
     # one half-operator run for each graph above the dense cap
-    assert calls == [((n // 2, n // 2), 2, "LA") for n in (14400, 117600, 14400)]
+    assert calls == [(n // 2, 2) for n in (14400, 117600, 14400)]
     assert lam1[6] == pytest.approx(lam1[3], abs=1e-7)
     assert lam1[10] == pytest.approx(lam1[5], abs=1e-7)
     assert max(lam1.values()) < 4.0 - 0.05
@@ -243,7 +302,7 @@ def test_exact_cheeger_doubled_cycle():
     h = cg.exact_cheeger(g)
     # brute-force oracle recomputed inline
     best = math.inf
-    edges = set(map(tuple, g.edges.tolist()))
+    edges = set(map(tuple, edges_and_loops(g)[0].tolist()))
     for size in range(1, n // 2 + 1):
         for sub in itertools.combinations(range(n), size):
             w = set(sub)
@@ -253,7 +312,7 @@ def test_exact_cheeger_doubled_cycle():
 
 
 def test_exact_cheeger_caps():
-    single = cg.CayleyGraph(modulus=2, n=1, edges=np.empty((0, 2), dtype=np.int64), loops=np.array([4]))
+    single = cg.CayleyGraph(modulus=2, table=np.zeros((1, 4), dtype=np.int32))
     with pytest.raises(ValueError):
         cg.exact_cheeger(single)
     big = graph_from_edges(30, [(i, (i + 1) % 30) for i in range(30)])
@@ -518,13 +577,14 @@ def test_orbit_memo_under_concurrent_callers(fresh_memo, monkeypatch):
 def test_cayley_edges_match_unique_reference(q):
     img = cg.reduce_group_mod(q)
     idx = np.arange(img.order)
+    graph = cg.build_cayley(img)
     pairs = []
     for g in range(4):
         prods = (img.elements.astype(np.int64) @ img.generators[g].astype(np.int64)) % q
         nb = img.index_of(prods)
+        assert np.array_equal(graph.table[:, g], nb)
         pairs.append(np.stack([np.minimum(idx, nb), np.maximum(idx, nb)], axis=1))
     expected = np.unique(np.concatenate(pairs), axis=0)
-    graph = cg.build_cayley(img)
-    assert graph.edges.dtype == np.int64
-    assert np.array_equal(graph.edges, expected)
-    assert not graph.loops.any()
+    edges, loops = edges_and_loops(graph)
+    assert np.array_equal(edges, expected)
+    assert not loops.any()

@@ -279,6 +279,16 @@ def test_box_counts_negative_cells(monkeypatch, band_cells):
             assert ct.box_counts(rows, eps, viewport=vp).tolist() == ref
 
 
+def test_box_counts_visit_only_occupied_bands(monkeypatch):
+    # two tiny circles 1000 units apart: at eps = 2**-14 the rectangle
+    # between them is 1.6e7 one-row bands, of which two hold a cell
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 1 << 10)
+    circles = [Circle.from_center_radius(c, 1e-6) for c in ((0.0, 0.0), (1000.0, 1000.0))]
+    rows = np.array([c.vector() for c in circles])
+    eps = [2.0**-10, 2.0**-13, 2.0**-14]
+    assert ct.box_counts(rows, eps).tolist() == _box_counts_per_circle(circles, eps)
+
+
 @pytest.mark.parametrize("band_cells", [1 << 22, 250, 99, 1])
 def test_count_cells_matches_a_set(monkeypatch, band_cells):
     # rows are 100 cells wide: 250 cells make bands of two rows, and from
