@@ -118,14 +118,7 @@ def prime_stats(orbit: PackingOrbit) -> PrimeStats:
     tangency graph."""
     if not is_primitive(orbit.root):
         raise ValueError(f"root {orbit.root} is not primitive")
-    if orbit.edges is None:
-        raise ValueError("orbit lacks a tangency graph; enumerate with tangency=True")
-    u = orbit.unsigned_curvatures
-    pm = prime_mask(u)
-    pi = int(pm.sum())
-    e = orbit.edges
-    pi2 = int((pm[e[:, 0]] & pm[e[:, 1]]).sum())
-    return PrimeStats(pi=pi, pi2=pi2, bound=orbit.bound)
+    return prime_count_curve(orbit, [orbit.bound])[0]
 
 
 def residues_mod(t: CurvatureTally, m: int) -> frozenset[int]:

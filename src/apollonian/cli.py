@@ -7,11 +7,11 @@ size-cap error.  All outputs are deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,7 +32,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["generate", "render", "report"])
     parser.add_argument("--config", required=True, help="INI run configuration")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for reports")
     parser.add_argument(
         "--seed-check",
         action="store_true",
@@ -57,7 +56,7 @@ def main(argv=None) -> int:
             return cmd_generate(cfg)
         if args.command == "render":
             return cmd_render(cfg)
-        return cmd_report(cfg, threads=max(1, args.threads))
+        return cmd_report(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -139,7 +138,17 @@ def _f(x: float) -> str:
     return f"{x:.6f}"
 
 
-def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
+@contextlib.contextmanager
+def _stage(label: str, failures: list[str]):
+    """Run one report stage.  An exception ends only this stage: it is
+    recorded as ``label: message`` and the report goes on."""
+    try:
+        yield
+    except Exception as exc:
+        failures.append(f"{label}: {exc}")
+
+
+def cmd_report(cfg: RunConfig) -> int:
     failures: list[str] = []
     summary: list[str] = []
     out = cfg.out_dir
@@ -153,7 +162,7 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
     npts = max(5, int(round(decades * cfg.grid_points_per_decade)) + 1)
     grid = np.geomspace(cfg.grid_tmin, cfg.grid_tmax, npts)
     fit = None
-    try:
+    with _stage("counts/fit", failures):
         curve = counting.count_by_curvature(orbit, grid)
         _write_csv(
             os.path.join(out, "counts.csv"),
@@ -171,28 +180,22 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
                 f"alpha_hat {fit2.alpha_hat:.5f} on window {cfg.fit_window_alt}; "
                 f"drift {abs(fit.alpha_hat - fit2.alpha_hat):.5f}"
             )
-    except Exception as exc:
-        failures.append(f"counts/fit: {exc}")
 
-    # prime statistics
-    try:
+    with _stage("primes", failures):
         # the decades from 100 up to the bound, or the bound alone below 100
         ts = [10 ** k for k in range(2, int(math.log10(cfg.bound)) + 1)] or [cfg.bound]
         stats = arithmetic.prime_count_curve(orbit, ts)
-        u = orbit.unsigned_curvatures  # a fresh array, so sorted in place
-        u.sort()
-        rows = []
-        for s in stats:
-            n_at = int(np.searchsorted(u, s.bound, side="right"))
-            rows.append([str(s.bound), str(s.pi), str(s.pi2), str(n_at)])
-        _write_csv(os.path.join(out, "primes.csv"), "T,pi,pi2,N", rows)
+        ns = counting.count_by_curvature(orbit, ts).counts
+        _write_csv(
+            os.path.join(out, "primes.csv"),
+            "T,pi,pi2,N",
+            ([str(s.bound), str(s.pi), str(s.pi2), str(int(n))] for s, n in zip(stats, ns)),
+        )
         last = stats[-1]
         summary.append(f"prime circles {last.pi}, twin pairs {last.pi2} at T={last.bound}")
-    except Exception as exc:
-        failures.append(f"primes: {exc}")
 
     # residues, density, missing integers
-    try:
+    with _stage("residues", failures):
         t = arithmetic.tally(orbit)
         res = arithmetic.residues_mod(t, 24)
         _write_csv(
@@ -206,68 +209,46 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
             f"kappa/24 {len(res) / 24:.4f}"
         )
         missing = arithmetic.missing_integers(t)
-        with open(os.path.join(out, "missing.csv"), "w", encoding="ascii", newline="\n") as fh:
-            fh.write("missing_n\n")
-            for n in missing:
-                fh.write(f"{n}\n")
+        _write_csv(os.path.join(out, "missing.csv"), "missing_n", ([str(n)] for n in missing))
         summary.append(f"local-global exceptions {len(missing)} up to {t.bound}")
         summary.append(f"odd-prime triple free: {arithmetic.no_odd_prime_triple(orbit)}")
-    except Exception as exc:
-        failures.append(f"residues: {exc}")
 
-    # spectral table
-    try:
-        rows = []
-        gap_eps = None
-
-        def one(q):
-            img = congruence.reduce_group_mod(q, element_cap=cfg.element_cap)
-            graph = congruence.build_cayley(img)
-            rep = congruence.spectrum(graph, dense_cap=cfg.dense_cap)
-            return q, img.order, rep
-
-        reports = []
-        moduli = [q for q in cfg.moduli if arithmetic.is_squarefree(q)]
-        skipped = [q for q in cfg.moduli if not arithmetic.is_squarefree(q)]
-        if skipped:
-            summary.append(f"non-square-free moduli skipped: {skipped}")
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for q, res in zip(moduli, pool.map(_guard(one), moduli)):
-                if isinstance(res, congruence.SizeCapError):
-                    continue
-                if isinstance(res, Exception):
-                    # the other moduli's rows are still written
-                    failures.append(f"spectral q={q}: {res}")
-                    continue
-                reports.append(res)
+    # spectral table, one stage per modulus: a failing modulus keeps the
+    # other moduli's rows
+    skipped = [q for q in cfg.moduli if not arithmetic.is_squarefree(q)]
+    if skipped:
+        summary.append(f"non-square-free moduli skipped: {skipped}")
+    reports, capped = [], []
+    for q in cfg.moduli:
+        if q in skipped:
+            continue
+        with _stage(f"spectral q={q}", failures):
+            rep = congruence.expander_report([q], cfg.element_cap, cfg.dense_cap)
+            reports += rep
+            if not rep:
+                capped.append(q)
+    if capped:
+        summary.append(f"moduli over element_cap {cfg.element_cap} skipped: {capped}")
+    with _stage("spectral", failures):
         reports.sort(key=lambda r: r[0])
-        for q, order, rep in reports:
-            rows.append(
-                [
-                    str(q),
-                    str(order),
-                    _f(rep.lambda1) if rep.lambda1 is not None else "",
-                    _f(rep.cheeger_lower) if rep.cheeger_lower is not None else "",
-                    _f(rep.cheeger_upper) if rep.cheeger_upper is not None else "",
-                ]
-            )
-            if rep.lambda1 is not None:
-                g = 4.0 - rep.lambda1
-                gap_eps = g if gap_eps is None else min(gap_eps, g)
+        rows = [
+            [str(q), str(order)]
+            + ["" if v is None else _f(v) for v in (rep.lambda1, rep.cheeger_lower, rep.cheeger_upper)]
+            for q, order, rep in reports
+        ]
         _write_csv(
             os.path.join(out, "spectral.csv"),
             "q,group_order,lambda1,cheeger_lower,cheeger_upper",
             rows,
         )
-        if gap_eps is not None:
-            summary.append(f"expander gap epsilon {gap_eps:.4f} over moduli {[r[0] for r in reports]}")
-    except Exception as exc:
-        failures.append(f"spectral: {exc}")
+        gaps = [4.0 - rep.lambda1 for _, _, rep in reports if rep.lambda1 is not None]
+        if gaps:
+            summary.append(f"expander gap epsilon {min(gaps):.4f} over moduli {[r[0] for r in reports]}")
 
-    # sieve tables, each selector guarded on its own: one that fails keeps
-    # the other selectors' tables
+    # sieve tables, one stage per selector: a failing selector keeps the
+    # other selectors' tables
     for sel in cfg.selectors:
-        try:
+        with _stage(f"sieve {sieve.selector_name(sel)}", failures):
             series = sieve.build_series(orbit, sel)
             name = sieve.selector_name(sel).replace(":", "_")
             excl = sieve.detect_excluded_primes(series)
@@ -298,12 +279,12 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
                 f"{dim_slope:.3f}"
                 + (f", excluded primes {sorted(excl)}" if excl else "")
             )
-        except Exception as exc:
-            failures.append(f"sieve {sieve.selector_name(sel)}: {exc}")
 
     # box-counting dimension (needs an embedding)
-    try:
-        if orbit.acc_rows is not None:
+    if orbit.acc_rows is None:
+        summary.append("box-counting skipped: no geometric embedding for this root")
+    else:
+        with _stage("boxcount", failures):
             eps = cfg.boxcount_eps
             counts = counting.box_counts(orbit.acc_rows, eps, viewport=cfg.window)
             _write_csv(
@@ -319,7 +300,7 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
             # uncontrolled prefactor estimate: c_hat over a box-count proxy for
             # the fractal measure of the residual set
             if fit is not None:
-                try:
+                with _stage("packing-constant", failures):
                     h_est = float(
                         np.median([b * e ** fit.alpha_hat for e, b in zip(eps, counts)])
                     )
@@ -327,15 +308,8 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
                         f"packing-constant estimate (uncontrolled) c_hat/H_est "
                         f"{fit.c_hat / h_est:.5f}"
                     )
-                except Exception as exc:
-                    failures.append(f"packing-constant: {exc}")
-        else:
-            summary.append("box-counting skipped: no geometric embedding for this root")
-    except Exception as exc:
-        failures.append(f"boxcount: {exc}")
 
-    summary_path = os.path.join(out, "summary.txt")
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
+    with open(os.path.join(out, "summary.txt"), "w", encoding="ascii", newline="\n") as fh:
         for line in summary:
             fh.write(line + "\n")
         if failures:
@@ -349,16 +323,6 @@ def cmd_report(cfg: RunConfig, threads: int = 1) -> int:
             print(f"  {f}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _guard(fn):
-    def wrapped(*a):
-        try:
-            return fn(*a)
-        except Exception as exc:  # surfaced by the caller
-            return exc
-
-    return wrapped
 
 
 if __name__ == "__main__":

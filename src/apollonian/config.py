@@ -145,7 +145,7 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     # every report slices every selector, and max has no congruence density
     if ("max",) in selectors:
         raise ConfigError("[sieve] selectors takes coord:i and product:i:j, not max")
-    level_D = int(sieve_sec.get("level_d", sieve_sec.get("level_D", 50)))
+    level_D = int(sieve_sec.get("level_d", 50))
     # the sieve slices square-free q < level_D, each through orbit_mod
     if not 2 <= level_D <= MAX_ORBIT_MODULUS + 1:
         raise ConfigError(

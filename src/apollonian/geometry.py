@@ -217,6 +217,20 @@ def tangency_point(c1: Circle, c2: Circle, tol: float = TANGENCY_TOL) -> Point:
     return ((b1 * x1 + b2 * x2) / (b1 + b2), (b1 * y1 + b2 * y2) / (b1 + b2))
 
 
+def _line_through(p: Point, q: Point) -> Circle:
+    """The line through two distinct points, its unit normal oriented so that
+    nx > 0, or ny > 0 when nx = 0."""
+    (ax, ay), (bx, by) = p, q
+    nx, ny = ay - by, bx - ax  # normal to the direction p -> q
+    n = math.hypot(nx, ny)
+    if n == 0:
+        raise ValueError("coincident points define no line")
+    nx, ny = nx / n, ny / n
+    if nx < 0 or (nx == 0 and ny < 0):
+        nx, ny = -nx, -ny
+    return Circle.line((nx, ny), nx * ax + ny * ay)
+
+
 def _circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
     """Circle (or line, when collinear) through three points."""
     ax, ay = p1
@@ -225,14 +239,7 @@ def _circumcircle(p1: Point, p2: Point, p3: Point) -> Circle:
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     scale = max(abs(bx - ax), abs(by - ay), abs(cx - ax), abs(cy - ay), 1e-300)
     if abs(d) < 1e-9 * scale * scale:
-        nx, ny = ay - by, bx - ax  # normal to the direction p1 -> p2
-        n = math.hypot(nx, ny)
-        if n == 0:
-            raise ValueError("degenerate point triple")
-        nx, ny = nx / n, ny / n
-        if nx < 0 or (nx == 0 and ny < 0):
-            nx, ny = -nx, -ny
-        return Circle.line((nx, ny), nx * ax + ny * ay)
+        return _line_through(p1, p2)
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
@@ -272,15 +279,7 @@ def _dual_through_tangencies(kept: list[Circle], tol: float) -> Circle:
     if len(finite) == 2:
         # circle through the point at infinity: the line through the two
         # finite tangency points
-        (ax, ay), (bx, by) = finite
-        nx, ny = ay - by, bx - ax
-        n = math.hypot(nx, ny)
-        if n == 0:
-            raise ValueError("coincident tangency points")
-        nx, ny = nx / n, ny / n
-        if nx < 0 or (nx == 0 and ny < 0):
-            nx, ny = -nx, -ny
-        return Circle.line((nx, ny), nx * ax + ny * ay)
+        return _line_through(*finite)
     raise ValueError("more than one tangency at infinity")
 
 

@@ -170,7 +170,7 @@ def enumerate_orbit(
     *,
     tangency: bool = False,
     keep_quads: bool = False,
-    embedding: np.ndarray | str | None = None,
+    embedding: str | None = None,
     region: tuple[float, float, float, float] | None = None,
     max_depth: int | None = None,
 ) -> PackingOrbit:
@@ -183,7 +183,7 @@ def enumerate_orbit(
     true geometric multiplicity (mirror-symmetric packings repeat curvatures).
 
     ``embedding`` may be "auto" (look up the exact integral embedding of the
-    root), an explicit (4, 4) integer array of inversive rows, or None.
+    root) or None.
     ``region`` (xmin, xmax, ymin, ymax) restricts the output to circles whose
     curve meets the closed rectangle, decided exactly by ``region.meets``, and
     prunes branches with ``region.branch_alive``; it requires an embedding and
@@ -202,20 +202,14 @@ def enumerate_orbit(
     if bound < min(abs(x) for x in root):
         raise ValueError(f"bound {bound} is below every root curvature {root}")
 
-    if isinstance(embedding, str):
-        if embedding != "auto":
-            raise ValueError(f"unknown embedding spec {embedding!r}")
+    if embedding is None:
+        rows0 = None
+    elif isinstance(embedding, str) and embedding == "auto":
         rows0 = embedding_for_root(root)
         if rows0 is None and region is not None:
-            raise ValueError(f"no built-in embedding for root {root}; pass explicit rows")
-    elif embedding is not None:
-        rows0 = np.asarray(embedding, dtype=np.int64)
-        if rows0.shape != (4, 4):
-            raise ValueError("embedding must be a (4, 4) array of inversive rows")
-        if not np.array_equal(rows0[:, 1], np.array(root, dtype=np.int64)):
-            raise ValueError("embedding curvature column does not match the root")
+            raise ValueError(f"no built-in embedding for root {root}; region filtering needs one")
     else:
-        rows0 = None
+        raise ValueError(f"unknown embedding spec {embedding!r}")
 
     unbounded = any(x == 0 for x in root)
     if unbounded and region is None and max_depth is None:

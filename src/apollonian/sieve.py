@@ -251,30 +251,3 @@ def sieve_dimension_trace(series: SieveSeries, zs, excluded=frozenset()) -> list
             acc += slice_series(series, p).g_hat * math.log(p)
         out.append((z, acc))
     return out
-
-
-def crt_remainder_probe(series: SieveSeries, q1: int, q2: int) -> dict[str, float]:
-    """Compare |r| at coprime q1, q2 and their product; reported, not asserted.
-
-    ``orbit_mod`` builds the orbit mod q1*q2 as the CRT product of the
-    orbits mod q1 and mod q2, unless one of them is even and the other a
-    multiple of 3 (the orbit mod 6 is walked whole).  Apart from that case
-    ``g_product_defect`` is zero up to float rounding, by construction: it
-    measures the construction, not the packing.
-    """
-    if math.gcd(q1, q2) != 1:
-        raise ValueError("probe moduli must be coprime")
-    s1 = slice_series(series, q1)
-    s2 = slice_series(series, q2)
-    s12 = slice_series(series, q1 * q2)
-    return {
-        "q1": q1,
-        "q2": q2,
-        "r_q1": s1.r_hat,
-        "r_q2": s2.r_hat,
-        "r_q1q2": s12.r_hat,
-        "g_q1": s1.g_hat,
-        "g_q2": s2.g_hat,
-        "g_q1q2": s12.g_hat,
-        "g_product_defect": s12.g_hat - s1.g_hat * s2.g_hat,
-    }

@@ -254,15 +254,6 @@ def test_cli_out_override(config_path, tmp_path):
     assert (alt / "orbit.txt").exists()
 
 
-def test_cli_report_threads_match_single(config_path):
-    path, out = config_path
-    assert main(["report", "--config", path, "--threads", "2"]) == 0
-    multi = Path(out, "spectral.csv").read_bytes()
-    assert main(["report", "--config", path, "--threads", "1"]) == 0
-    single = Path(out, "spectral.csv").read_bytes()
-    assert multi == single
-
-
 @pytest.mark.parametrize(
     "line, value",
     [
@@ -328,6 +319,58 @@ def test_cli_report_keeps_spectral_rows_of_other_moduli(config_path, capsys, mon
     summary = Path(out, "summary.txt").read_text()
     assert "failures:\n  spectral q=5: no convergence\n" in summary
     assert "expander gap epsilon" in summary and "over moduli [3]" in summary
+
+
+def test_cli_report_names_moduli_over_the_element_cap(config_path, capsys):
+    path, out = config_path
+    text = Path(path).read_text()
+    text = text.replace("moduli = 2, 3, 6", "moduli = 3, 5").replace(
+        "element_cap = 100000", "element_cap = 1000"
+    )
+    Path(path).write_text(text)
+    # a cap is a choice of the config, not a failure
+    assert main(["report", "--config", path]) == 0
+    assert "failures" not in capsys.readouterr().err
+    spectral = Path(out, "spectral.csv").read_text().splitlines()
+    assert len(spectral) == 2 and spectral[1].startswith("3,120,")
+    summary = Path(out, "summary.txt").read_text()
+    assert "moduli over element_cap 1000 skipped: [5]\n" in summary
+    assert "over moduli [3]\n" in summary and "failures" not in summary
+
+
+# every file a report writes, by the stage that writes it
+STAGE_FILES = {
+    "counts/fit": ["counts.csv"],
+    "primes": ["primes.csv"],
+    "residues": ["residues.csv", "missing.csv"],
+    "spectral": ["spectral.csv"],
+    "sieve coord:4": ["sieve_coord_4.csv", "sieve_coord_4_survivors.csv"],
+    "boxcount": ["boxcount.csv"],
+}
+
+
+@pytest.mark.parametrize(
+    "label, target",
+    [
+        ("counts/fit", "apollonian.counting.fit_exponent"),
+        ("primes", "apollonian.arithmetic.prime_count_curve"),
+        ("residues", "apollonian.arithmetic.tally"),
+        ("boxcount", "apollonian.counting.box_counts"),
+    ],
+)
+def test_cli_report_records_every_failed_stage(config_path, capsys, monkeypatch, label, target):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(target, boom)
+    path, out = config_path
+    assert main(["report", "--config", path]) == 3
+    assert f"failures:\n  {label}: boom\n" in capsys.readouterr().err
+    assert f"failures:\n  {label}: boom\n" in Path(out, "summary.txt").read_text()
+    for other, files in STAGE_FILES.items():
+        if other != label:
+            for f in files:
+                assert Path(out, f).exists(), f
 
 
 def test_cli_report_keeps_sieve_tables_of_other_selectors(config_path, capsys, monkeypatch):

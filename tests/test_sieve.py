@@ -153,13 +153,6 @@ def test_level_distribution_uniform_control():
         assert abs(mass - n / q) < 1e-9
 
 
-def test_crt_probe(series_coord):
-    probe = sv.crt_remainder_probe(series_coord, 2, 3)
-    assert set(probe) >= {"r_q1", "r_q2", "r_q1q2", "g_product_defect"}
-    with pytest.raises(ValueError):
-        sv.crt_remainder_probe(series_coord, 2, 4)
-
-
 def test_sieve_dimension_trace(series_coord):
     trace = sv.sieve_dimension_trace(series_coord, [3, 10, 30])
     assert [z for z, _ in trace] == [3, 10, 30]
