@@ -180,10 +180,16 @@ def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
     A generator fixing an element (which happens exactly when it reduces to
     the identity, i.e. q <= 2) contributes a weight-1 self-loop.
     """
+    x = img.elements
+    twice_sum = 2 * x.sum(axis=-1, dtype=np.int16)
     table = np.empty((img.order, 4), dtype=np.int32)
-    for i, images in enumerate(_swaps(img.elements, img.modulus)):
-        # _swaps reduces mod q already, so the keys are searched as they are
+    # one copy of the elements holds g * S_i for one swap i at a time, as
+    # _swaps computes it: column i alone becomes 2 * (row sum) - 3 * x_i mod q
+    images = x.copy()
+    for i in range(4):
+        images[..., i] = (twice_sum - 3 * x[..., i].astype(np.int16)) % img.modulus
         table[:, i] = img._index_of_keys(_pack_mats(images))
+        images[..., i] = x[..., i]
     return CayleyGraph(modulus=img.modulus, table=table)
 
 

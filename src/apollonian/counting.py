@@ -257,12 +257,13 @@ _BOX_BAND_CELLS = 1 << 22
 def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
     """Distinct cells among the (ix, iy) int64 index pairs of all parts.
 
-    The cells are marked on a boolean map of the bounding rectangle of the
-    parts, one band of whole rows at a time, each band at most
-    ``_BOX_BAND_CELLS`` cells or one row.  With more than one band, each
-    part is keyed row-major and sorted, so a band takes one slice of each
-    part, and only the bands that hold a key are visited: the work grows
-    with the occupied bands, not with the area of the rectangle.
+    The cells are keyed row-major over the bounding rectangle of the parts
+    and marked on a boolean map of one band of keys at a time: key k lies in
+    band k // ``_BOX_BAND_CELLS``, whatever the shape of the rectangle.
+    With more than one band, each part's keys are sorted, so a band takes
+    one slice of each part, and only the bands that hold a key are visited:
+    the work grows with the occupied bands, not with the area of the
+    rectangle.
     """
     parts = [(ix, iy) for ix, iy in parts if ix.size]
     if not parts:
@@ -271,9 +272,8 @@ def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
     y0 = min(int(iy.min()) for _, iy in parts)
     width = max(int(ix.max()) for ix, _ in parts) - x0 + 1
     height = max(int(iy.max()) for _, iy in parts) - y0 + 1
-    band_rows = min(height, max(1, _BOX_BAND_CELLS // width))
-    band = np.zeros(band_rows * width, dtype=bool)
-    if band_rows == height:
+    band = np.zeros(min(width * height, _BOX_BAND_CELLS), dtype=bool)
+    if band.size == width * height:
         for ix, iy in parts:
             band[_row_major(ix, iy, x0, y0, width)] = True
         return int(np.count_nonzero(band))

@@ -13,6 +13,7 @@ with a curvature bound exhaustive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +54,8 @@ MAX_BOUND = 10**8
 # the entries a swap leaves in place, for each swap index
 KEPT_POSITIONS = np.array([[p for p in range(4) if p != i] for i in range(4)])
 
-# lines formatted per call in _write_rows: bounds the format string, the
-# argument tuple and the text held at once to a few MB
+# lines formatted at once by _write_table: its unit matrix takes about 64
+# bytes a line, so a chunk and the digit arrays beside it stay near 4 MB
 ROWS_PER_CHUNK = 1 << 16
 
 
@@ -361,8 +362,8 @@ def write_orbit_dump(orbit: PackingOrbit, path) -> int:
     signed curvatures comma-separated.  Returns the number of lines."""
     if orbit.quads is None:
         raise ValueError("orbit was enumerated without keep_quads=True")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_rows(fh, "%d %d,%d,%d,%d\n", (orbit.quad_depths, *orbit.quads.T))
+    with open(path, "wb") as fh:
+        _write_table(fh, (orbit.quad_depths, *orbit.quads.T), b" ,,,\n")
     return orbit.quads.shape[0]
 
 
@@ -373,35 +374,153 @@ def write_circles(orbit: PackingOrbit, path) -> None:
     and a straight line (curvature 0) is ``0,,``; without one it is the
     signed curvature alone."""
     b = orbit.curvatures
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "wb") as fh:
         if orbit.acc_rows is None:
-            fh.write("curvature\n")
-            _write_rows(fh, "%d\n", (b[np.argsort(np.abs(b), kind="stable")],))
+            fh.write(b"curvature\n")
+            _write_table(fh, (b[np.argsort(np.abs(b), kind="stable")],), b"\n")
             return
-        fh.write("curvature,x,y\n")
+        fh.write(b"curvature,x,y\n")
         rows = orbit.acc_rows
         order = np.lexsort((rows[:, 3], rows[:, 2], b, rows[:, 0], np.abs(b)))
         n_lines = int(np.count_nonzero(b == 0))  # |b| = 0 sorts first
-        fh.write("0,,\n" * n_lines)
+        fh.write(b"0,,\n" * n_lines)
         order = order[n_lines:]
         bs = b[order]
         # int64 entries below 2**53 convert to float exactly, so each quotient
         # rounds as Python's int / int does; + 0.0 turns -0.0 into 0.0
         x = rows[order, 2] / bs + 0.0
         y = rows[order, 3] / bs + 0.0
-        _write_rows(fh, "%d,%.9f,%.9f\n", (bs, x, y))
+        _write_table(fh, (bs, x, y), b",,\n")
 
 
-def _write_rows(fh, line_fmt: str, columns) -> None:
-    """Write ``line_fmt % (columns[0][k], columns[1][k], ...)`` for each row k
-    of the equal-length 1-D arrays ``columns``, ROWS_PER_CHUNK lines per
-    ``%`` call.  Columns are converted with ``tolist``, so ``%d`` sees Python
-    ints and ``%.9f`` Python floats, formatted exactly as an f-string would."""
-    width = len(columns)
+def _write_table(fh, columns, ends: bytes) -> None:
+    """Write the rows of the equal-length 1-D arrays ``columns`` to the
+    binary file ``fh``, ROWS_PER_CHUNK lines at a time, as ``_format_rows``
+    prints them."""
     n = len(columns[0])
     for start in range(0, n, ROWS_PER_CHUNK):
-        stop = min(start + ROWS_PER_CHUNK, n)
-        flat = [None] * ((stop - start) * width)
-        for j, col in enumerate(columns):
-            flat[j::width] = col[start:stop].tolist()
-        fh.write((line_fmt * (stop - start)) % tuple(flat))
+        fh.write(_format_rows([col[start : start + ROWS_PER_CHUNK] for col in columns], ends))
+
+
+def _format_rows(columns, ends: bytes) -> np.ndarray:
+    """ASCII text, as a uint8 array, of the rows of the equal-length 1-D
+    arrays ``columns``: row k is, for each column j, its entry k followed by
+    the byte ``ends[j]``.  Signed integer columns print as ``%d`` and
+    float64 columns as ``%.9f`` would print them, to the byte: a rounding tie
+    goes to the even digit, and a value below zero, or -0.0, keeps its ``-``
+    even when it prints as zero.  Raises ValueError on a float that is not
+    finite or not below 2**64 in magnitude.
+
+    The rows are laid out in a (rows, units) uint32 matrix of four-byte
+    units: one per 4-digit block (``_digit_table``), one per separator and
+    following sign.  A unit is padded with NUL bytes, and dropping the NULs
+    of the matrix gives the text.
+    """
+    table = _digit_table()
+    units = []
+    end = 0  # no separator before the first column
+    for col, next_end in zip(columns, ends):
+        col = np.asarray(col)
+        if col.dtype.kind == "f":
+            neg, whole, frac = _fixed_point(col)
+        else:
+            neg, frac = col < 0, None
+            # |int64 min| wraps to itself, whose uint64 view is 2**63
+            whole = np.abs(col.astype(np.int64)).view(np.uint64)
+        units.append(np.where(neg, _unit(end, _MINUS), _unit(end)))
+        units += _integer_units(whole)
+        if frac is not None:
+            head = frac // 10**8
+            tail = frac - head * 10**8
+            hi = tail // 10**4
+            units.append(table[_POINT_HEAD + head])
+            units.append(table[_PADDED * 10**4 + hi])
+            units.append(table[_PADDED * 10**4 + tail - hi * 10**4])
+        end = next_end
+    units.append(_unit(end))
+    out = np.empty((len(columns[0]), len(units)), dtype=np.uint32)
+    for j, u in enumerate(units):
+        out[:, j] = u
+    text = out.view(np.uint8).ravel()
+    return text[text != 0]
+
+
+_MINUS, _POINT, _ZERO = ord("-"), ord("."), ord("0")
+# styles of a 4-digit block, rows of _digit_table: 0 left of the leading
+# block (all NUL), _LEADING for the leading block (no leading zeros) and
+# _PADDED right of it (zero-padded).  A block's style is the number of
+# true statements among "a higher block is nonzero" and "this block or a
+# higher one is nonzero, or this is the lowest block".
+_LEADING, _PADDED = 1, 2
+# entry of ``.d`` for the first decimal d in _digit_table
+_POINT_HEAD = 3 * 10**4
+
+
+def _unit(*text: int) -> np.uint32:
+    """The four-byte unit of up to four bytes, NUL-padded."""
+    return np.frombuffer(bytes(text).ljust(4, b"\0"), dtype=np.uint32)[0]
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """(3 * 10**4 + 10,) uint32 four-byte units: entry ``style * 10**4 + n``
+    prints the block n < 10**4 in that style, right-aligned with NUL padding,
+    and entry ``_POINT_HEAD + d`` prints ``.d``.  Built on first use, not at
+    import."""
+    n = np.arange(10**4)[:, None]
+    powers = 10 ** np.arange(3, -1, -1)
+    digits = (n // powers % 10 + _ZERO).astype(np.uint8)
+    table = np.zeros((3 * 10**4 + 10, 4), dtype=np.uint8)
+    significant = (n >= powers) | (powers == 1)
+    table[_LEADING * 10**4 : (_LEADING + 1) * 10**4] = np.where(significant, digits, 0)
+    table[_PADDED * 10**4 : (_PADDED + 1) * 10**4] = digits
+    table[_POINT_HEAD:, 0] = _POINT
+    table[_POINT_HEAD:, 1] = _ZERO + np.arange(10)
+    return table.view(np.uint32).ravel()
+
+
+def _integer_units(q: np.ndarray) -> list[np.ndarray]:
+    """``_digit_table`` units printing the uint64 integers ``q``, most
+    significant block first."""
+    table = _digit_table()
+    nb = (len(str(int(q.max(initial=0)))) + 3) // 4
+    units = []
+    cur = True  # the lowest block prints even when it is zero
+    for _ in range(nb):
+        hi = q // 10**4
+        nxt = hi != 0
+        style = nxt.astype(np.uint64)
+        style += cur
+        idx = style * 10**4
+        idx += q - hi * 10**4
+        units.append(table[idx])
+        q, cur = hi, nxt
+    return units[::-1]
+
+
+def _fixed_point(x: np.ndarray):
+    """Sign, whole part (uint64) and 9-digit fraction (int64) of the float64
+    ``x`` rounded half-even to 9 decimals, as ``%.9f`` rounds."""
+    y = np.abs(x)
+    if not (y < 2.0**64).all():
+        raise ValueError("can only print finite floats below 2**64 in magnitude")
+    neg = np.signbit(x)
+    # p is y * 10**9 to within p * 2**-53, so rint(p) is its correct rounding
+    # unless p lies that close to a tie.  Rows within 8 times that are
+    # recomputed exactly; from p >= 2**49 on, where p holds too few bits of
+    # fraction to tell, that is every row.
+    p = y * 1e9
+    exact = np.flatnonzero(np.abs(p - np.floor(p) - 0.5) <= np.maximum(1.0, p) * 2.0**-50)
+    k = np.rint(p)
+    k[exact] = 0
+    k = k.astype(np.int64)
+    whole = k // 10**9
+    frac = k - whole * 10**9
+    whole = whole.view(np.uint64)
+    for r in exact.tolist():
+        num, den = float(y[r]).as_integer_ratio()
+        q, rem = divmod(num * 10**9, den)
+        if 2 * rem > den or (2 * rem == den and q % 2):
+            q += 1
+        whole[r], frac[r] = divmod(q, 10**9)
+    return neg, whole, frac

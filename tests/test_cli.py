@@ -437,10 +437,11 @@ def test_cli_report_warns_once_below_resolution(config_path):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # a fresh interpreter, so that modules other tests imported do not count
+    # a fresh interpreter, so that modules other tests imported do not count;
+    # fractions and decimal would only slow the start of every command
     code = (
         "import sys, apollonian, apollonian.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(apollonian.__file__).resolve().parents[1]))
     out = subprocess.run(

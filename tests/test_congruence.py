@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -588,3 +589,17 @@ def test_cayley_edges_match_unique_reference(q):
     edges, loops = edges_and_loops(graph)
     assert np.array_equal(edges, expected)
     assert not loops.any()
+
+
+def test_build_cayley_memory_at_q7():
+    # 117,600 elements of 16 bytes: the table and one rewritten copy of the
+    # elements, not a (4, n, 4, 4) stack of all four swaps (23 MB)
+    img = cg.reduce_group_mod(7)
+    tracemalloc.start()
+    try:
+        graph = cg.build_cayley(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.n == img.order == 117_600
+    assert peak < 12 << 20

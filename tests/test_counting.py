@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -281,7 +282,8 @@ def test_box_counts_negative_cells(monkeypatch, band_cells):
 
 def test_box_counts_visit_only_occupied_bands(monkeypatch):
     # two tiny circles 1000 units apart: at eps = 2**-14 the rectangle
-    # between them is 1.6e7 one-row bands, of which two hold a cell
+    # between them is 2.7e14 cells, 2.6e11 bands of 1024 keys, of which two
+    # hold a cell
     monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 1 << 10)
     circles = [Circle.from_center_radius(c, 1e-6) for c in ((0.0, 0.0), (1000.0, 1000.0))]
     rows = np.array([c.vector() for c in circles])
@@ -289,10 +291,26 @@ def test_box_counts_visit_only_occupied_bands(monkeypatch):
     assert ct.box_counts(rows, eps).tolist() == _box_counts_per_circle(circles, eps)
 
 
+def test_box_counts_split_a_row_wider_than_a_band():
+    # two tiny circles 1e4 units apart on one row of cells: at eps = 2**-14
+    # the row is 1.6e8 cells, which a map of the whole row would hold at once
+    circles = [Circle.from_center_radius(c, 1e-6) for c in ((0.0, 0.0), (1e4, 0.0))]
+    rows = np.array([c.vector() for c in circles])
+    eps = [2.0**-14, 2.0**-13]
+    tracemalloc.start()
+    try:
+        counts = ct.box_counts(rows, eps).tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == _box_counts_per_circle(circles, eps)
+    assert peak < 2 * ct._BOX_BAND_CELLS
+
+
 @pytest.mark.parametrize("band_cells", [1 << 22, 250, 99, 1])
 def test_count_cells_matches_a_set(monkeypatch, band_cells):
-    # rows are 100 cells wide: 250 cells make bands of two rows, and from
-    # 99 cells down each band is one row
+    # rows are 100 cells wide: bands of 250 and of 99 keys start and end
+    # inside rows, and bands of one key are single cells
     monkeypatch.setattr(ct, "_BOX_BAND_CELLS", band_cells)
     rng = np.random.default_rng(7)
     parts = [

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apollonian.quadruples import (
@@ -315,6 +317,71 @@ def test_writers_match_per_row_reference(tmp_path, monkeypatch, root, bound, win
 def test_writers_match_per_row_reference_across_chunks(tmp_path):
     orbit = _assert_writers_match_reference(tmp_path, STANDARD, 20000, None)
     assert orbit.circle_count > 2 * quadruples.ROWS_PER_CHUNK
+
+
+def _formatted(columns, ends):
+    return quadruples._format_rows([np.asarray(c) for c in columns], ends).tobytes().decode("ascii")
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+def _full_mantissa(min_exp, max_exp):
+    """Floats +-m * 2**e with a random 53-bit mantissa m, below 2**(max_exp + 53)."""
+    return st.builds(
+        lambda m, e, sign: sign * math.ldexp(m, e),
+        st.integers(min_value=2**52, max_value=2**53 - 1),
+        st.integers(min_value=min_exp, max_value=max_exp),
+        st.sampled_from([1, -1]),
+    )
+
+
+# k / 1024 with k odd is an exact tie at the ninth decimal; (k + 1/2) * 1e-9
+# lies within an ulp of one; from 2**52 / 1e9 up, the double y * 1e9 no
+# longer holds the fraction of the exact product
+FIXED_POINT_CASES = st.one_of(
+    st.integers(min_value=-(10**7), max_value=10**7).map(lambda k: k / 1024),
+    st.integers(min_value=-(10**6), max_value=10**6).map(lambda k: (k + 0.5) * 1e-9),
+    st.floats(min_value=-1e-9, max_value=-0.0),
+    _full_mantissa(-30, 11),
+    st.floats(min_value=-1e4, max_value=1e4),
+    _full_mantissa(-1074, 11),
+    st.floats(min_value=-(2.0**64), max_value=2.0**64, exclude_min=True, exclude_max=True),
+)
+
+
+@given(st.lists(INT64, min_size=1, max_size=40))
+@example([2**63 - 1, -(2**63 - 1), -(2**63), 0, -1, 9999, 10000, -10**8])
+@settings(max_examples=300, deadline=None)
+def test_format_rows_prints_integers_as_percent_d(values):
+    col = np.array(values, dtype=np.int64)
+    assert _formatted([col], b"\n") == "".join("%d\n" % v for v in values)
+
+
+@given(st.lists(FIXED_POINT_CASES, min_size=1, max_size=40))
+@example([0.5e-9, 2.5e-9, 1 / 1024, 3 / 1024, -1e-12, -0.0, 0.0, 2**52 / 1e9, 2.0**64 - 2**11, 999.9999999995])
+@settings(max_examples=500, deadline=None)
+def test_format_rows_prints_floats_as_percent_9f(values):
+    col = np.array(values, dtype=np.float64)
+    assert _formatted([col], b"\n") == "".join("%.9f\n" % v for v in values)
+
+
+def test_format_rows_ties_round_half_even():
+    assert _formatted([[1 / 1024, 3 / 1024, -1e-12]], b"\n") == "0.000976562\n0.002929688\n-0.000000000\n"
+
+
+@given(st.lists(st.tuples(INT64, FIXED_POINT_CASES, st.integers(-(2**31), 2**31 - 1)), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_format_rows_mixed_columns(rows):
+    ints, floats, small = (list(c) for c in zip(*rows))
+    columns = [np.array(ints), np.array(floats), np.array(small, dtype=np.int32)]
+    assert _formatted(columns, b", \n") == "".join("%d,%.9f %d\n" % row for row in rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64, -1e300])
+def test_format_rows_rejects_floats_it_cannot_print(bad):
+    with pytest.raises(ValueError, match="finite floats below 2"):
+        quadruples._format_rows([np.array([1.0, bad])], b"\n")
 
 
 def test_embedding_lookup():
