@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import LINE_EPS, branch_alive, meets, prune_margin
+from .region import LINE_EPS, branch_alive, check_rect, meets
 
 TANGENCY_TOL = 1e-8
 SEED_TANGENCY_TOL = 1e-9
@@ -347,16 +347,6 @@ def seed_for_root(root) -> SeedConfiguration | None:
     return None
 
 
-def _dedup_key(c: Circle) -> tuple[int, int, int, int]:
-    q = 10.0 ** DEDUP_DECIMALS
-    return (
-        round(c.cocurv * q),
-        round(c.curv * q),
-        round(c.wx * q),
-        round(c.wy * q),
-    )
-
-
 def generate_packing_geometric(
     seed: SeedConfiguration,
     bound: float,
@@ -368,12 +358,12 @@ def generate_packing_geometric(
     Each step replaces one circle of the current configuration by its image
     under inversion in the configuration's dual circle (the circle through
     the three tangency points of the other three), i.e. by the second
-    solution of the tangency problem.  Words never repeat the index just
-    swapped, and a branch dies once its new circle exceeds the curvature
-    bound, since curvatures never decrease along a branch.  For an unbounded
-    (strip) packing a region rectangle is required; configurations are
-    pruned by ``region.branch_alive`` and only circles that
-    ``region.meets`` are returned.
+    solution of the tangency problem, a generation at a time.  Words never
+    repeat the index just swapped, and a branch dies once its new circle
+    exceeds the curvature bound, since curvatures never decrease along a
+    branch, or once its dual circle, oriented toward the new circle, misses
+    the ``region`` rectangle (``region.branch_alive``).  Only circles that
+    ``region.meets`` are returned; unbounded (strip) packings need a region.
 
     Every reduced word contributes one circle and distinct words give
     distinct circles; rounded inversive coordinates are used as a safety net,
@@ -382,34 +372,36 @@ def generate_packing_geometric(
     proper_seed = [c for c in seed.circles if not c.is_line]
     if proper_seed and bound < min(c.unsigned_curvature for c in proper_seed):
         raise ValueError("bound is below every seed curvature")
-    unbounded = any(c.is_line for c in seed.circles)
-    if unbounded and region is None:
-        raise ValueError("unbounded packing: a region rectangle is required")
     if region is not None:
-        margin = prune_margin(_rows(seed.circles))
+        region = check_rect(region)
+    elif any(c.is_line for c in seed.circles):
+        raise ValueError("unbounded packing: a region rectangle is required")
 
     out = [c for c in seed.circles if c.unsigned_curvature <= bound + 1e-9]
-    stack: list[tuple[tuple[Circle, ...], int]] = [(tuple(seed.circles), -1)]
+    frontier: list[tuple[tuple[Circle, ...], int]] = [(tuple(seed.circles), -1)]
     # inversive arithmetic drifts by ~1e-10 relative per generation; admit
     # boundary circles with a curvature-scaled tolerance
     bound_cut = bound * (1 + 1e-9) + 1e-9
-    while stack:
-        cfg, last = stack.pop()
-        for i in range(4):
-            if i == last:
-                continue
-            kept = [cfg[j] for j in range(4) if j != i]
-            dual = _dual_through_tangencies(kept, tol=WALK_TANGENCY_TOL)
-            newc = invert_circle(dual, cfg[i])
-            if newc.unsigned_curvature > bound_cut:
-                continue
-            child = tuple(newc if j == i else cfg[j] for j in range(4))
-            if region is not None and not branch_alive(
-                _rows(child)[None], region, margin
-            )[0]:
-                continue
-            out.append(newc)
-            stack.append((child, i))
+    while frontier:
+        children = []  # (configuration, swapped index, new circle, dual)
+        for cfg, last in frontier:
+            for i in range(4):
+                if i == last:
+                    continue
+                kept = [cfg[j] for j in range(4) if j != i]
+                dual = _dual_through_tangencies(kept, tol=WALK_TANGENCY_TOL)
+                newc = invert_circle(dual, cfg[i])
+                if newc.unsigned_curvature > bound_cut:
+                    continue
+                if region is not None and inversive_product(newc, dual) < 0:
+                    # the branch stays in the dual's interior on newc's side
+                    dual = Circle(-dual.cocurv, -dual.curv, -dual.wx, -dual.wy)
+                children.append((cfg, i, newc, dual))
+        if region is not None:
+            alive = branch_alive(_rows([dual for *_, dual in children]), region)
+            children = [child for child, ok in zip(children, alive) if ok]
+        out.extend(newc for _, _, newc, _ in children)
+        frontier = [(cfg[:i] + (newc,) + cfg[i + 1 :], i) for cfg, i, newc, _ in children]
 
     if region is not None:
         inside = meets(_rows(out), region)
@@ -420,15 +412,15 @@ def generate_packing_geometric(
 
 
 def _check_collisions(circles: list[Circle]) -> None:
-    seen: dict[tuple, Circle] = {}
-    for c in circles:
-        key = _dedup_key(c)
-        if key in seen:
-            raise DedupCollisionError(
-                f"two circles share the dedup key {key}; the reduced-word "
-                f"walk emitted a duplicate or the tolerance is too coarse"
-            )
-        seen[key] = c
+    """Raise DedupCollisionError if two circles agree in every inversive
+    coordinate rounded to DEDUP_DECIMALS decimals."""
+    keys = np.round(_rows(circles) * 10.0**DEDUP_DECIMALS)
+    keys, counts = np.unique(keys, axis=0, return_counts=True)
+    if (counts > 1).any():
+        raise DedupCollisionError(
+            f"two circles share the dedup key {keys[counts > 1][0].tolist()}; the "
+            f"reduced-word walk emitted a duplicate or the tolerance is too coarse"
+        )
 
 
 def _rows(circles) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import branch_alive, meets, prune_margin
+from .region import branch_alive, check_rect, meets
 
 Quad = tuple[int, int, int, int]
 
@@ -135,9 +135,9 @@ class PackingOrbit:
     creation order.  ``edges`` (optional) lists tangent circle pairs, i.e.
     pairs co-occurring in some enumerated quadruple.  ``quads`` (optional)
     stores one row per enumerated quadruple in BFS order with ``quad_depths``
-    giving the word length.  ``acc_rows`` (optional) carries the exact
-    inversive coordinates of each circle when the root has a known integral
-    embedding.
+    giving the word length (under a ``region``, see ``enumerate_orbit``).
+    ``acc_rows`` (optional) carries the exact inversive coordinates of each
+    circle when the root has a known integral embedding.
     """
 
     root: Quad
@@ -185,11 +185,12 @@ def enumerate_orbit(
 
     ``embedding`` may be "auto" (look up the exact integral embedding of the
     root) or None.
-    ``region`` (xmin, xmax, ymin, ymax) restricts the output to circles whose
-    curve meets the closed rectangle, decided exactly by ``region.meets``, and
-    prunes branches with ``region.branch_alive``; it requires an embedding and
-    is the only way to enumerate an unbounded (strip) packing, short of
-    ``max_depth``.
+    ``region`` (xmin, xmax, ymin, ymax) keeps the circles whose curve meets
+    the closed rectangle (``region.meets``, exact).  The walk visits only the
+    quadruples whose swap's dual circle, which holds the whole branch, meets
+    it (``region.branch_alive``), so ``quads`` and ``quad_count`` count those.
+    A region needs an embedding and is the only way to enumerate an
+    unbounded (strip) packing, short of ``max_depth``.
     """
     root = tuple(int(x) for x in root)
     q0 = descartes_form(root)
@@ -202,13 +203,13 @@ def enumerate_orbit(
         raise OverflowBoundError(f"bound {bound} exceeds supported maximum {MAX_BOUND}")
     if bound < min(abs(x) for x in root):
         raise ValueError(f"bound {bound} is below every root curvature {root}")
+    if region is not None:
+        region = check_rect(region)
 
     if embedding is None:
         rows0 = None
     elif isinstance(embedding, str) and embedding == "auto":
         rows0 = embedding_for_root(root)
-        if rows0 is None and region is not None:
-            raise ValueError(f"no built-in embedding for root {root}; region filtering needs one")
     else:
         raise ValueError(f"unknown embedding spec {embedding!r}")
 
@@ -218,27 +219,20 @@ def enumerate_orbit(
             "unbounded packing (zero curvature entry): N(T) is infinite; "
             "pass region=... or max_depth=..."
         )
-    if region is not None:
-        if rows0 is None:
-            raise ValueError("region filtering requires an embedding")
-        margin = prune_margin(rows0)
+    if region is not None and rows0 is None:
+        raise ValueError(f"region filtering needs a built-in embedding (embedding='auto'); root {root}")
 
     with_rows = rows0 is not None
     track_ids = tangency
 
     # root circles: always materialized, filtered by bound (and region) below
-    root_curv = np.array(root, dtype=np.int64)
-    circ_curv = [root_curv]
+    circ_curv = [np.array(root, dtype=np.int64)]
     circ_rows = [rows0] if with_rows else None
 
-    root_in_ball = max(abs(x) for x in root) <= bound
-    quad_count = 1 if root_in_ball else 0
-    quads_acc = [np.array([root], dtype=np.int64)] if (keep_quads and root_in_ball) else ([] if keep_quads else None)
-    depths_acc = [np.array([0], dtype=np.int32)] if (keep_quads and root_in_ball) else ([] if keep_quads else None)
-
-    edge_acc = None
-    if track_ids:
-        edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)]
+    quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
+    quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
+    depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
+    edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)] if track_ids else None
 
     # frontier arrays are entry-major: quads and circle ids have shape (4, n)
     # and inversive rows (4, n, 4), so that each entry position is one
@@ -268,15 +262,17 @@ def enumerate_orbit(
         parent = flat - swap * width
         new_entry = np.take(twice_sum, parent) - 3 * np.take(frontier_q, flat)
         if with_rows:
-            crows = np.take(frontier_rows, parent, axis=1)
-            at = np.arange(parent.size)
-            twice_row_sum = 2 * frontier_rows.sum(axis=0)
-            new_rows = np.take(twice_row_sum, parent, axis=0) - 3 * crows[swap, at]
-            crows[swap, at] = new_rows
+            row_sum = np.take(frontier_rows.sum(axis=0), parent, axis=0)
+            old_rows = frontier_rows[swap, parent]
             if region is not None:
-                alive = branch_alive(crows.transpose(1, 0, 2), region, margin)
+                # the swap's branch lies in the closed interior of its dual
+                # circle D, and 2D = S - 2*C_old is an integer row
+                alive = branch_alive(row_sum - 2 * old_rows, region)
                 swap, parent, new_entry = swap[alive], parent[alive], new_entry[alive]
-                crows, new_rows = crows[:, alive], new_rows[alive]
+                row_sum, old_rows = row_sum[alive], old_rows[alive]
+            new_rows = 2 * row_sum - 3 * old_rows
+            crows = np.take(frontier_rows, parent, axis=1)
+            crows[swap, np.arange(parent.size)] = new_rows
         n = parent.size
         if n == 0:
             break
@@ -328,19 +324,18 @@ def enumerate_orbit(
             remap = np.cumsum(keep_mask) - 1
             edges = remap[edges]
 
-    orbit = PackingOrbit(
+    return PackingOrbit(
         root=root,
         bound=bound,
         curvatures=curv,
         quad_count=quad_count,
         edges=edges,
-        quads=np.concatenate(quads_acc) if keep_quads and quads_acc else (np.empty((0, 4), dtype=np.int64) if keep_quads else None),
-        quad_depths=np.concatenate(depths_acc) if keep_quads and depths_acc else (np.empty(0, dtype=np.int32) if keep_quads else None),
+        quads=np.concatenate(quads_acc) if keep_quads else None,
+        quad_depths=np.concatenate(depths_acc) if keep_quads else None,
         acc_rows=rows_all,
         region=region,
         generations=depth,
     )
-    return orbit
 
 
 def verify_distinct_circles(orbit: PackingOrbit) -> bool:

@@ -233,3 +233,11 @@ def test_geometric_restriction_consistency(std_geo_1e3):
         assert sorted(round(c.unsigned_curvature) for c in small) == sorted(
             round(c.unsigned_curvature) for c in restricted
         )
+
+
+def test_collision_check_names_the_shared_key():
+    a = Circle.from_center_radius((0.25, 0.5), 0.125)
+    b = Circle.from_center_radius((0.25, 0.5 + 1e-9), 0.125)
+    geo._check_collisions([a, Circle.from_center_radius((0.5, 0.5), 0.125)])
+    with pytest.raises(geo.DedupCollisionError, match=r"\[2375000\.0, 8000000\.0, 2000000\.0, 4000000\.0\]"):
+        geo._check_collisions([a, Circle.from_center_radius((0.5, 0.5), 0.125), b])

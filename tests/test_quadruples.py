@@ -436,11 +436,9 @@ def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=
     """The former body of ``enumerate_orbit``: one masked pass over the
     frontier per swap index.  Takes validated arguments and returns the
     ``PackingOrbit`` fields as a dict."""
-    from apollonian.region import branch_alive, meets, prune_margin
+    from apollonian.region import branch_alive, meets
 
     rows0 = embedding_for_root(root) if embedding == "auto" else None
-    if region is not None:
-        margin = prune_margin(rows0)
     with_rows = rows0 is not None
     track_ids = tangency
     circ_curv = [np.array(root, dtype=np.int64)]
@@ -480,7 +478,8 @@ def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=
                 crows = r.copy()
                 crows[:, i, :] = 2 * r.sum(axis=1) - 3 * r[:, i, :]
             if region is not None:
-                alive = branch_alive(crows, region, margin)
+                # the doubled dual circle of the swap, 2D = S - 2*C_old
+                alive = branch_alive(r.sum(axis=1) - 2 * r[:, i, :], region)
                 child, crows, keep_idx = child[alive], crows[alive], keep_idx[alive]
             n = child.shape[0]
             if n == 0:
