@@ -15,6 +15,8 @@ from .quadruples import PackingOrbit, is_primitive
 # and sieve products at desk scale stay far below this.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 _MR_LIMIT = 3 * 10**14
+# a bound below one period of the residues mod 24 gives no density
+MIN_DENSITY_BOUND = 24
 
 
 def is_prime(n: int) -> bool:
@@ -131,8 +133,8 @@ def residues_mod(t: CurvatureTally, m: int) -> frozenset[int]:
 def distinct_density(t: CurvatureTally) -> float:
     """Number of distinct curvatures divided by the bound; compare with
     (number of attained residues mod 24) / 24."""
-    if t.bound < 24:
-        raise ValueError("bound below 24 gives a meaningless density")
+    if t.bound < MIN_DENSITY_BOUND:
+        raise ValueError(f"bound below {MIN_DENSITY_BOUND} gives a meaningless density")
     return t.distinct.size / t.bound
 
 

@@ -149,6 +149,8 @@ def _stage(label: str, failures: list[str]):
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    if cfg.bound < arithmetic.MIN_DENSITY_BOUND:  # the residues stage would fail
+        raise ConfigError(f"report needs bound >= {arithmetic.MIN_DENSITY_BOUND}; got {cfg.bound}")
     failures: list[str] = []
     summary: list[str] = []
     out = cfg.out_dir
@@ -223,7 +225,7 @@ def cmd_report(cfg: RunConfig) -> int:
         if q in skipped:
             continue
         with _stage(f"spectral q={q}", failures):
-            rep = congruence.expander_report([q], cfg.element_cap, cfg.dense_cap)
+            rep = congruence.expander_report([q], cfg.element_cap)
             reports += rep
             if not rep:
                 capped.append(q)

@@ -15,6 +15,19 @@ from .sieve import Selector, parse_selector
 # box sizes are 2^-k for k in [0, MAX_EPS_EXPONENT]
 MAX_EPS_EXPONENT = 14
 
+# the keys of each section, lowercased as configparser reads them
+_SECTION_KEYS = {
+    "packing": ("root", "bound"),
+    "grid": ("t_min", "t_max", "points_per_decade"),
+    "fit": ("window", "window_alt"),
+    "region": ("window",),
+    "congruence": ("moduli", "element_cap"),
+    "sieve": ("selectors", "level_d"),
+    "boxcount": ("eps_exponents",),
+    "render": ("bound",),
+    "output": ("dir",),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -32,7 +45,6 @@ class RunConfig:
     window: tuple[float, float, float, float] | None
     moduli: list[int]
     element_cap: int
-    dense_cap: int
     selectors: list[Selector]
     level_D: int
     boxcount_eps: list[float]
@@ -64,6 +76,14 @@ def load_config(path) -> RunConfig:
 def _build(cp: configparser.ConfigParser) -> RunConfig:
     if "packing" not in cp:
         raise ConfigError("missing [packing] section")
+    for name in cp.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]; the sections are {list(_SECTION_KEYS)}")
+        unknown = sorted(set(cp[name]) - set(_SECTION_KEYS[name]))
+        if unknown:
+            raise ConfigError(f"[{name}] takes {list(_SECTION_KEYS[name])}; unknown keys {unknown}")
+    # an absent section reads as an empty one
+    cp.read_dict({name: {} for name in _SECTION_KEYS})
     root_vals = _parse_ints(cp["packing"].get("root", ""))
     if len(root_vals) != 4:
         raise ConfigError(f"root must have four integers, got {root_vals}")
@@ -83,31 +103,25 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
             f"bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; got {bound}"
         )
 
-    grid = cp["grid"] if "grid" in cp else {}
-    tmax = float(grid.get("t_max", bound))
-    tmin = float(grid.get("t_min", min(10.0, tmax / 10.0)))
-    ppd = int(grid.get("points_per_decade", 20))
+    tmax = float(cp["grid"].get("t_max", bound))
+    tmin = float(cp["grid"].get("t_min", min(10.0, tmax / 10.0)))
+    ppd = int(cp["grid"].get("points_per_decade", 20))
     if not (0 < tmin < tmax <= bound):
         raise ConfigError(f"grid range ({tmin}, {tmax}) must sit inside (0, {bound}]")
 
-    fit = cp["fit"] if "fit" in cp else {}
-    window = tuple(_parse_floats(fit.get("window", f"{tmin} {tmax}")))
+    window = tuple(_parse_floats(cp["fit"].get("window", f"{tmin} {tmax}")))
     if len(window) != 2 or window[0] >= window[1]:
         raise ConfigError(f"fit window must be two increasing numbers, got {window}")
-    alt_raw = fit.get("window_alt", "").strip()
+    alt_raw = cp["fit"].get("window_alt", "").strip()
     window_alt = None
     if alt_raw:
         window_alt = tuple(_parse_floats(alt_raw))
         if len(window_alt) != 2 or window_alt[0] >= window_alt[1]:
             raise ConfigError(f"bad alternate window {window_alt}")
 
-    region = cp["region"] if "region" in cp else {}
-    unknown = sorted(set(region) - {"window"})
-    if unknown:
-        raise ConfigError(f"[region] takes only window; unknown keys {unknown}")
     rect = None
-    if "window" in region:
-        raw = region["window"]
+    if "window" in cp["region"]:
+        raw = cp["region"]["window"]
         rect = tuple(_parse_floats(raw))
         if (
             len(rect) != 4
@@ -127,33 +141,27 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
             "window = xmin,xmax,ymin,ymax"
         )
 
-    cong = cp["congruence"] if "congruence" in cp else {}
-    moduli = _parse_ints(cong.get("moduli", "2 3 5 6 7 10"))
+    moduli = _parse_ints(cp["congruence"].get("moduli", "2 3 5 6 7 10"))
     if any(not 2 <= m <= MAX_GROUP_MODULUS for m in moduli):
         raise ConfigError(
             f"congruence moduli must lie in [2, {MAX_GROUP_MODULUS}]; got {moduli}"
         )
-    element_cap = int(cong.get("element_cap", 500_000))
-    dense_cap = int(cong.get("dense_cap", 2000))
-    if element_cap < 1 or dense_cap < 1:
-        raise ConfigError(
-            f"element_cap and dense_cap must be >= 1; got {element_cap}, {dense_cap}"
-        )
+    element_cap = int(cp["congruence"].get("element_cap", 500_000))
+    if element_cap < 1:
+        raise ConfigError(f"element_cap must be >= 1; got {element_cap}")
 
-    sieve_sec = cp["sieve"] if "sieve" in cp else {}
-    selectors = [parse_selector(tok) for tok in sieve_sec.get("selectors", "coord:4").split()]
+    selectors = [parse_selector(tok) for tok in cp["sieve"].get("selectors", "coord:4").split()]
     # every report slices every selector, and max has no congruence density
     if ("max",) in selectors:
         raise ConfigError("[sieve] selectors takes coord:i and product:i:j, not max")
-    level_D = int(sieve_sec.get("level_d", 50))
+    level_D = int(cp["sieve"].get("level_d", 50))
     # the sieve slices square-free q < level_D, each through orbit_mod
     if not 2 <= level_D <= MAX_ORBIT_MODULUS + 1:
         raise ConfigError(
             f"level_D must lie in [2, {MAX_ORBIT_MODULUS + 1}]; got {level_D}"
         )
 
-    box = cp["boxcount"] if "boxcount" in cp else {}
-    exps = _parse_ints(box.get("eps_exponents", "4 5 6 7 8 9"))
+    exps = _parse_ints(cp["boxcount"].get("eps_exponents", "4 5 6 7 8 9"))
     # a slope needs two box sizes; 2^-14 already samples ~1.3e7 curve points
     # at T=1e5, and each finer size quadruples the cells
     if len(set(exps)) < 2:
@@ -162,11 +170,9 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"eps_exponents must lie in [0, {MAX_EPS_EXPONENT}]; got {exps}")
     eps = [2.0 ** -k for k in exps]
 
-    render_sec = cp["render"] if "render" in cp else {}
-    render_bound = float(render_sec.get("bound", min(bound, 100)))
+    render_bound = float(cp["render"].get("bound", min(bound, 100)))
 
-    out_sec = cp["output"] if "output" in cp else {}
-    out_dir = out_sec.get("dir", "out")
+    out_dir = cp["output"].get("dir", "out")
 
     return RunConfig(
         root=root,
@@ -179,7 +185,6 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         window=rect,
         moduli=moduli,
         element_cap=element_cap,
-        dense_cap=dense_cap,
         selectors=selectors,
         level_D=level_D,
         boxcount_eps=eps,

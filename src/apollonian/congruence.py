@@ -22,10 +22,13 @@ import numpy as np
 from .arithmetic import is_squarefree
 from .quadruples import SWAP_MATRICES
 
-DENSE_CAP_DEFAULT = 5000
 ELEMENT_CAP_DEFAULT = 10**7
 MAX_GROUP_MODULUS = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
 MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
+# spectrum solves up to this many vertices densely: the group images mod
+# square-free q <= 16 have 1, 120 or at least 14,400 elements
+_DENSE_MAX_VERTICES = 2000
+_CHEEGER_MAX_VERTICES = 20  # exact_cheeger enumerates all 2^n vertex subsets
 # a Lanczos eigenpair (lam, v) is accepted when
 # |A v - lam v| <= _EIGEN_TOL * max(1, |lam|) * sqrt(n)
 _EIGEN_TOL = 1e-8
@@ -306,14 +309,14 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     )
 
 
-def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralReport:
+def spectrum(g: CayleyGraph) -> SpectralReport:
     """lambda_0, lambda_1, lambda_min of the adjacency operator A plus the
     Cheeger bounds (k - lambda_1)/2 <= h <= sqrt(2k(k - lambda_1)), k the
     degree (the table's row length).
 
-    Up to ``dense_cap`` vertices, a dense symmetric solver.  Above it,
-    thick-restart Lanczos (``_top_eigenpairs``) with A applied from the
-    neighbour table:
+    Up to ``_DENSE_MAX_VERTICES`` vertices, a dense symmetric solver.
+    Above it, thick-restart Lanczos (``_top_eigenpairs``) with A applied
+    from the neighbour table:
 
     - a connected, loop-free graph with a proper 2-colouring (every swap
       Cayley graph mod q >= 3: the swaps have determinant -1, so the sides
@@ -323,6 +326,9 @@ def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralRepo
       lambda_1 = sigma_1 and lambda_min = -sigma_0; each eigenvector u lifts
       to (u, +-B^T u/sigma);
     - any other graph takes the top two eigenpairs of A and the top one of -A.
+
+    Lanczos needs n >= 3 (B B^T of a 2-vertex bipartite graph has one
+    eigenvalue, not two); the dense route takes every graph that small.
 
     Every returned eigenpair (lam, v) is checked on the full A:
     |A v - lam v| <= 1e-8 * max(1, |lam|) * sqrt(n), else
@@ -339,7 +345,7 @@ def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralRepo
     def adjacency(x):
         return _gather_sum(x, table)
 
-    if n <= dense_cap:
+    if n <= _DENSE_MAX_VERTICES:
         a = np.zeros((n, n))
         np.add.at(a, (np.repeat(np.arange(n), k), table.ravel()), 1.0)
         vals = np.linalg.eigvalsh(a)
@@ -399,14 +405,14 @@ def spectrum(g: CayleyGraph, dense_cap: int = DENSE_CAP_DEFAULT) -> SpectralRepo
     )
 
 
-def exact_cheeger(g: CayleyGraph, cap: int = 20) -> float:
+def exact_cheeger(g: CayleyGraph) -> float:
     """Exhaustive Cheeger constant: min over nonempty W with |W| <= n/2 of
     #boundary_edges(W) / |W|.  Self-loops never cross a cut."""
     n = g.n
     if n < 2:
         raise ValueError("Cheeger constant needs at least two vertices")
-    if n > cap:
-        raise SizeCapError(f"exhaustive Cheeger limited to {cap} vertices")
+    if n > _CHEEGER_MAX_VERTICES:
+        raise SizeCapError(f"exhaustive Cheeger limited to {_CHEEGER_MAX_VERTICES} vertices")
     # every subset W at once, as the bits of its index; an edge {u, v}
     # appears in the table from both ends, and crosses the cut from u's
     # entry exactly when u is in W and v is not
@@ -423,9 +429,7 @@ def exact_cheeger(g: CayleyGraph, cap: int = 20) -> float:
 
 
 def expander_report(
-    moduli,
-    element_cap: int = ELEMENT_CAP_DEFAULT,
-    dense_cap: int = DENSE_CAP_DEFAULT,
+    moduli, element_cap: int = ELEMENT_CAP_DEFAULT
 ) -> list[tuple[int, int, SpectralReport]]:
     """(q, group order, spectral report) per square-free modulus, skipping
     those whose image exceeds the element cap."""
@@ -439,7 +443,7 @@ def expander_report(
         except SizeCapError:
             continue
         graph = build_cayley(img)
-        out.append((q, img.order, spectrum(graph, dense_cap=dense_cap)))
+        out.append((q, img.order, spectrum(graph)))
     return out
 
 

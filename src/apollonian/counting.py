@@ -20,7 +20,6 @@ class CountCurve:
 
     ts: np.ndarray
     counts: np.ndarray
-    packing_id: str = ""
 
     def __post_init__(self):
         self.ts = np.asarray(self.ts, dtype=float)
@@ -37,7 +36,6 @@ class ExponentFit:
     stderr: float
     window: tuple[float, float]
     c_hat: float
-    n_points: int
 
 
 def count_by_curvature(orbit: PackingOrbit, grid) -> CountCurve:
@@ -54,7 +52,7 @@ def count_by_curvature(orbit: PackingOrbit, grid) -> CountCurve:
     # |b| <= t exactly when |b| <= floor(t); integer keys keep searchsorted
     # from casting the whole of u to float
     counts = np.searchsorted(u, np.floor(grid).astype(u.dtype), side="right")
-    return CountCurve(grid, counts, packing_id=str(orbit.root))
+    return CountCurve(grid, counts)
 
 
 def fit_exponent(curve: CountCurve, window: tuple[float, float]) -> ExponentFit:
@@ -85,7 +83,6 @@ def fit_exponent(curve: CountCurve, window: tuple[float, float]) -> ExponentFit:
         stderr=stderr,
         window=(float(tmin), float(tmax)),
         c_hat=math.exp(intercept),
-        n_points=k,
     )
 
 

@@ -55,8 +55,8 @@ MAX_BOUND = 10**8
 KEPT_POSITIONS = np.array([[p for p in range(4) if p != i] for i in range(4)])
 
 # lines formatted at once by _write_table: its unit matrix takes about 64
-# bytes a line, so a chunk and the digit arrays beside it stay near 4 MB
-ROWS_PER_CHUNK = 1 << 16
+# bytes a line, so a chunk and the digit arrays beside it stay near 1 MB
+ROWS_PER_CHUNK = 1 << 14
 
 
 class OverflowBoundError(ValueError):
@@ -148,7 +148,6 @@ class PackingOrbit:
     quads: np.ndarray | None = None
     quad_depths: np.ndarray | None = None
     acc_rows: np.ndarray | None = None
-    region: tuple[float, float, float, float] | None = None
     generations: int = 0
 
     @property
@@ -333,7 +332,6 @@ def enumerate_orbit(
         quads=np.concatenate(quads_acc) if keep_quads else None,
         quad_depths=np.concatenate(depths_acc) if keep_quads else None,
         acc_rows=rows_all,
-        region=region,
         generations=depth,
     )
 

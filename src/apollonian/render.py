@@ -12,6 +12,8 @@ import math
 from .geometry import Circle, Rect
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
+_SIZE = 800  # output width in pixels
+_STROKE_SCALE = 0.25  # stroke width per unit radius, before clamping
 
 
 def _fmt(x: float) -> str:
@@ -19,13 +21,7 @@ def _fmt(x: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def svg_document(
-    circles: list[Circle],
-    viewport: Rect | None = None,
-    size: int = 800,
-    stroke: str = "#1a1a1a",
-    stroke_scale: float = 0.25,
-) -> str:
+def svg_document(circles: list[Circle], viewport: Rect | None = None) -> str:
     """Render circles into an SVG string with a y-up coordinate system."""
     circles = sorted(circles, key=_order_key)
     if viewport is None:
@@ -38,16 +34,16 @@ def svg_document(
     pad = 0.02 * max(w, h)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     w, h = x1 - x0, y1 - y0
-    height = max(1, round(size * h / w))
-    min_width = w / size  # one output pixel
+    height = max(1, round(_SIZE * h / w))
+    min_width = w / _SIZE  # one output pixel
     max_radius = max((c.radius for c in circles if not c.is_line), default=1.0)
 
     parts = [
         _HEADER,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{height}" '
+        f'width="{_SIZE}" height="{height}" '
         f'viewBox="{_fmt(x0)} {_fmt(-y1)} {_fmt(w)} {_fmt(h)}">\n',
-        f'<g fill="none" stroke="{stroke}" transform="scale(1,-1)">\n',
+        '<g fill="none" stroke="#1a1a1a" transform="scale(1,-1)">\n',
     ]
     for c in circles:
         if c.is_line:
@@ -55,14 +51,14 @@ def svg_document(
             if seg is None:
                 continue
             (ax, ay), (bx, by) = seg
-            sw = _clamp(stroke_scale * max_radius, min_width, 0.1 * max(w, h))
+            sw = _clamp(_STROKE_SCALE * max_radius, min_width, 0.1 * max(w, h))
             parts.append(
                 f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
                 f'stroke-width="{_fmt(sw)}"/>\n'
             )
         else:
             cx, cy = c.center
-            sw = _clamp(stroke_scale * c.radius, min_width, 0.1 * max(w, h))
+            sw = _clamp(_STROKE_SCALE * c.radius, min_width, 0.1 * max(w, h))
             parts.append(
                 f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(c.radius)}" '
                 f'stroke-width="{_fmt(sw)}"/>\n'
@@ -71,8 +67,8 @@ def svg_document(
     return "".join(parts)
 
 
-def write_svg(path, circles: list[Circle], **kwargs) -> int:
-    doc = svg_document(circles, **kwargs)
+def write_svg(path, circles: list[Circle], viewport: Rect | None = None) -> int:
+    doc = svg_document(circles, viewport)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(doc)
     return len(doc)

@@ -84,21 +84,15 @@ class CongruenceSlice:
     r_hat: float
 
 
-def build_series(orbit: PackingOrbit, selector: Selector, bound: int | None = None) -> SieveSeries:
-    """The multiset {f(v)} over enumerated quadruples with max-norm <= bound."""
+def build_series(orbit: PackingOrbit, selector: Selector) -> SieveSeries:
+    """The multiset {f(v)} over the orbit's enumerated quadruples."""
     if orbit.quads is None:
         raise ValueError("orbit lacks stored quadruples; enumerate with keep_quads=True")
-    bound = orbit.bound if bound is None else int(bound)
-    if bound > orbit.bound:
-        raise ValueError(f"bound {bound} exceeds orbit bound {orbit.bound}")
-    quads = orbit.quads
-    if bound < orbit.bound:
-        quads = quads[np.abs(quads).max(axis=1) <= bound]
     return SieveSeries(
         root=orbit.root,
         selector=selector,
-        bound=bound,
-        values=apply_selector(selector, quads),
+        bound=orbit.bound,
+        values=apply_selector(selector, orbit.quads),
     )
 
 
@@ -210,7 +204,6 @@ def detect_excluded_primes(series: SieveSeries) -> frozenset[int]:
 
 @dataclass
 class LevelDistributionReport:
-    D: int
     X: int
     slices: list[CongruenceSlice]
     sum_abs_r: float
@@ -230,7 +223,6 @@ def level_distribution_report(series: SieveSeries, D: int) -> LevelDistributionR
         raise ValueError("level D must be >= 2")
     slices = [slice_series(series, q) for q in range(2, D) if is_squarefree(q)]
     return LevelDistributionReport(
-        D=D,
         X=series.X,
         slices=slices,
         sum_abs_r=float(sum(abs(s.r_hat) for s in slices)),

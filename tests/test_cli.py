@@ -27,7 +27,6 @@ window = 10, 300
 [congruence]
 moduli = 2, 3, 6
 element_cap = 100000
-dense_cap = 500
 
 [sieve]
 selectors = coord:4
@@ -260,7 +259,6 @@ def test_cli_out_override(config_path, tmp_path):
         ("level_D = 20", "level_D = 1"),
         ("level_D = 20", "level_D = 257"),
         ("element_cap = 100000", "element_cap = 0"),
-        ("dense_cap = 500", "dense_cap = 0"),
         ("moduli = 2, 3, 6", "moduli = 3, 17"),
         ("selectors = coord:4", "selectors = max coord:4"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 5"),
@@ -284,6 +282,52 @@ def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, valu
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "line, value, named",
+    [
+        pytest.param("moduli = 2, 3, 6", "moduli = 2, 3, 6\ndense_cap = 500", "dense_cap", id="dense_cap"),
+        pytest.param("element_cap = 100000", "elemnt_cap = 100000", "elemnt_cap", id="misspelt"),
+        # configparser lowercases keys
+        pytest.param("level_D = 20", "levle_D = 20", "levle_d", id="misspelt-mixed-case"),
+        pytest.param("[boxcount]", "[box_count]", "box_count", id="unknown-section"),
+    ],
+)
+def test_cli_rejects_unknown_keys(config_path, capsys, line, value, named):
+    path, out = config_path
+    text = Path(path).read_text()
+    assert line in text
+    Path(path).write_text(text.replace(line, value))
+    for command in ("generate", "report", "render"):
+        assert main([command, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```ini\n")[1:]
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0].split("```")[0])
+    cfg = load_config(path)
+    assert cfg.root == (-1, 2, 2, 3) and cfg.bound == 10000
+
+
+def test_cli_report_rejects_bound_below_the_density_bound(tmp_path, capsys, monkeypatch):
+    from apollonian import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_orbit", never)
+    out = tmp_path / "o"
+    path = tmp_path / "low.ini"
+    path.write_text(f"[packing]\nroot = -1, 2, 2, 3\nbound = 20\n[output]\ndir = {out}\n")
+    assert main(["report", "--config", str(path)]) == 2
+    assert "report needs bound >= 24; got 20" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_cli_report_records_failed_packing_constant(config_path, capsys, monkeypatch):
     from apollonian import counting
 
@@ -303,10 +347,10 @@ def test_cli_report_keeps_spectral_rows_of_other_moduli(config_path, capsys, mon
 
     real = congruence.spectrum
 
-    def failing(g, dense_cap=congruence.DENSE_CAP_DEFAULT):
+    def failing(g):
         if g.modulus == 5:
             raise congruence.EigenConvergenceError("no convergence")
-        return real(g, dense_cap=dense_cap)
+        return real(g)
 
     monkeypatch.setattr(congruence, "spectrum", failing)
     path, out = config_path

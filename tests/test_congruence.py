@@ -122,14 +122,31 @@ def test_spectrum_circulant_closed_form():
     assert rep.lambda_min == pytest.approx(lam[0], abs=1e-9)
 
 
+def lanczos_spectrum(g):
+    """spectrum(g) with the dense route closed to every graph of 3 or more
+    vertices, the least size Lanczos takes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cg, "_DENSE_MAX_VERTICES", 2)
+        return cg.spectrum(g)
+
+
 def test_spectrum_iterative_matches_dense(img3):
-    g = cg.build_cayley(img3)
-    dense = cg.spectrum(g, dense_cap=5000)
-    lan = cg.spectrum(g, dense_cap=10)
-    assert lan.method == "lanczos"
-    assert lan.lambda0 == pytest.approx(dense.lambda0, abs=1e-8)
-    assert lan.lambda1 == pytest.approx(dense.lambda1, abs=1e-8)
-    assert lan.lambda_min == pytest.approx(dense.lambda_min, abs=1e-8)
+    complete = [graph_from_edges(n, itertools.combinations(range(n), 2)) for n in (3, 4, 5, 8, 20)]
+    cycles = [circulant(n, (1,)) for n in (4, 5, 6)]
+    # C4 with every edge twice: graph_from_edges would merge the repeats
+    doubled_c4 = [[(i - 1) % 4, (i + 1) % 4] * 2 for i in range(4)]
+    doubled_c4 = cg.CayleyGraph(modulus=0, table=np.array(doubled_c4, dtype=np.int32))
+    cayley = [cg.build_cayley(img3), cg.build_cayley(cg.reduce_group_mod(6))]
+    for g in [*complete, *cycles, doubled_c4, *cayley]:
+        n, k = g.table.shape
+        a = np.zeros((n, n))
+        np.add.at(a, (np.repeat(np.arange(n), k), g.table.ravel()), 1.0)
+        ref = np.linalg.eigvalsh(a)
+        lan = lanczos_spectrum(g)
+        assert lan.method == "lanczos"
+        assert lan.lambda0 == pytest.approx(ref[-1], abs=1e-8)
+        assert lan.lambda1 == pytest.approx(ref[-2], abs=1e-8)
+        assert lan.lambda_min == pytest.approx(ref[0], abs=1e-8)
 
 
 def record_lanczos(monkeypatch):
@@ -164,7 +181,7 @@ def circulant_spectrum(n, steps):
 )
 def test_spectrum_lanczos_paths_circulant_closed_form(monkeypatch, n, steps, half):
     calls = record_lanczos(monkeypatch)
-    rep = cg.spectrum(circulant(n, steps), dense_cap=10)
+    rep = lanczos_spectrum(circulant(n, steps))
     lam = circulant_spectrum(n, steps)
     assert rep.method == "lanczos"
     assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
@@ -187,7 +204,7 @@ def test_spectrum_lanczos_complete_bipartite(monkeypatch):
     for m in (20, 40):
         k = graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
         del calls[:]
-        rep = cg.spectrum(k, dense_cap=10)
+        rep = lanczos_spectrum(k)
         assert calls == [(m, 2)]
         assert rep.lambda0 == pytest.approx(m, abs=1e-9)
         assert rep.lambda1 == pytest.approx(0.0, abs=1e-9)
@@ -249,7 +266,7 @@ def test_spectrum_lanczos_rejects_inexact_eigenvectors(monkeypatch, graph):
 
     monkeypatch.setattr(cg, "_top_eigenpairs", perturbed)
     with pytest.raises(cg.EigenConvergenceError):
-        cg.spectrum(graph, dense_cap=10)
+        lanczos_spectrum(graph)
 
 
 def test_two_colouring_rejects_loops_odd_cycles_and_disconnected():
@@ -269,7 +286,7 @@ def test_two_colouring_rejects_loops_odd_cycles_and_disconnected():
 
 def test_spectral_gap_small_moduli(monkeypatch):
     calls = record_lanczos(monkeypatch)
-    lam1 = {}
+    lam1, method = {}, {}
     for q in (3, 5, 6, 7, 10):
         img = cg.reduce_group_mod(q)
         graph = cg.build_cayley(img)
@@ -279,11 +296,13 @@ def test_spectral_gap_small_moduli(monkeypatch):
         side = cg._two_colouring(graph.table)
         assert side is not None
         assert np.array_equal(side, det != det[0])
-        rep = cg.spectrum(graph, dense_cap=2000)
+        rep = cg.spectrum(graph)
         assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
         assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
-        lam1[q] = rep.lambda1
-    # one half-operator run for each graph above the dense cap
+        lam1[q], method[q] = rep.lambda1, rep.method
+    # 120 vertices are solved densely, 14,400 and more by one half-operator
+    # Lanczos run each
+    assert method == {3: "dense", 5: "lanczos", 6: "dense", 7: "lanczos", 10: "lanczos"}
     assert calls == [(n // 2, 2) for n in (14400, 117600, 14400)]
     assert lam1[6] == pytest.approx(lam1[3], abs=1e-7)
     assert lam1[10] == pytest.approx(lam1[5], abs=1e-7)

@@ -307,7 +307,7 @@ def _assert_writers_match_reference(tmp_path, root, bound, window):
     return orbit
 
 
-@pytest.mark.parametrize("rows_per_chunk", [quadruples.ROWS_PER_CHUNK, 97])
+@pytest.mark.parametrize("rows_per_chunk", [pytest.param(quadruples.ROWS_PER_CHUNK, id="default"), 97])
 @pytest.mark.parametrize("root, bound, window", WRITER_CASES)
 def test_writers_match_per_row_reference(tmp_path, monkeypatch, root, bound, window, rows_per_chunk):
     monkeypatch.setattr(quadruples, "ROWS_PER_CHUNK", rows_per_chunk)
