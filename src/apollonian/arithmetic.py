@@ -158,30 +158,11 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
     circle, so scanning enumerated quadruples covers the whole graph.
     """
     if orbit.quads is None:
-        if orbit.edges is None:
-            raise ValueError("orbit lacks quadruples and tangency graph")
-        return odd_prime_triangle_free(orbit.unsigned_curvatures, orbit.edges)
+        raise ValueError("orbit lacks stored quadruples; enumerate with keep_quads=True")
     q = np.abs(orbit.quads)
     pm = prime_mask(q.ravel()).reshape(q.shape)
     odd_prime = pm & (q % 2 == 1)
     return not bool((odd_prime.sum(axis=1) >= 3).any())
-
-
-def odd_prime_triangle_free(curvatures: np.ndarray, edges: np.ndarray) -> bool:
-    """Triangle scan over an arbitrary tangency graph: False iff some
-    triangle has three odd prime curvatures."""
-    curv = np.abs(np.asarray(curvatures))
-    pm = prime_mask(curv) & (curv % 2 == 1)
-    keep = pm[edges[:, 0]] & pm[edges[:, 1]]
-    sub = edges[keep]
-    adj: dict[int, set[int]] = {}
-    for a, b in sub:
-        adj.setdefault(int(a), set()).add(int(b))
-        adj.setdefault(int(b), set()).add(int(a))
-    for a, b in sub:
-        if adj[int(a)] & adj[int(b)]:
-            return False
-    return True
 
 
 def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:

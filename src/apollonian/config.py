@@ -7,7 +7,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .congruence import MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
+from .congruence import ELEMENT_CAP_DEFAULT, MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
 from .quadruples import MAX_BOUND, descartes_form, embedding_for_root, is_root, reduce_to_root
 from .sieve import Selector, parse_selector
 
@@ -92,9 +92,11 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     if q != 0:
         raise ConfigError(f"root {root} fails the Descartes relation: Q = {q}")
     if not is_root(root):
-        raise ConfigError(
-            f"{root} is not a root quadruple; its root is {reduce_to_root(root)}"
-        )
+        try:
+            hint = f"its root is {reduce_to_root(root)}"
+        except RuntimeError as exc:  # the reduction hit its swap cap
+            hint = str(exc)
+        raise ConfigError(f"{root} is not a root quadruple; {hint}")
     bound = cp["packing"].getint("bound", fallback=10000)
     # the walk needs a root circle within the bound and int64 headroom
     lowest = max(1, min(abs(x) for x in root))
@@ -146,7 +148,7 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(
             f"congruence moduli must lie in [2, {MAX_GROUP_MODULUS}]; got {moduli}"
         )
-    element_cap = int(cp["congruence"].get("element_cap", 500_000))
+    element_cap = int(cp["congruence"].get("element_cap", ELEMENT_CAP_DEFAULT))
     if element_cap < 1:
         raise ConfigError(f"element_cap must be >= 1; got {element_cap}")
 

@@ -22,7 +22,9 @@ import numpy as np
 from .arithmetic import is_squarefree
 from .quadruples import SWAP_MATRICES
 
-ELEMENT_CAP_DEFAULT = 10**7
+# group images larger than this are skipped: q = 11 and 13 (1,771,440 and
+# 4,769,856 elements) need a larger cap
+ELEMENT_CAP_DEFAULT = 500_000
 MAX_GROUP_MODULUS = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
 MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
 # spectrum solves up to this many vertices densely: the group images mod

@@ -98,7 +98,7 @@ def reduce_to_root(v, max_iter: int = 100_000) -> Quad:
     Applies, among the swaps that strictly decrease the maximum entry, the one
     with the smallest index (determinism); stops at the fixed point.  Raises
     NotDescartesError for invalid input and RuntimeError if the iteration cap
-    is hit, which signals a non-Descartes quadruple that slipped validation.
+    is hit, as it is for a quadruple more than ``max_iter`` swaps from its root.
     """
     cur = tuple(int(x) for x in v)
     if descartes_form(cur) != 0:
@@ -136,8 +136,9 @@ class PackingOrbit:
     pairs co-occurring in some enumerated quadruple.  ``quads`` (optional)
     stores one row per enumerated quadruple in BFS order with ``quad_depths``
     giving the word length (under a ``region``, see ``enumerate_orbit``).
-    ``acc_rows`` (optional) carries the exact inversive coordinates of each
-    circle when the root has a known integral embedding.
+    ``acc_rows`` (optional) carries the exact inversive row (cocurvature,
+    curvature, curvature*x, curvature*y) of each circle when the root has a
+    known integral embedding; its column 1 equals ``curvatures``.
     """
 
     root: Quad
@@ -172,7 +173,6 @@ def enumerate_orbit(
     keep_quads: bool = False,
     embedding: str | None = None,
     region: tuple[float, float, float, float] | None = None,
-    max_depth: int | None = None,
 ) -> PackingOrbit:
     """Breadth-first enumeration of all packing circles with |curvature| <= bound.
 
@@ -182,6 +182,12 @@ def enumerate_orbit(
     word contributes exactly one circle, so the returned multiset carries the
     true geometric multiplicity (mirror-symmetric packings repeat curvatures).
 
+    Each generation is one pass over one frontier of circles.  A circle is
+    a row of lanes: its signed curvature alone, or, with an embedding, its
+    exact inversive row, whose lane 1 is the curvature.  Swap i replaces
+    circle C_i of a quadruple by 2*S - 3*C_i, S the sum of its four circles,
+    on every lane at once; the bound is tested on the curvature lane.
+
     ``embedding`` may be "auto" (look up the exact integral embedding of the
     root) or None.
     ``region`` (xmin, xmax, ymin, ymax) keeps the circles whose curve meets
@@ -189,7 +195,7 @@ def enumerate_orbit(
     quadruples whose swap's dual circle, which holds the whole branch, meets
     it (``region.branch_alive``), so ``quads`` and ``quad_count`` count those.
     A region needs an embedding and is the only way to enumerate an
-    unbounded (strip) packing, short of ``max_depth``.
+    unbounded (strip) packing.
     """
     root = tuple(int(x) for x in root)
     q0 = descartes_form(root)
@@ -212,80 +218,68 @@ def enumerate_orbit(
     else:
         raise ValueError(f"unknown embedding spec {embedding!r}")
 
-    unbounded = any(x == 0 for x in root)
-    if unbounded and region is None and max_depth is None:
-        raise ValueError(
-            "unbounded packing (zero curvature entry): N(T) is infinite; "
-            "pass region=... or max_depth=..."
-        )
+    if any(x == 0 for x in root) and region is None:
+        raise ValueError("unbounded packing (zero curvature entry): N(T) is infinite; pass region=...")
     if region is not None and rows0 is None:
         raise ValueError(f"region filtering needs a built-in embedding (embedding='auto'); root {root}")
 
-    with_rows = rows0 is not None
-    track_ids = tangency
+    # the root circles, one row of lanes each; lane ``lane`` is the curvature
+    if rows0 is None:
+        start, lane = np.array(root, dtype=np.int64)[:, None], 0
+    else:
+        start, lane = rows0, 1
 
-    # root circles: always materialized, filtered by bound (and region) below
-    circ_curv = [np.array(root, dtype=np.int64)]
-    circ_rows = [rows0] if with_rows else None
-
+    # every circle, root circles first; filtered by bound (and region) below
+    circ_acc = [start]
     quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
     quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
     depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
-    edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)] if track_ids else None
+    edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)] if tangency else None
 
-    # frontier arrays are entry-major: quads and circle ids have shape (4, n)
-    # and inversive rows (4, n, 4), so that each entry position is one
-    # contiguous block
-    frontier_q = np.array(root, dtype=np.int64)[:, None]
+    # the frontier is entry-major, (4, n, lanes), and circle ids (4, n), so
+    # that each entry position is one contiguous block
+    frontier = start[:, None, :].copy()
     frontier_last = None  # swap that made each frontier quad; the root has none
-    frontier_ids = np.arange(4, dtype=np.int64)[:, None] if track_ids else None
-    frontier_rows = rows0[:, None, :].copy() if with_rows else None
+    frontier_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
     next_id = 4
     depth = 0
 
     while True:
         depth += 1
-        if max_depth is not None and depth > max_depth:
-            break
-        width = frontier_q.shape[1]
-        # swap i replaces q_i by 2*sum(q) - 3*q_i, which stays within the
-        # bound exactly when q_i >= ceil((2*sum(q) - bound) / 3)
-        twice_sum = 2 * frontier_q.sum(axis=0)
-        keep = frontier_q >= (twice_sum - bound + 2) // 3
+        width = frontier.shape[1]
+        # swap i replaces C_i by 2*S - 3*C_i, S the sum of the quadruple's
+        # circles; on the curvature lane that stays within the bound exactly
+        # when q_i >= ceil((2*sum(q) - bound) / 3)
+        twice_sum = 2 * frontier.sum(axis=0)
+        keep = frontier[..., lane] >= (twice_sum[:, lane] - bound + 2) // 3
         if frontier_last is not None:
             keep[frontier_last, np.arange(width)] = False  # no swap repeats
         # children ordered by swap index, then by parent position; ``flat``
-        # indexes the swapped entry in frontier_q
+        # indexes the swapped circle C_old among the frontier's 4 * width
         flat = np.flatnonzero(keep)
         swap = np.repeat(np.arange(4), np.count_nonzero(keep, axis=1))
         parent = flat - swap * width
-        new_entry = np.take(twice_sum, parent) - 3 * np.take(frontier_q, flat)
-        if with_rows:
-            row_sum = np.take(frontier_rows.sum(axis=0), parent, axis=0)
-            old_rows = frontier_rows[swap, parent]
-            if region is not None:
-                # the swap's branch lies in the closed interior of its dual
-                # circle D, and 2D = S - 2*C_old is an integer row
-                alive = branch_alive(row_sum - 2 * old_rows, region)
-                swap, parent, new_entry = swap[alive], parent[alive], new_entry[alive]
-                row_sum, old_rows = row_sum[alive], old_rows[alive]
-            new_rows = 2 * row_sum - 3 * old_rows
-            crows = np.take(frontier_rows, parent, axis=1)
-            crows[swap, np.arange(parent.size)] = new_rows
+        if region is not None:
+            # the swap's branch lies in the closed interior of its dual
+            # circle D, and 2D = S - 2*C_old is an integer row
+            old = np.take(frontier.reshape(4 * width, -1), flat, axis=0)
+            alive = branch_alive(np.take(twice_sum, parent, axis=0) // 2 - 2 * old, region)
+            flat, swap, parent = flat[alive], swap[alive], parent[alive]
+            del old
+        new = np.take(twice_sum, parent, axis=0) - 3 * np.take(frontier.reshape(4 * width, -1), flat, axis=0)
         n = parent.size
         if n == 0:
             break
         at = np.arange(n)
-        child = np.take(frontier_q, parent, axis=1)
-        child[swap, at] = new_entry
+        child = np.take(frontier, parent, axis=1)
+        child[swap, at] = new
         quad_count += n
-        circ_curv.append(new_entry)
-        if with_rows:
-            circ_rows.append(new_rows)
+        circ_acc.append(new)
         if keep_quads:
-            quads_acc.append(child.T)
+            # a copy, so that the accumulator does not hold the whole child
+            quads_acc.append(child[..., lane].T.copy())
             depths_acc.append(np.full(n, depth, dtype=np.int32))
-        if track_ids:
+        if tangency:
             ids = np.take(frontier_ids, parent, axis=1)
             new_ids = np.arange(next_id, next_id + n, dtype=np.int64)
             # edges from the three kept circles to the new one, grouped by
@@ -300,25 +294,20 @@ def enumerate_orbit(
             ids[swap, at] = new_ids
             frontier_ids = ids
         next_id += n
-        frontier_q, frontier_last = child, swap
-        if with_rows:
-            frontier_rows = crows
+        frontier, frontier_last = child, swap
 
     # each per-generation list is dropped once joined, so that it never
     # coexists with the filtered copy
-    curv = np.concatenate(circ_curv)
-    rows_all = np.concatenate(circ_rows) if with_rows else None
-    edges = np.concatenate(edge_acc) if track_ids else None
-    del circ_curv, circ_rows, edge_acc
+    circles = np.concatenate(circ_acc)
+    edges = np.concatenate(edge_acc) if tangency else None
+    del circ_acc, edge_acc
 
-    keep_mask = np.abs(curv) <= bound
+    keep_mask = np.abs(circles[:, lane]) <= bound
     if region is not None:
-        keep_mask &= meets(rows_all, region)
+        keep_mask &= meets(circles, region)
     if not keep_mask.all():
-        curv = curv[keep_mask]
-        if with_rows:
-            rows_all = rows_all[keep_mask]
-        if track_ids:
+        circles = circles[keep_mask]
+        if tangency:
             edges = edges[keep_mask[edges[:, 0]] & keep_mask[edges[:, 1]]]
             remap = np.cumsum(keep_mask) - 1
             edges = remap[edges]
@@ -326,12 +315,12 @@ def enumerate_orbit(
     return PackingOrbit(
         root=root,
         bound=bound,
-        curvatures=curv,
+        curvatures=np.ascontiguousarray(circles[:, lane]),
         quad_count=quad_count,
         edges=edges,
         quads=np.concatenate(quads_acc) if keep_quads else None,
         quad_depths=np.concatenate(depths_acc) if keep_quads else None,
-        acc_rows=rows_all,
+        acc_rows=None if rows0 is None else circles,
         generations=depth,
     )
 

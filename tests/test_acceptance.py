@@ -21,7 +21,6 @@ from conftest import STANDARD_ROOT, STRIP_ROOT, STRIP_WINDOW, TEST_ROOTS, graph_
 ALPHA_REF = 1.30568  # residual dimension, reference value
 GOLDEN_QUAD_COUNT_1E5 = 1_359_168  # recorded from the first verified run
 ACCEPT_MODULI = [2, 3, 5, 6, 7, 10, 11, 13]
-ACCEPT_ELEMENT_CAP = 500_000  # keeps the suite fast; larger q run the same code
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +147,7 @@ def test_criterion_7_triplet_exclusion(std_orbit_1e4):
 
 
 def test_criterion_8_expander_gap():
-    reports = cg.expander_report(ACCEPT_MODULI, element_cap=ACCEPT_ELEMENT_CAP)
+    reports = cg.expander_report(ACCEPT_MODULI)
     included = [q for q, _, _ in reports]
     assert set(included) >= {2, 3, 5, 6, 7, 10}
     lam1 = {}
@@ -156,13 +155,13 @@ def test_criterion_8_expander_gap():
         assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
         if rep.lambda1 is not None:
             lam1[q] = rep.lambda1
-        img = cg.reduce_group_mod(q, element_cap=ACCEPT_ELEMENT_CAP)
+        img = cg.reduce_group_mod(q)
         assert cg.build_cayley(img).is_connected()
     eps = 4.0 - max(lam1.values())
     assert eps > 0.05
     print(
         f"\nPASS criterion 8: lambda0 = 4 and connected for q in {included} "
-        f"(element cap {ACCEPT_ELEMENT_CAP}); max lambda1 = {max(lam1.values()):.4f}, "
+        f"(element cap {cg.ELEMENT_CAP_DEFAULT}); max lambda1 = {max(lam1.values()):.4f}, "
         f"uniform gap epsilon = {eps:.4f} > 0.05"
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apollonian import arithmetic as ar
-from apollonian.quadruples import enumerate_orbit
+from apollonian.quadruples import PackingOrbit, enumerate_orbit
 
 from conftest import TEST_ROOTS
 
@@ -170,11 +170,17 @@ def test_no_quadruple_with_three_odd_primes(std_orbit_1e4):
 
 
 def test_odd_prime_triangle_negative_control():
-    curv = np.array([3, 5, 7])
-    edges = np.array([[0, 1], [0, 2], [1, 2]])
-    assert not ar.odd_prime_triangle_free(curv, edges)
-    # breaking one edge removes the triangle
-    assert ar.odd_prime_triangle_free(curv, edges[:2])
+    # a quadruple row holding three odd primes is a triangle of them
+    def orbit(rows):
+        quads = np.array(rows, dtype=np.int64)
+        return PackingOrbit(root=(3, 5, 7, 11), bound=11, curvatures=np.unique(quads),
+                            quad_count=len(quads), quads=quads)
+
+    assert not ar.no_odd_prime_triple(orbit([(3, 5, 7, 11)]))
+    # rows with two odd primes at most: 8 and -2 are even, 9 is not prime
+    assert ar.no_odd_prime_triple(orbit([(3, 5, 8, 9), (-2, 3, 6, 7)]))
+    with pytest.raises(ValueError, match="keep_quads"):
+        ar.no_odd_prime_triple(enumerate_orbit((-1, 2, 2, 3), 100, tangency=True))
 
 
 def test_empty_orbit_triple_free():

@@ -83,6 +83,17 @@ def test_cli_bad_root_exit_code(tmp_path, capsys):
     assert "Q = -8" in capsys.readouterr().err
 
 
+def test_cli_root_too_far_to_reduce_exit_code(tmp_path, capsys):
+    # (0, 1, n^2, (n+1)^2) at n = 200,000 is over 100,000 swaps from its root
+    path = tmp_path / "far.ini"
+    path.write_text("[packing]\nroot = 0, 1, 40000000000, 40000400001\n")
+    rc = main(["generate", "--config", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "is not a root quadruple" in err
+    assert "did not terminate after 100000 swaps" in err
+
+
 def test_cli_unbounded_without_region(tmp_path, capsys):
     path = tmp_path / "strip.ini"
     path.write_text("[packing]\nroot = 0, 0, 1, 1\nbound = 50\n")

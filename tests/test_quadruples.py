@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,11 +159,12 @@ def test_enumerate_rejects_non_root():
         enumerate_orbit((1, 1, 1, 1), 100)
 
 
-def test_enumerate_unbounded_needs_region_or_depth():
-    with pytest.raises(ValueError):
+def test_enumerate_unbounded_needs_region():
+    with pytest.raises(ValueError, match=r"pass region=\.\.\.$") as err:
         enumerate_orbit((0, 0, 1, 1), 10)
-    orb = enumerate_orbit((0, 0, 1, 1), 10, max_depth=3)
-    assert orb.circle_count > 0
+    assert "depth" not in str(err.value)
+    with pytest.raises(TypeError, match="max_depth"):
+        enumerate_orbit((0, 0, 1, 1), 10, max_depth=3)
 
 
 def test_all_enumerated_quadruples_satisfy_form(std_orbit_1e4):
@@ -432,7 +434,7 @@ def test_any_decreasing_swap_choice_reaches_same_root(std_orbit_1e4):
 
 
 def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=None,
-                    region=None, max_depth=None):
+                    region=None):
     """The former body of ``enumerate_orbit``: one masked pass over the
     frontier per swap index.  Takes validated arguments and returns the
     ``PackingOrbit`` fields as a dict."""
@@ -457,8 +459,6 @@ def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=
     depth = 0
     while frontier_q.shape[0] > 0:
         depth += 1
-        if max_depth is not None and depth > max_depth:
-            break
         nq, nlast, nids, nrows = [], [], [], []
         for i in range(4):
             mask = frontier_last != i
@@ -550,6 +550,8 @@ def _assert_matches_reference(root, bound, **kw):
             assert np.array_equal(got, want), name
         else:
             assert got == want, name
+    if orbit.acc_rows is not None:
+        assert np.array_equal(orbit.curvatures, orbit.acc_rows[:, 1])
 
 
 FULL = dict(tangency=True, keep_quads=True, embedding="auto")
@@ -567,7 +569,6 @@ STRIP = (0, 0, 1, 1)
         pytest.param(STANDARD, 20_000, {**FULL, "region": (-0.2, 0.2, -0.2, 0.2)}, id="standard-window"),
         pytest.param(STRIP, 2000, {**FULL, "region": (0.0, 2.0, 0.0, 2.0)}, id="strip-window"),
         pytest.param(STRIP, 2000, {**FULL, "region": (-0.3, 0.7, -0.1, 1.3)}, id="strip-offset-window"),
-        pytest.param(STRIP, 2000, {**FULL, "max_depth": 12}, id="strip-depth-12"),
         pytest.param((-2, 3, 6, 7), 20_000, FULL, id="unembedded-2e4"),
     ],
 )
@@ -583,3 +584,27 @@ def test_generation_kernel_matches_per_swap_walk_any_bound(root, bound):
             enumerate_orbit(root, bound)
         return
     _assert_matches_reference(root, bound, **FULL)
+
+
+# tracemalloc peaks, in bytes, of the same calls on the walk that swapped a
+# curvature frontier and a row frontier separately (commit c18c4f9, numpy
+# 2.4.6); the one-frontier walk must not hold more
+TWO_FRONTIER_PEAKS = {"rows-2e4": 19_353_368, "curvatures-3e5": 119_845_440}
+
+
+@pytest.mark.parametrize(
+    "case, bound, kw",
+    [
+        pytest.param("rows-2e4", 20_000, dict(keep_quads=True, embedding="auto"), id="rows-2e4"),
+        pytest.param("curvatures-3e5", 300_000, {}, id="curvatures-3e5"),
+    ],
+)
+def test_walk_traced_peak_stays_within_two_frontier_walk(case, bound, kw):
+    enumerate_orbit(STANDARD, 100, **kw)  # first-use allocations
+    tracemalloc.start()
+    try:
+        enumerate_orbit(STANDARD, bound, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * TWO_FRONTIER_PEAKS[case], f"{peak / 1e6:.2f} MB"
