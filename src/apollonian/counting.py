@@ -13,6 +13,9 @@ from .geometry import Rect
 from .quadruples import PackingOrbit
 from .region import LINE_EPS, meets
 
+# circles sorted at once by count_by_curvature (8 MB of int64)
+COUNT_CHUNK = 1 << 20
+
 
 @dataclass
 class CountCurve:
@@ -47,11 +50,16 @@ def count_by_curvature(orbit: PackingOrbit, grid) -> CountCurve:
         )
     if not np.isfinite(grid).all():
         raise ValueError("grid points must be finite")
-    u = orbit.unsigned_curvatures  # a fresh array, so sorted in place
-    u.sort()
+    b = orbit.curvatures
     # |b| <= t exactly when |b| <= floor(t); integer keys keep searchsorted
-    # from casting the whole of u to float
-    counts = np.searchsorted(u, np.floor(grid).astype(u.dtype), side="right")
+    # from casting the curvatures to float
+    keys = np.floor(grid).astype(b.dtype)
+    counts = np.zeros(grid.shape, dtype=np.intp)
+    # one sorted chunk at a time, so that no copy of the whole array is made
+    for start in range(0, b.size, COUNT_CHUNK):
+        u = np.abs(b[start : start + COUNT_CHUNK])
+        u.sort()
+        counts += np.searchsorted(u, keys, side="right")
     return CountCurve(grid, counts)
 
 

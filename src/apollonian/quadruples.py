@@ -14,6 +14,7 @@ with a curvature bound exhaustive.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,8 @@ import numpy as np
 from .region import branch_alive, check_rect, meets
 
 Quad = tuple[int, int, int, int]
+
+log = logging.getLogger(__name__)
 
 # Reflection matrices acting on row vectors (v -> v @ S_i).  Entry i of the
 # result is 2*(sum of the other entries) - v_i; the rest are unchanged.
@@ -186,7 +189,14 @@ def enumerate_orbit(
     a row of lanes: its signed curvature alone, or, with an embedding, its
     exact inversive row, whose lane 1 is the curvature.  Swap i replaces
     circle C_i of a quadruple by 2*S - 3*C_i, S the sum of its four circles,
-    on every lane at once; the bound is tested on the curvature lane.
+    on every lane at once; the bound is tested on the curvature lane.  The
+    next frontier is laid out in four contiguous blocks, one per swap, each
+    in parent order, so that the quads a swap made are one slice of it and
+    the next generation forbids repeating that swap by masking the slice.
+    Child ids, edges, quads and circles all follow this swap-major order.
+    One DEBUG record per generation on the ``apollonian.quadruples`` logger
+    gives its depth, its width (the quads it made) and the quads made so
+    far.
 
     ``embedding`` may be "auto" (look up the exact integral embedding of the
     root) or None.
@@ -239,8 +249,8 @@ def enumerate_orbit(
     # the frontier is entry-major, (4, n, lanes), and circle ids (4, n), so
     # that each entry position is one contiguous block
     frontier = start[:, None, :].copy()
-    frontier_last = None  # swap that made each frontier quad; the root has none
     frontier_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
+    ends = [0] * 5  # the root was made by no swap
     next_id = 4
     depth = 0
 
@@ -252,49 +262,56 @@ def enumerate_orbit(
         # when q_i >= ceil((2*sum(q) - bound) / 3)
         twice_sum = 2 * frontier.sum(axis=0)
         keep = frontier[..., lane] >= (twice_sum[:, lane] - bound + 2) // 3
-        if frontier_last is not None:
-            keep[frontier_last, np.arange(width)] = False  # no swap repeats
-        # children ordered by swap index, then by parent position; ``flat``
-        # indexes the swapped circle C_old among the frontier's 4 * width
-        flat = np.flatnonzero(keep)
-        swap = np.repeat(np.arange(4), np.count_nonzero(keep, axis=1))
-        parent = flat - swap * width
+        for i in range(4):
+            keep[i, ends[i] : ends[i + 1]] = False  # no swap repeats
+        # the children lie in four contiguous blocks, one per swap and each
+        # in parent order: swap i's are columns ends[i]:ends[i + 1].
+        # ``parent`` indexes the swapped circle C_old among the frontier's
+        # 4 * width, ascending, until it is reduced to frontier positions
+        parent = np.flatnonzero(keep)
+        del keep
+        new = frontier.reshape(4 * width, -1).take(parent, axis=0)  # C_old
         if region is not None:
             # the swap's branch lies in the closed interior of its dual
             # circle D, and 2D = S - 2*C_old is an integer row
-            old = np.take(frontier.reshape(4 * width, -1), flat, axis=0)
-            alive = branch_alive(np.take(twice_sum, parent, axis=0) // 2 - 2 * old, region)
-            flat, swap, parent = flat[alive], swap[alive], parent[alive]
-            del old
-        new = np.take(twice_sum, parent, axis=0) - 3 * np.take(frontier.reshape(4 * width, -1), flat, axis=0)
-        n = parent.size
+            alive = branch_alive(twice_sum.take(parent % width, axis=0) // 2 - 2 * new, region)
+            parent, new = parent[alive], new[alive]
+            del alive
+        ends = [0, *np.searchsorted(parent, width * np.arange(1, 5)).tolist()]
+        n = ends[4]
+        quad_count += n
+        log.debug("generation %d: %d quads, %d in all", depth, n, quad_count)
         if n == 0:
             break
-        at = np.arange(n)
-        child = np.take(frontier, parent, axis=1)
-        child[swap, at] = new
-        quad_count += n
+        parent %= width
+        new *= -3
+        new += twice_sum.take(parent, axis=0)  # 2*S - 3*C_old
+        del twice_sum
+        child = frontier.take(parent, axis=1)
+        if tangency:
+            ids = frontier_ids.take(parent, axis=1)
+            e = np.empty((3 * n, 2), dtype=np.int64)
+        del parent
+        for i in range(4):
+            a, b = ends[i], ends[i + 1]
+            child[i, a:b] = new[a:b]
+            if tangency:
+                # edges from the three kept circles to the new one, grouped
+                # by swap, then by kept position, then by child
+                block = e[3 * a : 3 * b].reshape(3, b - a, 2)
+                block[..., 0] = ids[KEPT_POSITIONS[i], a:b]
+                ids[i, a:b] = np.arange(next_id + a, next_id + b)
+                block[..., 1] = ids[i, a:b]
         circ_acc.append(new)
         if keep_quads:
             # a copy, so that the accumulator does not hold the whole child
             quads_acc.append(child[..., lane].T.copy())
             depths_acc.append(np.full(n, depth, dtype=np.int32))
         if tangency:
-            ids = np.take(frontier_ids, parent, axis=1)
-            new_ids = np.arange(next_id, next_id + n, dtype=np.int64)
-            # edges from the three kept circles to the new one, grouped by
-            # swap, then by kept position, then by child
-            per_swap = np.bincount(swap, minlength=4)
-            first = np.cumsum(per_swap) - per_swap
-            slot = (2 * first[swap] + at)[:, None] + per_swap[swap][:, None] * np.arange(3)
-            e = np.empty((3 * n, 2), dtype=np.int64)
-            e[slot, 0] = ids[KEPT_POSITIONS[swap], at[:, None]]
-            e[slot, 1] = new_ids[:, None]
             edge_acc.append(e)
-            ids[swap, at] = new_ids
             frontier_ids = ids
         next_id += n
-        frontier, frontier_last = child, swap
+        frontier = child
 
     # each per-generation list is dropped once joined, so that it never
     # coexists with the filtered copy
@@ -302,9 +319,11 @@ def enumerate_orbit(
     edges = np.concatenate(edge_acc) if tangency else None
     del circ_acc, edge_acc
 
-    keep_mask = np.abs(circles[:, lane]) <= bound
-    if region is not None:
-        keep_mask &= meets(circles, region)
+    # a child is never the bounding circle or a line, and the keep test
+    # holds it within the bound, so 0 < b <= bound; only the root circles
+    # can break the bound
+    keep_mask = meets(circles, region) if region is not None else np.ones(len(circles), dtype=bool)
+    keep_mask[:4] &= np.abs(start[:, lane]) <= bound
     if not keep_mask.all():
         circles = circles[keep_mask]
         if tangency:

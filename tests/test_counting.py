@@ -19,6 +19,24 @@ def test_count_by_curvature_small():
     assert curve.counts.tolist() == [0, 5, 9]
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 1 << 20])
+def test_count_by_curvature_chunks_match_whole_sort(monkeypatch, chunk):
+    orb = enumerate_orbit((-1, 2, 2, 3), 3000)
+    bfs_order = orb.curvatures.copy()
+    whole = np.sort(np.abs(orb.curvatures))
+    ts = np.unique(whole[whole >= 1]).astype(float)
+    grids = {
+        "empty": np.empty(0),
+        "integers": np.concatenate(([0.0], ts)),
+        "below integers": np.nextafter(ts, 0),
+    }
+    monkeypatch.setattr(ct, "COUNT_CHUNK", chunk)
+    for name, grid in grids.items():
+        want = np.searchsorted(whole, np.floor(grid), side="right")
+        assert np.array_equal(ct.count_by_curvature(orb, grid).counts, want), name
+    assert np.array_equal(orb.curvatures, bfs_order)
+
+
 def test_count_grid_beyond_bound_rejected():
     orb = enumerate_orbit((-1, 2, 2, 3), 6)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -586,10 +587,47 @@ def test_generation_kernel_matches_per_swap_walk_any_bound(root, bound):
     _assert_matches_reference(root, bound, **FULL)
 
 
-# tracemalloc peaks, in bytes, of the same calls on the walk that swapped a
-# curvature frontier and a row frontier separately (commit c18c4f9, numpy
-# 2.4.6); the one-frontier walk must not hold more
-TWO_FRONTIER_PEAKS = {"rows-2e4": 19_353_368, "curvatures-3e5": 119_845_440}
+# the roots of the exponent benchmark, walked as it walks them: curvatures
+# only, one lane
+EXPONENT_ROOTS = [STANDARD, (-2, 3, 6, 7), (-4, 5, 20, 21)]
+
+
+@given(st.sampled_from(EXPONENT_ROOTS), st.integers(min_value=4, max_value=30_000))
+@example(root=(-4, 5, 20, 21), bound=20)
+@example(root=(-4, 5, 20, 21), bound=21)
+@settings(max_examples=40, deadline=None)
+def test_curvature_walk_matches_per_swap_walk_any_bound(root, bound):
+    _assert_matches_reference(root, bound)
+
+
+def test_bound_below_a_root_circle_drops_it_and_remaps_edges():
+    # the root circle of curvature 7 is id 1 and every child is larger, so
+    # the walk keeps three circles and renumbers the edges between them
+    root = (-2, 7, 3, 6)
+    _assert_matches_reference(root, 6, tangency=True, keep_quads=True)
+    orbit = enumerate_orbit(root, 6, tangency=True, keep_quads=True)
+    assert orbit.curvatures.tolist() == [-2, 3, 6]
+    assert orbit.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert orbit.quad_count == 0 and orbit.quads.shape == (0, 4)
+
+
+def test_walk_logs_each_generation(caplog):
+    caplog.set_level(logging.DEBUG, logger="apollonian")
+    orbit = enumerate_orbit(STANDARD, 2000, keep_quads=True)
+    records = [r for r in caplog.records if r.name == "apollonian.quadruples"]
+    # the last generation is empty and ends the walk
+    widths = np.bincount(orbit.quad_depths, minlength=orbit.generations + 1)
+    want = [(depth, int(widths[depth]), int(widths[: depth + 1].sum())) for depth in range(1, orbit.generations + 1)]
+    assert [r.args for r in records] == want
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert want[-1][1:] == (0, orbit.quad_count)
+
+
+# tracemalloc peaks, in bytes, of the same calls on the walk that builds
+# each generation's children in four swap blocks (numpy 2.4.6); the walk
+# that swapped a curvature frontier and a row frontier separately (commit
+# c18c4f9) read 19,353,368 and 119,845,440
+BLOCK_WALK_PEAKS = {"rows-2e4": 18_801_017, "curvatures-3e5": 91_340_194}
 
 
 @pytest.mark.parametrize(
@@ -607,4 +645,4 @@ def test_walk_traced_peak_stays_within_two_frontier_walk(case, bound, kw):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.05 * TWO_FRONTIER_PEAKS[case], f"{peak / 1e6:.2f} MB"
+    assert peak <= 1.05 * BLOCK_WALK_PEAKS[case], f"{peak / 1e6:.2f} MB"
