@@ -60,7 +60,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (congruence.SizeCapError, congruence.EigenConvergenceError, OverflowError) as exc:
+    except (
+        congruence.SizeCapError,
+        congruence.EigenConvergenceError,
+        geometry.NotTangentError,
+        geometry.DedupCollisionError,
+        OverflowError,
+    ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

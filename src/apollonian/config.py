@@ -172,7 +172,13 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"eps_exponents must lie in [0, {MAX_EPS_EXPONENT}]; got {exps}")
     eps = [2.0 ** -k for k in exps]
 
-    render_bound = float(cp["render"].get("bound", min(bound, 100)))
+    # the float walk, like the integer one, starts from a root circle
+    render_bound = float(cp["render"].get("bound", min(bound, max(lowest, 100))))
+    if not (math.isfinite(render_bound) and lowest <= render_bound <= MAX_BOUND):
+        raise ConfigError(
+            f"[render] bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; "
+            f"got {render_bound}"
+        )
 
     out_dir = cp["output"].get("dir", "out")
 

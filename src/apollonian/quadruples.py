@@ -373,16 +373,18 @@ def write_circles(orbit: PackingOrbit, path) -> None:
     inversive row (cocurvature, curvature, curvature*x, curvature*y).  With an
     embedding a line is ``curvature,x,y`` with the centre printed ``%.9f``,
     and a straight line (curvature 0) is ``0,,``; without one it is the
-    signed curvature alone."""
+    signed curvature alone, in orbit order within each |curvature|.  The
+    order is ``_lexsort_int64``'s: stable radix passes over 16-bit digits of
+    the keys, the same permutation ``np.lexsort`` gives."""
     b = orbit.curvatures
     with open(path, "wb") as fh:
         if orbit.acc_rows is None:
             fh.write(b"curvature\n")
-            _write_table(fh, (b[np.argsort(np.abs(b), kind="stable")],), b"\n")
+            _write_table(fh, (b[_lexsort_int64((np.abs(b),))],), b"\n")
             return
         fh.write(b"curvature,x,y\n")
         rows = orbit.acc_rows
-        order = np.lexsort((rows[:, 3], rows[:, 2], b, rows[:, 0], np.abs(b)))
+        order = _lexsort_int64((rows[:, 3], rows[:, 2], b, rows[:, 0], np.abs(b)))
         n_lines = int(np.count_nonzero(b == 0))  # |b| = 0 sorts first
         fh.write(b"0,,\n" * n_lines)
         order = order[n_lines:]
@@ -392,6 +394,25 @@ def write_circles(orbit: PackingOrbit, path) -> None:
         x = rows[order, 2] / bs + 0.0
         y = rows[order, 3] / bs + 0.0
         _write_table(fh, (bs, x, y), b",,\n")
+
+
+def _lexsort_int64(keys) -> np.ndarray:
+    """The permutation ``np.lexsort(keys)`` gives for equal-length 1-D int64
+    ``keys``, the last key primary.  Each key is offset from its minimum in
+    uint64, which keeps its order and cannot overflow, and split into as many
+    16-bit digits as its span needs, least significant first.  numpy sorts
+    16-bit keys stably by radix, so each digit costs one O(n) pass where an
+    int64 key costs an O(n log n) comparison sort."""
+    if len(keys[0]) == 0:
+        return np.zeros(0, dtype=np.intp)
+    digits = []
+    for key in keys:
+        offset = key.view(np.uint64) - key.min().astype(np.uint64)
+        for _ in range(0, max(int(offset.max()).bit_length(), 1), 16):
+            digits.append(offset.astype(np.uint16))
+            offset >>= 16
+    del offset  # the digits hold all the sort needs; freeing it lowers the peak
+    return np.lexsort(digits)
 
 
 def _write_table(fh, columns, ends: bytes) -> None:

@@ -198,6 +198,41 @@ def test_cli_render_single_circle(tmp_path):
     assert text.count("<circle") == 1
 
 
+@pytest.mark.parametrize("render_bound", ["nan", "inf", "1e9", "-5", "0"])
+def test_cli_rejects_bad_render_bound(tmp_path, capsys, render_bound):
+    out = tmp_path / "o"
+    path = tmp_path / "bad.ini"
+    path.write_text(
+        f"[packing]\nroot = -1, 2, 2, 3\nbound = 10\n[render]\nbound = {render_bound}\n"
+        f"[output]\ndir = {out}\n"
+    )
+    assert main(["render", "--config", str(path)]) == 2
+    assert "[render] bound must lie in [1, " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_render_bound_default_is_not_below_the_root(tmp_path):
+    path = tmp_path / "big.ini"
+    path.write_text("[packing]\nroot = -101, 102, 10302, 10303\nbound = 20000\n")
+    assert load_config(str(path)).render_bound == 101
+    path.write_text("[packing]\nroot = -1, 2, 2, 3\nbound = 20000\n")
+    assert load_config(str(path)).render_bound == 100
+
+
+def test_cli_render_tangency_failure_is_a_numeric_error(config_path, capsys, monkeypatch):
+    from apollonian import geometry
+
+    def fail(*args, **kwargs):
+        raise geometry.NotTangentError("tangency residual 1.03e-06 exceeds 1e-06")
+
+    monkeypatch.setattr(geometry, "generate_packing_geometric", fail)
+    path, out = config_path
+    assert main(["render", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err == "numeric error: tangency residual 1.03e-06 exceeds 1e-06\n"
+    assert not Path(out, "packing.svg").exists()
+
+
 def test_cli_render_strip_has_lines(tmp_path):
     out = tmp_path / "o"
     path = tmp_path / "strip.ini"

@@ -297,6 +297,8 @@ WRITER_CASES = [
     pytest.param((0, 0, 1, 1), 150, (-0.3, 0.7, -0.1, 1.3), id="strip-offset-150"),
     pytest.param((-2, 3, 6, 7), 20000, None, id="unembedded-20000"),
     pytest.param(STANDARD, 2, None, id="empty-orbit"),
+    # |b| up to 99,999: every sort key needs a second 16-bit digit
+    pytest.param(STANDARD, 100_000, (-0.2, 0.2, -0.2, 0.2), id="standard-window-1e5"),
 ]
 
 
@@ -379,6 +381,40 @@ def test_format_rows_mixed_columns(rows):
     ints, floats, small = (list(c) for c in zip(*rows))
     columns = [np.array(ints), np.array(floats), np.array(small, dtype=np.int32)]
     assert _formatted(columns, b", \n") == "".join("%d,%.9f %d\n" % row for row in rows)
+
+
+# spans of one key: constant, one 16-bit digit, two, three, four, and the
+# whole int64 range, where an offset from the minimum needs all 64 bits
+KEY_SPANS = [0, 2**16 - 1, 2**16, 2**17 + 3, 2**32 + 5, 2**48 + 7, 2**64 - 1]
+
+
+@st.composite
+def _int64_keys(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    keys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        span = draw(st.sampled_from(KEY_SPANS))
+        low = draw(st.integers(min_value=-(2**63), max_value=2**63 - 1 - span))
+        values = draw(st.lists(st.integers(min_value=low, max_value=low + span), min_size=n, max_size=n))
+        keys.append(values)
+    return keys
+
+
+@given(_int64_keys())
+@example([[]])
+@example([[], [], [], [], []])
+@example([[5], [-(2**63)]])
+@example([[2**62, -(2**63), 2**63 - 1]])  # taken in int64, the offsets wrap to a maximum of 0
+@example([[2**63 - 1, -(2**63), 0, -1, 2**62, -(2**62), 2**63 - 1]])
+@example([[3, 1, 2, 1, 3, 2], [2**63 - 1, -(2**63), 2**63 - 1, -(2**63), 0, 0]])
+@example([[7] * 4, [2**16, 0, 2**16 - 1, 2**16]])
+@settings(max_examples=300, deadline=None)
+def test_lexsort_int64_matches_np_lexsort(keys):
+    keys = [np.array(k, dtype=np.int64) for k in keys]
+    order = quadruples._lexsort_int64(keys)
+    expected = np.lexsort(keys)
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64, -1e300])
