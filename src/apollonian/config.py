@@ -148,14 +148,20 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(
             f"congruence moduli must lie in [2, {MAX_GROUP_MODULUS}]; got {moduli}"
         )
+    # each modulus is one spectral.csv row and each selector one sieve file
+    if len(set(moduli)) < len(moduli):
+        raise ConfigError(f"congruence moduli must be distinct; got {moduli}")
     element_cap = int(cp["congruence"].get("element_cap", ELEMENT_CAP_DEFAULT))
     if element_cap < 1:
         raise ConfigError(f"element_cap must be >= 1; got {element_cap}")
 
-    selectors = [parse_selector(tok) for tok in cp["sieve"].get("selectors", "coord:4").split()]
+    raw_selectors = cp["sieve"].get("selectors", "coord:4").split()
+    selectors = [parse_selector(tok) for tok in raw_selectors]
     # every report slices every selector, and max has no congruence density
     if ("max",) in selectors:
         raise ConfigError("[sieve] selectors takes coord:i and product:i:j, not max")
+    if len(set(selectors)) < len(selectors):
+        raise ConfigError(f"[sieve] selectors must be distinct; got {raw_selectors}")
     level_D = int(cp["sieve"].get("level_d", 50))
     # the sieve slices square-free q < level_D, each through orbit_mod
     if not 2 <= level_D <= MAX_ORBIT_MODULUS + 1:

@@ -42,6 +42,8 @@ _LANCZOS_BASIS = 20
 _LANCZOS_RESTARTS = 100
 _LANCZOS_TOL = 1e-12
 _ZERO_RITZ = 1e-12
+# a restart rotates the basis this many columns at a time
+_RESTART_COLUMNS = 4096
 # orbit_mod keeps its results, one byte per coordinate, up to this many bytes
 # in all; the least recently used orbit goes first
 _ORBIT_MEMO_BYTES = 32 << 20
@@ -74,56 +76,104 @@ def _swaps(x: np.ndarray, q: int) -> np.ndarray:
     the uint8 array x (last axis).  S_i rewrites coordinate i alone, as
     2 * (sum of all four) - 3 * x_i, so no matrix product is needed."""
     wide = x.astype(np.int16)
-    twice_sum = 2 * wide.sum(axis=-1)
+    twice_sum = 2 * (wide[..., 0] + wide[..., 1] + wide[..., 2] + wide[..., 3])
     out = np.repeat(x[None], 4, axis=0)
     for i in range(4):
         out[i, ..., i] = (twice_sum - 3 * wide[..., i]) % q
     return out
 
 
+def _next_sphere(cur: np.ndarray, near_keys: np.ndarray, first: int, q: int, pack):
+    """One breadth-first step of ``_swap_closure`` from sphere d, ``cur``.
+
+    ``near_keys`` are the keys of spheres d - 1 and d, each sorted, ``first``
+    the id of their first element.  Returns sphere d + 1 (its elements and
+    sorted keys) and the (len(cur), 4) int32 ids of the swap images of
+    ``cur``; those in sphere d + 1 are numbered from first + len(near_keys).
+    A function of its own, so that a step's temporaries are freed before
+    the next step allocates its own.
+    """
+    cand = _swaps(cur, q).reshape(-1, *cur.shape[1:])
+    cand_keys = pack(cand)
+    # equal keys are equal elements, so any sort picks a valid copy
+    order = np.argsort(cand_keys)
+    cand_keys = cand_keys[order]
+    # two sorted runs, which the stable sort merges in linear time
+    near_ids = np.argsort(near_keys, kind="stable")
+    near_keys = near_keys[near_ids]
+    near_ids = (near_ids + first).astype(np.int32)
+    pos = np.searchsorted(near_keys, cand_keys)
+    np.minimum(pos, len(near_keys) - 1, out=pos)
+    hit = near_keys[pos] == cand_keys
+    head = ~hit  # the first copy of each image in sphere d + 1
+    head[1:] &= cand_keys[1:] != cand_keys[:-1]
+    sorted_ids = np.cumsum(head, dtype=np.int32)
+    sorted_ids += first + len(near_keys) - 1
+    ids = np.empty(len(cand), dtype=np.int32)
+    ids[order] = np.where(hit, near_ids[pos], sorted_ids)
+    return cand[order[head]], cand_keys[head], ids.reshape(4, -1).T
+
+
 def _swap_closure(start: np.ndarray, q: int, pack, cap: int | None = None):
-    """Closure of ``start`` under the four swaps mod q, by breadth-first
-    search.
+    """Closure of ``start`` under the four swaps mod q, with its neighbour
+    table, by breadth-first search one sphere at a time.
 
     ``start`` holds distinct uint8 elements of shape (n, rows, 4), each row a
     vector mod q; ``pack`` maps elements one-to-one to order-preserving
-    integer keys.  Returns the elements sorted by key and the sorted keys.
-    Raises SizeCapError once more than ``cap`` elements are found.
+    integer keys.  Returns the elements sorted by key, the sorted keys, and
+    the (n, 4) int32 table whose entry [u, i] is the index of u's image
+    under swap i.  Raises SizeCapError once more than ``cap`` elements are
+    found.
+
+    Sphere d holds the elements at swap distance d from ``start``, sorted by
+    key, and an element's breadth-first id is its sphere's offset plus its
+    position there.  The swaps are involutions, so every image of sphere d
+    lies in sphere d - 1, d or d + 1: the images, sorted by key, are looked
+    up in the first two by one binary search, and those found in neither,
+    deduplicated, are sphere d + 1.  One final argsort ranks the ids into
+    key order.
     """
-    seen = pack(start)
-    order = np.argsort(seen)
-    frontier, seen = start[order], seen[order]
-    found, found_keys = [frontier], [seen]
-    while len(frontier):
-        cand = _swaps(frontier, q).reshape(-1, *frontier.shape[1:])
-        keys = pack(cand)
-        # equal keys are equal elements, so any sort picks a valid copy
-        order = np.argsort(keys)
-        keys = keys[order]
-        fresh = np.ones(len(keys), dtype=bool)
-        fresh[1:] = keys[1:] != keys[:-1]
-        pos = np.minimum(np.searchsorted(seen, keys), len(seen) - 1)
-        fresh &= seen[pos] != keys
-        frontier, new = cand[order[fresh]], keys[fresh]
-        # two sorted runs: the stable sort merges them in linear time
-        seen = np.sort(np.concatenate([seen, new]), kind="stable")
-        if cap is not None and len(seen) > cap:
+    keys = pack(start)
+    order = np.argsort(keys)
+    spheres, sphere_keys, rows = [start[order]], [keys[order]], []
+    # the id of the first element of spheres d - 1 and d; ids given so far
+    first, n = 0, len(start)
+    while len(spheres[-1]):
+        near_keys = np.concatenate(sphere_keys[-2:])
+        sphere, keys, ids = _next_sphere(spheres[-1], near_keys, first, q, pack)
+        first = n - len(spheres[-1])
+        n += len(sphere)
+        if cap is not None and n > cap:
             raise SizeCapError(f"orbit mod {q} exceeds the element cap {cap}")
-        found.append(frontier)
-        found_keys.append(new)
-    order = np.argsort(np.concatenate(found_keys))
-    return np.concatenate(found)[order], seen
+        spheres.append(sphere)
+        sphere_keys.append(keys)
+        rows.append(ids)
+    # drop each list once it is joined: these joins and gathers set the
+    # closure's peak
+    keys = np.concatenate(sphere_keys)
+    del sphere_keys
+    order = np.argsort(keys)
+    elements = np.concatenate(spheres)[order]
+    del spheres
+    table = np.concatenate(rows)[order]
+    del rows
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    return elements, keys[order], rank[table]
 
 
 @dataclass
 class FiniteGroupImage:
     """The group generated by the swaps in GL_4(Z/q), elements sorted by
-    packed key so membership and index lookups are binary searches."""
+    packed key so membership and index lookups are binary searches.
+    ``table[u, i]`` is the index of elements[u] * S_i, as the closure found
+    it: the neighbour table of the Cayley graph."""
 
     modulus: int
     elements: np.ndarray  # (n, 4, 4) uint8
     keys: np.ndarray  # (n,) uint64, sorted
     generators: np.ndarray  # (4, 4, 4) uint8
+    table: np.ndarray  # (n, 4) int32
 
     @property
     def order(self) -> int:
@@ -152,12 +202,13 @@ def reduce_group_mod(q: int, element_cap: int = ELEMENT_CAP_DEFAULT) -> FiniteGr
             f"orbit_mod covers larger moduli"
         )
     start = (np.eye(4, dtype=np.uint8) % q)[None]
-    elements, keys = _swap_closure(start, q, _pack_mats, cap=element_cap)
+    elements, keys, table = _swap_closure(start, q, _pack_mats, cap=element_cap)
     return FiniteGroupImage(
         modulus=q,
         elements=elements,
         keys=keys,
         generators=(SWAP_MATRICES % q).astype(np.uint8),
+        table=table,
     )
 
 
@@ -180,22 +231,13 @@ class CayleyGraph:
 
 
 def build_cayley(img: FiniteGroupImage) -> CayleyGraph:
-    """4-regular Cayley graph {g, g*S_i} on the group image.
+    """4-regular Cayley graph {g, g*S_i} on the group image: the closure's
+    neighbour table, shared, not copied.
 
     A generator fixing an element (which happens exactly when it reduces to
     the identity, i.e. q <= 2) contributes a weight-1 self-loop.
     """
-    x = img.elements
-    twice_sum = 2 * x.sum(axis=-1, dtype=np.int16)
-    table = np.empty((img.order, 4), dtype=np.int32)
-    # one copy of the elements holds g * S_i for one swap i at a time, as
-    # _swaps computes it: column i alone becomes 2 * (row sum) - 3 * x_i mod q
-    images = x.copy()
-    for i in range(4):
-        images[..., i] = (twice_sum - 3 * x[..., i].astype(np.int16)) % img.modulus
-        table[:, i] = img._index_of_keys(_pack_mats(images))
-        images[..., i] = x[..., i]
-    return CayleyGraph(modulus=img.modulus, table=table)
+    return CayleyGraph(img.modulus, img.table)
 
 
 @dataclass
@@ -243,12 +285,14 @@ def _two_colouring(table: np.ndarray) -> np.ndarray | None:
     return side if (side[table] != side[:, None]).all() else None
 
 
-def _gather_sum(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum over i of x[table[:, i]]: the adjacency operator of the table
-    applied to x, one column of the table at a time."""
-    out = np.take(x, table[:, 0])
-    for i in range(1, table.shape[1]):
-        out += np.take(x, table[:, i])
+def _gather_sum(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """sum over i of x[neighbours[i]]: the adjacency operator of the (k, n)
+    transposed neighbour table applied to x, one row of it at a time.  The
+    gathers are fastest on C-contiguous intp rows: ``np.take`` copies and
+    converts a strided or int32 index array on every call."""
+    out = np.take(x, neighbours[0])
+    for nb in neighbours[1:]:
+        out += np.take(x, nb)
     return out
 
 
@@ -300,7 +344,11 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
         if (beta * np.abs(y[-1, -k:]) <= _LANCZOS_TOL * np.abs(theta).max()).all():
             return theta[-k:], y[:, -k:].T @ basis[:m]
         kept = max(k, m // 2)
-        basis[:kept] = y[:, -kept:].T @ basis[:m]
+        # basis[:kept] = Y^T basis[:m], a block of columns at a time, so the
+        # product needs no (kept, n) temporary
+        yt = y[:, -kept:].T
+        for j in range(0, n, _RESTART_COLUMNS):
+            basis[:kept, j : j + _RESTART_COLUMNS] = yt @ basis[:m, j : j + _RESTART_COLUMNS]
         basis[kept] = basis[m]
         # the Ritz values on the diagonal; the next step fills row and
         # column ``kept`` (the arrow beta * y[m - 1]) from its Gram-Schmidt
@@ -345,7 +393,7 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
         raise ValueError("spectrum needs a regular graph: every vertex k times in the table")
 
     def adjacency(x):
-        return _gather_sum(x, table)
+        return _gather_sum(x, table.T)
 
     if n <= _DENSE_MAX_VERTICES:
         a = np.zeros((n, n))
@@ -363,11 +411,16 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
             pairs = [(-low[0], low_vec[0]), (vals[0], vecs[0]), (vals[1], vecs[1])]
         else:
             rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
-            # neighbours of each side, as positions within the other side
-            pos = np.empty(n, dtype=table.dtype)
+            # neighbours of each side, as positions within the other side:
+            # one C-contiguous intp row per generator, for _gather_sum (a
+            # fancy index keeps the memory order of its index array, and
+            # table.T[:, rows] is Fortran-ordered)
+            pos = np.empty(n, dtype=np.intp)
             pos[rows] = np.arange(len(rows))
             pos[cols] = np.arange(len(cols))
-            row_nb, col_nb = pos[table[rows]], pos[table[cols]]
+            row_nb = pos[np.ascontiguousarray(table.T[:, rows])]
+            col_nb = pos[np.ascontiguousarray(table.T[:, cols])]
+            del pos
 
             def bt(x):  # B^T x
                 return _gather_sum(x, col_nb)

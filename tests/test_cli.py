@@ -306,7 +306,9 @@ def test_cli_out_override(config_path, tmp_path):
         ("level_D = 20", "level_D = 257"),
         ("element_cap = 100000", "element_cap = 0"),
         ("moduli = 2, 3, 6", "moduli = 3, 17"),
+        ("moduli = 2, 3, 6", "moduli = 5, 5, 3"),
         ("selectors = coord:4", "selectors = max coord:4"),
+        ("selectors = coord:4", "selectors = coord:4 coord:4"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 5"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 5 5"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = "),

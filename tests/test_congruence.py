@@ -358,6 +358,13 @@ def test_size_cap_enforced():
         cg.reduce_group_mod(7, element_cap=1000)
 
 
+def test_size_cap_boundary():
+    # the image mod 5 has 14,400 elements: a cap of exactly that admits it
+    assert cg.reduce_group_mod(5, element_cap=14_400).order == 14_400
+    with pytest.raises(cg.SizeCapError):
+        cg.reduce_group_mod(5, element_cap=14_399)
+
+
 def test_expander_report_skips_capped_and_rejects_nonsquarefree():
     reports = cg.expander_report([2, 3, 7], element_cap=1000)
     assert [r[0] for r in reports] == [2, 3]
@@ -593,21 +600,41 @@ def test_orbit_memo_under_concurrent_callers(fresh_memo, monkeypatch):
     assert sum(o.nbytes for o in fresh_memo.values()) <= cg._ORBIT_MEMO_BYTES
 
 
-@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 7])
 def test_cayley_edges_match_unique_reference(q):
     img = cg.reduce_group_mod(q)
     idx = np.arange(img.order)
     graph = cg.build_cayley(img)
+    assert graph.table.dtype == np.int32 and graph.table.shape == (img.order, 4)
     pairs = []
     for g in range(4):
         prods = (img.elements.astype(np.int64) @ img.generators[g].astype(np.int64)) % q
         nb = img.index_of(prods)
         assert np.array_equal(graph.table[:, g], nb)
+        # each swap is an involution, so its column undoes itself
+        assert np.array_equal(graph.table[graph.table[:, g], g], idx)
         pairs.append(np.stack([np.minimum(idx, nb), np.maximum(idx, nb)], axis=1))
-    expected = np.unique(np.concatenate(pairs), axis=0)
     edges, loops = edges_and_loops(graph)
-    assert np.array_equal(edges, expected)
-    assert not loops.any()
+    if q == 2:
+        # every generator is the identity mod 2: four self-loops
+        assert (graph.table == idx[:, None]).all()
+        assert len(edges) == 0 and loops.tolist() == [4]
+    else:
+        expected = np.unique(np.concatenate(pairs), axis=0)
+        assert np.array_equal(edges, expected)
+        assert not loops.any()
+
+
+@pytest.mark.parametrize("root, q", [((-1, 2, 2, 3), 8), ((-1, 2, 2, 3), 50), ((-2, 3, 6, 7), 36)])
+def test_orbit_closure_table_is_the_swap_table(root, q):
+    start = (np.array(root) % q).astype(np.uint8).reshape(1, 1, 4)
+    elements, keys, table = cg._swap_closure(start, q, cg._pack_vecs)
+    assert np.array_equal(elements.reshape(-1, 4), naive_closure(np.array(root), q))
+    assert np.array_equal(keys, cg._pack_vecs(elements))
+    images = cg._swaps(elements, q)
+    for i in range(4):
+        assert np.array_equal(keys[table[:, i]], cg._pack_vecs(images[i]))
+        assert np.array_equal(table[table[:, i], i], np.arange(len(keys)))
 
 
 def test_build_cayley_memory_at_q7():
@@ -622,3 +649,34 @@ def test_build_cayley_memory_at_q7():
         tracemalloc.stop()
     assert graph.n == img.order == 117_600
     assert peak < 12 << 20
+
+
+# traced peaks at q = 7 under numpy 2.4.6, each measured in a fresh process:
+# reduce_group_mod 12.90 MB with the closure that kept one growing sorted
+# array of every key seen and searched each swap image again to build the
+# table, 11.17 MB walking by spheres; spectrum 18.80 MB with the restart's
+# (kept, n) temporary and int32 (n, k) half tables, 17.00 MB with column
+# blocks and (k, n) intp half tables.  The bounds are the former figures.
+
+
+def test_reduce_group_mod_memory_at_q7():
+    tracemalloc.start()
+    try:
+        img = cg.reduce_group_mod(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.order == 117_600
+    assert peak < 12.9 * 2**20
+
+
+def test_spectrum_memory_at_q7():
+    graph = cg.build_cayley(cg.reduce_group_mod(7))
+    tracemalloc.start()
+    try:
+        report = cg.spectrum(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.method == "lanczos"
+    assert peak < 18.8 * 2**20
