@@ -269,16 +269,22 @@ def cmd_report(cfg: RunConfig) -> int:
                     for s in rep.slices
                 ),
             )
-            zs = sorted({2, 3, 5, 7, 10, 20, 50, 100})
+            zs = [2, 3, 5, 7, 10, 20, 50, 100]
+            counts = sieve.almost_prime_counts(series, zs, excl)
             _write_csv(
                 os.path.join(out, f"sieve_{name}_survivors.csv"),
                 "z,S",
-                (
-                    [str(z), str(sieve.almost_prime_count(series, z, excl))]
-                    for z in zs
-                ),
+                ([str(z), str(s)] for z, s in zip(zs, counts)),
             )
-            trace = sieve.sieve_dimension_trace(series, [5, 10, 20, 50], excluded=excl)
+            # the level report has sliced every q < level_D; slice only the
+            # primes the dimension trace needs beyond it
+            dim_zs = [5, 10, 20, 50]
+            extra = [
+                sieve.slice_series(series, p)
+                for p in sieve.sieve_primes(max(dim_zs), excl)
+                if p >= cfg.level_D
+            ]
+            trace = sieve.sieve_dimension_trace(rep.slices + extra, dim_zs, excluded=excl)
             (z0, v0), (z1, v1) = trace[0], trace[-1]
             dim_slope = (v1 - v0) / math.log(z1 / z0)
             summary.append(

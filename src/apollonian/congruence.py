@@ -302,10 +302,12 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     by thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 2000)
     started from ``v0``.
 
-    The basis holds ``_LANCZOS_BASIS`` vectors, each orthogonalised against
-    all earlier ones by two classical Gram-Schmidt passes, so the projected
-    matrix is kept whole rather than tridiagonal.  A restart keeps the top
-    half of the Ritz vectors.  A Ritz pair has converged when its residual
+    The basis holds ``_LANCZOS_BASIS`` vectors.  Each new vector first drops
+    its components along the vectors of the recurrence (the previous two, or
+    all of them on the first step after a restart), then is orthogonalised
+    against all earlier ones by one full classical Gram-Schmidt pass, so the
+    projected matrix is kept whole rather than tridiagonal.  A restart keeps
+    the top half of the Ritz vectors.  A Ritz pair has converged when its residual
     is at most ``_LANCZOS_TOL`` times the largest Ritz value; after
     ``_LANCZOS_RESTARTS`` restarts without convergence of the top k,
     EigenConvergenceError.  When the basis spans an invariant subspace
@@ -321,11 +323,15 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     for _ in range(_LANCZOS_RESTARTS):
         for i in range(kept, m):
             w = op(basis[i])
+            # the recurrence's own terms first: the previous and current
+            # vectors, or every vector on the first step after a restart
+            lo = 0 if i == kept else i - 1
             coef = np.zeros(i + 1)
-            for _ in range(2):
-                c = basis[: i + 1] @ w
-                w -= c @ basis[: i + 1]
-                coef += c
+            coef[lo:] = basis[lo : i + 1] @ w
+            w -= coef[lo:] @ basis[lo : i + 1]
+            c = basis[: i + 1] @ w
+            w -= c @ basis[: i + 1]
+            coef += c
             h[: i + 1, i] = h[i, : i + 1] = coef
             beta = float(np.linalg.norm(w))
             if i + 1 < m and not beta > _LANCZOS_TOL * np.abs(h[: i + 1, : i + 1]).max():

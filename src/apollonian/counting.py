@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Rect
-from .quadruples import PackingOrbit
+from .quadruples import MAX_BOUND, PackingOrbit
 from .region import LINE_EPS, meets
 
-# circles sorted at once by count_by_curvature (8 MB of int64)
+# circles sorted at once by count_by_curvature (4 MB of int32)
 COUNT_CHUNK = 1 << 20
 
 
@@ -50,14 +50,18 @@ def count_by_curvature(orbit: PackingOrbit, grid) -> CountCurve:
         )
     if not np.isfinite(grid).all():
         raise ValueError("grid points must be finite")
+    if orbit.bound > MAX_BOUND:
+        raise ValueError(f"orbit bound {orbit.bound} exceeds {MAX_BOUND}; int32 keys would wrap")
     b = orbit.curvatures
     # |b| <= t exactly when |b| <= floor(t); integer keys keep searchsorted
-    # from casting the curvatures to float
-    keys = np.floor(grid).astype(b.dtype)
+    # from casting the curvatures to float.  |b| <= bound <= MAX_BOUND < 2^31,
+    # so int32 holds them, and a key below -1 counts nothing, as -1 does
+    keys = np.floor(np.maximum(grid, -1.0)).astype(np.int32)
     counts = np.zeros(grid.shape, dtype=np.intp)
     # one sorted chunk at a time, so that no copy of the whole array is made
     for start in range(0, b.size, COUNT_CHUNK):
-        u = np.abs(b[start : start + COUNT_CHUNK])
+        u = b[start : start + COUNT_CHUNK].astype(np.int32)
+        np.abs(u, out=u)
         u.sort()
         counts += np.searchsorted(u, keys, side="right")
     return CountCurve(grid, counts)

@@ -1,5 +1,5 @@
 """Combinatorial sieve bookkeeping over orbit data: congruence slices, the
-orbit-density function g, remainder terms r_q, and almost-prime censuses.
+orbit-density function g, remainder terms r_q, and almost-prime counts.
 
 A series is the multiset of values f(v) over the enumerated quadruples v with
 max-norm at most T, for a coordinate, coordinate-product, or maximal-entry
@@ -21,10 +21,6 @@ from .congruence import orbit_mod
 from .quadruples import PackingOrbit
 
 Selector = tuple
-
-
-def _selector_degree(selector: Selector) -> int:
-    return 2 if selector[0] == "product" else 1
 
 
 def parse_selector(spec: str) -> Selector:
@@ -126,73 +122,30 @@ def sieve_primes(z: float, excluded=frozenset()) -> list[int]:
     return out
 
 
-def _coprime_mask(series: SieveSeries, z: float, excluded) -> np.ndarray:
-    """Which series values are coprime to every prime p < z outside the
-    excluded set."""
+def almost_prime_counts(series: SieveSeries, zs, excluded=frozenset()) -> list[int]:
+    """S(A, P_z) for each z in zs, in the order given: the number of series
+    values coprime to every prime p < z outside the excluded set.  One mask
+    runs through the primes below max(zs) in ascending order, so each prime is
+    tested once.  z=2 leaves the empty product, so S = X."""
+    zs = list(zs)
+    if min(zs) < 2:
+        raise ValueError("z must be >= 2")
+    order = sorted(range(len(zs)), key=lambda k: zs[k])
+    primes = sieve_primes(max(zs), excluded)
     mask = np.ones(series.values.size, dtype=bool)
-    for p in sieve_primes(z, excluded):
-        mask &= series.values % p != 0
-    return mask
+    counts = [0] * len(zs)
+    i = 0
+    for k in order:
+        while i < len(primes) and primes[i] < zs[k]:
+            mask &= series.values % primes[i] != 0
+            i += 1
+        counts[k] = int(mask.sum())
+    return counts
 
 
 def almost_prime_count(series: SieveSeries, z: float, excluded=frozenset()) -> int:
-    """S(A, P_z): the number of series values coprime to every prime p < z
-    outside the excluded set.  z=2 leaves the empty product, so S = X."""
-    if z < 2:
-        raise ValueError("z must be >= 2")
-    return int(_coprime_mask(series, z, excluded).sum())
-
-
-def survivors(series: SieveSeries, z: float, excluded=frozenset()) -> np.ndarray:
-    """The series values that almost_prime_count counts."""
-    return series.values[_coprime_mask(series, z, excluded)]
-
-
-def prime_factor_count(n: int) -> int:
-    """Number of prime factors with multiplicity of |n| (0 for units)."""
-    n = abs(int(n))
-    if n <= 1:
-        return 0
-    count = 0
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            n //= d
-            count += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        count += 1
-    return count
-
-
-@dataclass
-class AlmostPrimeCensus:
-    z: float
-    R_bound: int
-    survivor_count: int
-    omega_histogram: dict[int, int]
-
-    @property
-    def max_omega(self) -> int:
-        return max(self.omega_histogram, default=0)
-
-
-def almost_prime_census(series: SieveSeries, eta_denominator: int = 9, excluded=frozenset()) -> AlmostPrimeCensus:
-    """Sieve by primes below z = T^(1/eta_denominator) and factor the
-    survivors: every survivor has at most degree(f) * eta_denominator prime
-    factors, the R-almost-prime census."""
-    z = max(2.0, series.bound ** (1.0 / eta_denominator))
-    surv = survivors(series, z, excluded)
-    hist: dict[int, int] = {}
-    for v in surv:
-        w = prime_factor_count(int(v))
-        hist[w] = hist.get(w, 0) + 1
-    return AlmostPrimeCensus(
-        z=z,
-        R_bound=_selector_degree(series.selector) * eta_denominator,
-        survivor_count=int(surv.size),
-        omega_histogram=dict(sorted(hist.items())),
-    )
+    """S(A, P_z) for one z; see almost_prime_counts."""
+    return almost_prime_counts(series, [z], excluded)[0]
 
 
 def detect_excluded_primes(series: SieveSeries) -> frozenset[int]:
@@ -229,17 +182,22 @@ def level_distribution_report(series: SieveSeries, D: int) -> LevelDistributionR
     )
 
 
-def sieve_dimension_trace(series: SieveSeries, zs, excluded=frozenset()) -> list[tuple[int, float]]:
-    """(z, sum over primes p < z of g(p) log p): the empirical slope in log z
-    estimates the sieve dimension."""
+def sieve_dimension_trace(slices, zs, excluded=frozenset()) -> list[tuple[int, float]]:
+    """(z, sum over primes p < z of g(p) log p), with g(p) read from the
+    slices, which must include every prime p < max(zs) outside the excluded
+    set: the empirical slope in log z estimates the sieve dimension."""
+    g = {s.q: s.g_hat for s in slices}
+    zs = sorted(int(z) for z in zs)
+    primes = sieve_primes(zs[-1], excluded)
+    missing = [p for p in primes if p not in g]
+    if missing:
+        raise ValueError(f"no slice for primes {missing}")
     out = []
     acc = 0.0
-    done: set[int] = set()
-    for z in sorted(int(z) for z in zs):
-        for p in sieve_primes(z, excluded):
-            if p in done:
-                continue
-            done.add(p)
-            acc += slice_series(series, p).g_hat * math.log(p)
+    i = 0
+    for z in zs:
+        while i < len(primes) and primes[i] < z:
+            acc += g[primes[i]] * math.log(primes[i])
+            i += 1
         out.append((z, acc))
     return out

@@ -490,6 +490,25 @@ def test_cli_report_keeps_sieve_tables_of_other_selectors(config_path, capsys, m
     assert "failures:\n  sieve coord:4: no slices\n" in summary
 
 
+def test_cli_report_slices_each_modulus_once(config_path, monkeypatch):
+    # level_D = 12 slices the 7 square-free q < 12; the dimension trace reuses
+    # their primes and slices only the 10 primes from 13 to 47
+    from apollonian import sieve
+
+    real = sieve.slice_series
+    calls = []
+
+    def counted(series, q):
+        calls.append(q)
+        return real(series, q)
+
+    monkeypatch.setattr(sieve, "slice_series", counted)
+    path, _ = config_path
+    Path(path).write_text(Path(path).read_text().replace("level_D = 20", "level_D = 12"))
+    assert main(["report", "--config", path]) == 0
+    assert calls == [2, 3, 5, 6, 7, 10, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
 def test_cli_report_below_first_decade(config_path, capsys):
     path, out = config_path
     text = Path(path).read_text()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from apollonian import counting as ct
 from apollonian import geometry as geo
 from apollonian.geometry import Circle
-from apollonian.quadruples import enumerate_orbit
+from apollonian.quadruples import MAX_BOUND, enumerate_orbit
 from apollonian.region import meets
 from conftest import STRIP_ROOT, STRIP_WINDOW
 
@@ -29,6 +30,7 @@ def test_count_by_curvature_chunks_match_whole_sort(monkeypatch, chunk):
         "empty": np.empty(0),
         "integers": np.concatenate(([0.0], ts)),
         "below integers": np.nextafter(ts, 0),
+        "negative": np.array([-1e12, -1.5, -0.5]),
     }
     monkeypatch.setattr(ct, "COUNT_CHUNK", chunk)
     for name, grid in grids.items():
@@ -41,6 +43,14 @@ def test_count_grid_beyond_bound_rejected():
     orb = enumerate_orbit((-1, 2, 2, 3), 6)
     with pytest.raises(ValueError):
         ct.count_by_curvature(orb, [10])
+
+
+def test_count_rejects_bound_beyond_int32_keys():
+    # only a hand-built orbit can carry a bound above MAX_BOUND
+    orb = enumerate_orbit((-1, 2, 2, 3), 6)
+    big = dataclasses.replace(orb, bound=MAX_BOUND + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        ct.count_by_curvature(big, [3])
 
 
 def test_fit_exact_square_law():

@@ -104,11 +104,24 @@ def test_almost_prime_count_basics(series_coord):
         sv.almost_prime_count(series_coord, 1)
 
 
-def test_almost_prime_survivors_factor_bound(series_coord):
-    census = sv.almost_prime_census(series_coord, eta_denominator=9)
-    assert census.z == pytest.approx((10**4) ** (1 / 9.0), rel=1e-12)
-    assert census.max_omega <= census.R_bound
-    assert census.survivor_count == sum(census.omega_histogram.values())
+def _primes_below(z, excluded=frozenset()):
+    return [p for p in range(2, math.ceil(z))
+            if p < z and p not in excluded and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("excluded", [frozenset(), frozenset({2})])
+def test_almost_prime_counts_match_direct_recount(series_coord, excluded):
+    zs = [100, 2, 7, 7, 3.5, 53]
+    want = []
+    for z in zs:
+        coprime = np.ones(series_coord.X, dtype=bool)
+        for p in _primes_below(z, excluded):
+            coprime &= series_coord.values % p != 0
+        want.append(int(coprime.sum()))
+    assert sv.almost_prime_counts(series_coord, zs, excluded) == want
+    assert [sv.almost_prime_count(series_coord, z, excluded) for z in zs] == want
+    with pytest.raises(ValueError):
+        sv.almost_prime_counts(series_coord, [5, 1.5], excluded)
 
 
 def test_prime_count_consistency_with_sieve(series_coord, std_orbit_1e4):
@@ -154,7 +167,18 @@ def test_level_distribution_uniform_control():
 
 
 def test_sieve_dimension_trace(series_coord):
-    trace = sv.sieve_dimension_trace(series_coord, [3, 10, 30])
+    slices = [sv.slice_series(series_coord, p) for p in _primes_below(30)]
+    trace = sv.sieve_dimension_trace(slices, [30, 3, 10])
     assert [z for z, _ in trace] == [3, 10, 30]
+    for z, v in trace:
+        want = sum(sv.slice_series(series_coord, p).g_hat * math.log(p) for p in _primes_below(z))
+        assert v == pytest.approx(want, rel=1e-12)
     vals = [v for _, v in trace]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+    without_7 = [s for s in slices if s.q != 7]
+    with pytest.raises(ValueError, match=r"\[7\]"):
+        sv.sieve_dimension_trace(without_7, [3, 10, 30])
+    # an excluded prime needs no slice
+    assert sv.sieve_dimension_trace(without_7, [3, 5], excluded={2})[-1][1] == pytest.approx(
+        slices[1].g_hat * math.log(3)
+    )
