@@ -15,9 +15,9 @@ import warnings
 
 import numpy as np
 
-from . import arithmetic, congruence, counting, geometry, render, sieve
+from . import arithmetic, congruence, counting, render, sieve
 from .config import ConfigError, RunConfig, load_config
-from .quadruples import enumerate_orbit, write_circles, write_orbit_dump
+from .quadruples import embedding_for_root, enumerate_orbit, write_circles, write_orbit_dump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed-check",
         action="store_true",
-        help="validate the configuration and geometric seed, then exit",
+        help="validate the configuration and the root's exact embedding, then exit",
     )
     args = parser.parse_args(argv)
 
@@ -63,8 +63,6 @@ def main(argv=None) -> int:
     except (
         congruence.SizeCapError,
         congruence.EigenConvergenceError,
-        geometry.NotTangentError,
-        geometry.DedupCollisionError,
         OverflowError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
@@ -73,18 +71,16 @@ def main(argv=None) -> int:
 
 def _seed_check(cfg: RunConfig) -> int:
     print(f"root {cfg.root}: Descartes residual 0")
-    seed = geometry.seed_for_root(cfg.root)
-    if seed is None:
-        print("no built-in geometric seed for this root; quadruple pipeline only")
+    rows = embedding_for_root(cfg.root)
+    if rows is None:
+        print("no built-in plane embedding for this root; quadruple pipeline only")
         return EXIT_OK
-    residual = seed.descartes_residual()
-    worst = max(
-        geometry.tangency_residual(seed.circles[i], seed.circles[j])
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-    print(f"seed Descartes residual {residual:.3e}; worst tangency residual {worst:.3e}")
-    if residual > 1e-9 or worst > 1e-9:
+    # twice the Lorentz products 2(wx wx' + wy wy') - (a b' + b a'): 2 on the
+    # diagonal (unit norm), -2 between tangent circles
+    lorentz2 = np.array([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    residual = int(np.abs(rows @ lorentz2 @ rows.T - (4 * np.eye(4, dtype=int) - 2)).max())
+    print(f"seed norm and tangency residual {residual}")
+    if residual:
         print("error: seed inconsistent", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
@@ -115,21 +111,17 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig) -> int:
-    seed = geometry.seed_for_root(cfg.root)
-    if seed is None:
+    if embedding_for_root(cfg.root) is None:
         print(
-            f"error: no geometric embedding known for root {cfg.root}; "
-            f"rendering needs one of the built-in seeds",
+            f"error: no plane embedding known for root {cfg.root}; "
+            f"rendering needs one of the built-in embeddings",
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    if seed.descartes_residual() > 1e-9:
-        print("error: seed fails the Descartes relation", file=sys.stderr)
-        return EXIT_CONFIG
-    circles = geometry.generate_packing_geometric(seed, cfg.render_bound, region=cfg.window)
+    orbit = enumerate_orbit(cfg.root, int(cfg.render_bound), embedding="auto", region=cfg.window)
     path = os.path.join(cfg.out_dir, "packing.svg")
-    render.write_svg(path, circles, viewport=cfg.window)
-    print(f"wrote {len(circles)} circles to {path}")
+    render.write_svg(path, orbit.acc_rows, viewport=cfg.window)
+    print(f"wrote {orbit.circle_count} circles to {path}")
     return EXIT_OK
 
 

@@ -60,6 +60,18 @@ def _parse_floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
 
+def _fit_window(key: str, raw: str, tmin: float, tmax: float) -> tuple[float, float]:
+    """A [fit] window: two finite increasing numbers whose closed interval
+    meets the grid range [tmin, tmax].  One that meets it in fewer than five
+    samples fails its report stage instead."""
+    window = tuple(_parse_floats(raw))
+    if len(window) != 2 or not all(map(math.isfinite, window)) or window[0] >= window[1]:
+        raise ConfigError(f"[fit] {key} must be two finite increasing numbers, got {window}")
+    if window[0] > tmax or window[1] < tmin:
+        raise ConfigError(f"[fit] {key} {window} misses the grid range [{tmin}, {tmax}]")
+    return window
+
+
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
@@ -111,15 +123,9 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     if not (0 < tmin < tmax <= bound):
         raise ConfigError(f"grid range ({tmin}, {tmax}) must sit inside (0, {bound}]")
 
-    window = tuple(_parse_floats(cp["fit"].get("window", f"{tmin} {tmax}")))
-    if len(window) != 2 or window[0] >= window[1]:
-        raise ConfigError(f"fit window must be two increasing numbers, got {window}")
+    window = _fit_window("window", cp["fit"].get("window", f"{tmin} {tmax}"), tmin, tmax)
     alt_raw = cp["fit"].get("window_alt", "").strip()
-    window_alt = None
-    if alt_raw:
-        window_alt = tuple(_parse_floats(alt_raw))
-        if len(window_alt) != 2 or window_alt[0] >= window_alt[1]:
-            raise ConfigError(f"bad alternate window {window_alt}")
+    window_alt = _fit_window("window_alt", alt_raw, tmin, tmax) if alt_raw else None
 
     rect = None
     if "window" in cp["region"]:
@@ -178,7 +184,8 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"eps_exponents must lie in [0, {MAX_EPS_EXPONENT}]; got {exps}")
     eps = [2.0 ** -k for k in exps]
 
-    # the float walk, like the integer one, starts from a root circle
+    # render enumerates the exact rows up to this bound, which, like the
+    # [packing] bound, must reach a root circle
     render_bound = float(cp["render"].get("bound", min(bound, max(lowest, 100))))
     if not (math.isfinite(render_bound) and lowest <= render_bound <= MAX_BOUND):
         raise ConfigError(

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Rect
 from .quadruples import MAX_BOUND, PackingOrbit
-from .region import LINE_EPS, meets
+from .region import LINE_EPS, Rect, meets
 
 # circles sorted at once by count_by_curvature (4 MB of int32)
 COUNT_CHUNK = 1 << 20

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .region import LINE_EPS, branch_alive, check_rect, meets
+from .quadruples import embedding_for_root
+from .region import LINE_EPS, Rect, branch_alive, check_rect, meets
 
 TANGENCY_TOL = 1e-8
 SEED_TANGENCY_TOL = 1e-9
@@ -48,7 +49,6 @@ class DedupCollisionError(RuntimeError):
 
 
 Point = tuple[float, float]
-Rect = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
 
 
 @dataclass(frozen=True)
@@ -315,36 +315,22 @@ class SeedConfiguration:
 def standard_seed() -> SeedConfiguration:
     """The bounded packing with curvatures (-1, 2, 2, 3): bounding unit
     circle, half-radius circles at (+-1/2, 0), third-radius circle at (0, 2/3)."""
-    return SeedConfiguration.from_circles(
-        [
-            Circle.from_center_radius((0.0, 0.0), 1.0, bounding=True),
-            Circle.from_center_radius((-0.5, 0.0), 0.5),
-            Circle.from_center_radius((0.5, 0.0), 0.5),
-            Circle.from_center_radius((0.0, 2.0 / 3.0), 1.0 / 3.0),
-        ]
-    )
+    return seed_for_root((-1, 2, 2, 3))
 
 
 def strip_seed() -> SeedConfiguration:
     """The strip packing with curvatures (0, 0, 1, 1): lines y=0 and y=2,
     unit circles at (0, 1) and (2, 1); one period is 0 <= x <= 2."""
-    return SeedConfiguration.from_circles(
-        [
-            Circle.line((0.0, -1.0), 0.0),
-            Circle.line((0.0, 1.0), 2.0),
-            Circle.from_center_radius((0.0, 1.0), 1.0),
-            Circle.from_center_radius((2.0, 1.0), 1.0),
-        ]
-    )
+    return seed_for_root((0, 0, 1, 1))
 
 
 def seed_for_root(root) -> SeedConfiguration | None:
-    root = tuple(int(x) for x in root)
-    if root == (-1, 2, 2, 3):
-        return standard_seed()
-    if root == (0, 0, 1, 1):
-        return strip_seed()
-    return None
+    """The seed placed by the root's exact embedding
+    (``quadruples.KNOWN_EMBEDDINGS``) as floats, or None without one."""
+    rows = embedding_for_root(root)
+    if rows is None:
+        return None
+    return SeedConfiguration.from_circles(Circle(*map(float, row)) for row in rows)
 
 
 def generate_packing_geometric(

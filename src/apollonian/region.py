@@ -25,6 +25,8 @@ import numpy as np
 # |curvature| below which a float row is a line
 LINE_EPS = 1e-12
 
+Rect = tuple[float, float, float, float]  # (xmin, xmax, ymin, ymax)
+
 
 def check_rect(rect) -> tuple[float, float, float, float]:
     """The rectangle as four floats; ValueError unless it is four finite

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -219,20 +221,6 @@ def test_render_bound_default_is_not_below_the_root(tmp_path):
     assert load_config(str(path)).render_bound == 100
 
 
-def test_cli_render_tangency_failure_is_a_numeric_error(config_path, capsys, monkeypatch):
-    from apollonian import geometry
-
-    def fail(*args, **kwargs):
-        raise geometry.NotTangentError("tangency residual 1.03e-06 exceeds 1e-06")
-
-    monkeypatch.setattr(geometry, "generate_packing_geometric", fail)
-    path, out = config_path
-    assert main(["render", "--config", path]) == 3
-    err = capsys.readouterr().err
-    assert err == "numeric error: tangency residual 1.03e-06 exceeds 1e-06\n"
-    assert not Path(out, "packing.svg").exists()
-
-
 def test_cli_render_strip_has_lines(tmp_path):
     out = tmp_path / "o"
     path = tmp_path / "strip.ini"
@@ -244,6 +232,108 @@ def test_cli_render_strip_has_lines(tmp_path):
     assert main(["render", "--config", str(path)]) == 0
     text = Path(out, "packing.svg").read_text()
     assert text.count("<line") == 2
+
+
+RENDER_CONFIGS = {
+    "standard": "[packing]\nroot = -1, 2, 2, 3\nbound = 300\n[render]\nbound = 300\n",
+    "strip": (
+        "[packing]\nroot = 0, 0, 1, 1\nbound = 300\n[region]\nwindow = 0, 2, 0, 2\n"
+        "[render]\nbound = 300\n"
+    ),
+}
+
+
+def _run_render_and_generate(tmp_path, text):
+    out = tmp_path / "o"
+    path = tmp_path / "run.ini"
+    path.write_text(text + f"[output]\ndir = {out}\n")
+    assert main(["render", "--config", str(path)]) == 0
+    assert main(["generate", "--config", str(path)]) == 0
+    return out
+
+
+def _svg_elements(svg: str) -> list[str]:
+    return sorted(line for line in svg.splitlines() if line.startswith(("<circle ", "<line ")))
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CONFIGS))
+def test_cli_render_draws_the_circles_of_circles_csv(tmp_path, name):
+    from apollonian.render import _fmt
+
+    out = _run_render_and_generate(tmp_path, RENDER_CONFIGS[name])
+    svg = Path(out, "packing.svg").read_text()
+    drawn = sorted(
+        re.match(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)"', line).groups()
+        for line in _svg_elements(svg)
+        if line.startswith("<circle ")
+    )
+    # circles.csv prints the float64 centre with 9 decimals; below |b| = 1000
+    # a centre wx/b that is not a tie of the 6th decimal lies more than
+    # 1/(2e6 * |b|) > 5e-10 from one, so both round to the same 6 decimals
+    rows = [line.split(",") for line in Path(out, "circles.csv").read_text().splitlines()[1:]]
+    listed = sorted(
+        (_fmt(float(x)), _fmt(float(y)), _fmt(1.0 / abs(int(b)))) for b, x, y in rows if b != "0"
+    )
+    assert drawn == listed
+    assert len(drawn) > 100
+    assert svg.count("<line ") == sum(b == "0" for b, _, _ in rows)
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CONFIGS))
+def test_cli_render_agrees_with_the_float_walk(tmp_path, name):
+    # the independent oracle: the float walk's circles, drawn by the rules of
+    # render.svg_document, give the same set of SVG elements
+    from apollonian import geometry, render
+    from apollonian.render import _clamp, _clip_line, _fmt
+
+    path = tmp_path / "cfg.ini"
+    path.write_text(RENDER_CONFIGS[name])
+    cfg = load_config(str(path))
+    circles = geometry.generate_packing_geometric(
+        geometry.seed_for_root(cfg.root), cfg.render_bound, region=cfg.window
+    )
+    proper = [c for c in circles if not c.is_line]
+    x0, x1, y0, y1 = cfg.window or (
+        min(c.center[0] - c.radius for c in proper),
+        max(c.center[0] + c.radius for c in proper),
+        min(c.center[1] - c.radius for c in proper),
+        max(c.center[1] + c.radius for c in proper),
+    )
+    pad = 0.02 * max(x1 - x0, y1 - y0)
+    rect = (x0 - pad, x1 + pad, y0 - pad, y1 + pad)
+    w, h = rect[1] - rect[0], rect[3] - rect[2]
+
+    def width(radius):
+        return _fmt(_clamp(render._STROKE_SCALE * radius, w / render._SIZE, 0.1 * max(w, h)))
+
+    expected = []
+    for c in circles:
+        if c.is_line:
+            (ax, ay), (bx, by) = _clip_line(c.wx, c.wy, c.offset, rect)
+            expected.append(
+                f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
+                f'stroke-width="{width(max(p.radius for p in proper))}"/>'
+            )
+        else:
+            expected.append(
+                f'<circle cx="{_fmt(c.center[0])}" cy="{_fmt(c.center[1])}" '
+                f'r="{_fmt(c.radius)}" stroke-width="{width(c.radius)}"/>'
+            )
+    out = _run_render_and_generate(tmp_path, RENDER_CONFIGS[name])
+    assert _svg_elements(Path(out, "packing.svg").read_text()) == sorted(expected)
+
+
+def test_cli_render_draws_the_circle_on_the_window_edge(tmp_path):
+    # row (3076, 9126, 2691, 4564): its lowest point is exactly y = 0.5, on
+    # the window's edge, and the float walk's drift dropped it
+    out = tmp_path / "o"
+    path = tmp_path / "edge.ini"
+    path.write_text(
+        f"[packing]\nroot = -1, 2, 2, 3\nbound = 10000\n[region]\n"
+        f"window = 0.1, 0.3, 0.3, 0.5\n[render]\nbound = 10000\n[output]\ndir = {out}\n"
+    )
+    assert main(["render", "--config", str(path)]) == 0
+    assert '<circle cx="0.294872" cy="0.50011" ' in Path(out, "packing.svg").read_text()
 
 
 def test_cli_report_outputs(config_path, capsys):
@@ -288,7 +378,38 @@ def test_cli_seed_check(config_path, capsys):
     path, _ = config_path
     rc = main(["report", "--config", path, "--seed-check"])
     assert rc == 0
-    assert "tangency residual" in capsys.readouterr().out
+    assert "seed norm and tangency residual 0\n" in capsys.readouterr().out
+
+
+def test_cli_seed_check_of_the_strip(tmp_path, capsys):
+    path = tmp_path / "seed.ini"
+    path.write_text(RENDER_CONFIGS["strip"])
+    assert main(["render", "--config", str(path), "--seed-check"]) == 0
+    assert "seed norm and tangency residual 0\n" in capsys.readouterr().out
+
+
+def test_cli_seed_check_rejects_a_wrong_row(config_path, capsys, monkeypatch):
+    from apollonian import quadruples
+
+    rows = quadruples.KNOWN_EMBEDDINGS[(-1, 2, 2, 3)]
+    # the third-radius circle moved off its tangencies, to (0, 1/3)
+    monkeypatch.setitem(quadruples.KNOWN_EMBEDDINGS, (-1, 2, 2, 3), rows[:3] + ((0, 3, 0, 1),))
+    path, out = config_path
+    assert main(["render", "--config", path, "--seed-check"]) == 2
+    captured = capsys.readouterr()
+    assert "seed norm and tangency residual 0\n" not in captured.out
+    assert "error: seed inconsistent" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_cli_seed_check_without_an_embedding(tmp_path, capsys):
+    path = tmp_path / "seed.ini"
+    path.write_text("[packing]\nroot = -2, 3, 6, 7\nbound = 100\n")
+    assert main(["report", "--config", str(path), "--seed-check"]) == 0
+    assert capsys.readouterr().out == (
+        "root (-2, 3, 6, 7): Descartes residual 0\n"
+        "no built-in plane embedding for this root; quadruple pipeline only\n"
+    )
 
 
 def test_cli_out_override(config_path, tmp_path):
@@ -315,6 +436,12 @@ def test_cli_out_override(config_path, tmp_path):
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 31 32"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = -1, 4"),
         ("eps_exponents = 3, 4, 5, 6", "eps_exponents = 4, 15"),
+        ("window = 10, 300", "window = nan, 300"),
+        ("window = 10, 300", "window = 10, inf"),
+        ("window = 10, 300", "window = 400, 500"),  # beyond the grid's t_max 300
+        ("window = 10, 300", "window = 1, 4"),  # below its t_min 5
+        ("window = 10, 300", "window = 10, 300\nwindow_alt = 10, nan"),
+        ("window = 10, 300", "window = 10, 300\nwindow_alt = 20000, 30000"),
     ],
 )
 def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):
@@ -328,6 +455,16 @@ def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, valu
     assert rc == 2
     assert value.split(" = ")[0] in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_cli_report_fit_window_with_too_few_samples_fails_its_stage(config_path, capsys):
+    # the window meets the grid range, so config accepts it; the fit needs 5
+    # samples and finds 1
+    path, out = config_path
+    Path(path).write_text(Path(path).read_text().replace("window = 10, 300", "window = 299, 300"))
+    assert main(["report", "--config", path]) == 3
+    assert "counts/fit: window (299.0, 300.0) holds 1 samples; need >= 5" in capsys.readouterr().err
+    assert Path(out, "counts.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -559,3 +696,16 @@ def test_importing_the_cli_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_command_module_imports_the_float_geometry():
+    # the float walk is the oracle of the tests, not a step of any command
+    src = Path(apollonian.__file__).parent
+    for name in ("cli.py", "render.py", "counting.py"):
+        imported = []
+        for node in ast.parse((src / name).read_text()).body:
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module}.{alias.name}" for alias in node.names]
+        assert not [m for m in imported if "geometry" in m.split(".")], name
