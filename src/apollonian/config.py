@@ -109,6 +109,8 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
         except RuntimeError as exc:  # the reduction hit its swap cap
             hint = str(exc)
         raise ConfigError(f"{root} is not a root quadruple; {hint}")
+    if sum(x < 0 for x in root) > 1:
+        raise ConfigError(f"root {root} has more than one negative curvature; a packing has one bounding circle at most")
     bound = cp["packing"].getint("bound", fallback=10000)
     # the walk needs a root circle within the bound and int64 headroom
     lowest = max(1, min(abs(x) for x in root))

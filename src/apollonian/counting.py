@@ -224,7 +224,7 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
             (hix[wide], loy[wide]),
             (lox[tall], hiy[tall]),
             (hix[both], hiy[both]),
-            _sample_cells(cx[m:], cy[m:], radii[m:], eps),
+            *_sample_cells(cx[m:], cy[m:], radii[m:], eps),
         ]
         if viewport is not None and line_rows.size:
             x0, x1, y0, y1 = viewport
@@ -242,14 +242,32 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
     return out
 
 
+# samples per chunk in _sample_cells: sampling a chunk peaks at 64 bytes a
+# sample, 16 of them the cells it keeps, so near 32 MB at any box size
+_SAMPLES_PER_CHUNK = 1 << 19
+
+
 def _sample_cells(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, eps: float):
     """Cells (ix, iy) of the samples of the circles at arc steps of eps/3,
-    at least 8 per circle.  The sampling temporaries die on return, before
-    the cells are counted."""
+    at least 8 per circle, as one part per chunk of consecutive circles that
+    holds at most ``_SAMPLES_PER_CHUNK`` samples (or one circle).  Each
+    chunk's sampling temporaries die before the next chunk is sampled."""
+    n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
+    ends = np.cumsum(n)
+    parts = []
+    lo = 0
+    while lo < r.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - n[lo] + _SAMPLES_PER_CHUNK, side="right")))
+        parts.append(_sample_chunk(cx[lo:hi], cy[lo:hi], r[lo:hi], n[lo:hi], eps))
+        lo = hi
+    return parts
+
+
+def _sample_chunk(cx, cy, r, n, eps: float):
+    """Cells (ix, iy) of the n[k] samples of each circle k."""
     # every sample of every circle in one flat array; sample j of a circle
     # with n samples sits at angle j * (2 pi / n), which is
     # np.linspace(0, 2 pi, n, endpoint=False) to the bit
-    n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
     owner = np.repeat(np.arange(r.size), n)
     j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
     th = j * (2 * math.pi / n[owner])

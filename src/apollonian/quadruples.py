@@ -194,6 +194,18 @@ def enumerate_orbit(
     in parent order, so that the quads a swap made are one slice of it and
     the next generation forbids repeating that swap by masking the slice.
     Child ids, edges, quads and circles all follow this swap-major order.
+    Each generation's circles are written into one int64 result that grows
+    in place, so the walk never joins its pieces into a second copy.
+
+    Without an embedding the lanes are int32 whenever 8*m < 2**31, m the
+    larger of the bound and the largest |root entry|, and int64 otherwise;
+    rows are always int64.  Every entry of a walked quad lies in [-m, m]
+    (one negative entry at most, the bounding circle), so its doubled sum
+    2*S lies in [-2*m, 8*m], and a kept child 2*S - 3*C_old in (0, bound]:
+    no int32 step can wrap.  Under ``MAX_BOUND`` that holds for every root
+    whose entries are below 2**28.  The returned arrays are int64 on every
+    path.
+
     One DEBUG record per generation on the ``apollonian.quadruples`` logger
     gives its depth, its width (the quads it made) and the quads made so
     far.
@@ -213,6 +225,10 @@ def enumerate_orbit(
         raise NotDescartesError(f"root {root} has Q = {q0} != 0")
     if not is_root(root):
         raise ValueError(f"{root} is not a root quadruple; reduce_to_root it first")
+    if sum(x < 0 for x in root) > 1:
+        # every child would be negative and pass the bound: the walk would
+        # never end
+        raise ValueError(f"root {root} has more than one negative curvature; a packing has one bounding circle at most")
     bound = int(bound)
     if bound > MAX_BOUND:
         raise OverflowBoundError(f"bound {bound} exceeds supported maximum {MAX_BOUND}")
@@ -235,12 +251,15 @@ def enumerate_orbit(
 
     # the root circles, one row of lanes each; lane ``lane`` is the curvature
     if rows0 is None:
-        start, lane = np.array(root, dtype=np.int64)[:, None], 0
+        start, lane = np.array(root, dtype=_lane_dtype(root, bound))[:, None], 0
     else:
         start, lane = rows0, 1
 
-    # every circle, root circles first; filtered by bound (and region) below
-    circ_acc = [start]
+    # every circle, root circles first, in one int64 array grown in place;
+    # filtered by bound (and region) below
+    circles = np.empty((4, start.shape[1]), dtype=np.int64)
+    circles[:] = start
+    count = 4
     quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
     quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
     depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
@@ -251,7 +270,6 @@ def enumerate_orbit(
     frontier = start[:, None, :].copy()
     frontier_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
     ends = [0] * 5  # the root was made by no swap
-    next_id = 4
     depth = 0
 
     while True:
@@ -260,7 +278,7 @@ def enumerate_orbit(
         # swap i replaces C_i by 2*S - 3*C_i, S the sum of the quadruple's
         # circles; on the curvature lane that stays within the bound exactly
         # when q_i >= ceil((2*sum(q) - bound) / 3)
-        twice_sum = 2 * frontier.sum(axis=0)
+        twice_sum = 2 * frontier.sum(axis=0, dtype=frontier.dtype)
         keep = frontier[..., lane] >= (twice_sum[:, lane] - bound + 2) // 3
         for i in range(4):
             keep[i, ends[i] : ends[i + 1]] = False  # no swap repeats
@@ -300,9 +318,16 @@ def enumerate_orbit(
                 # by swap, then by kept position, then by child
                 block = e[3 * a : 3 * b].reshape(3, b - a, 2)
                 block[..., 0] = ids[KEPT_POSITIONS[i], a:b]
-                ids[i, a:b] = np.arange(next_id + a, next_id + b)
+                ids[i, a:b] = np.arange(count + a, count + b)
                 block[..., 1] = ids[i, a:b]
-        circ_acc.append(new)
+        if count + n > len(circles):
+            # an eighth more than needed, as ndarray.resize zero-fills what
+            # it adds; it reallocates, and glibc moves a large block by
+            # remapping its pages, not copying them.  No view of ``circles``
+            # outlives its statement, so the reference check, which a
+            # debugger's frame locals can trip, is off
+            circles.resize((count + n + (count + n) // 8, circles.shape[1]), refcheck=False)
+        circles[count : count + n] = new
         if keep_quads:
             # a copy, so that the accumulator does not hold the whole child
             quads_acc.append(child[..., lane].T.copy())
@@ -310,21 +335,25 @@ def enumerate_orbit(
         if tangency:
             edge_acc.append(e)
             frontier_ids = ids
-        next_id += n
+        count += n
         frontier = child
-
-    # each per-generation list is dropped once joined, so that it never
-    # coexists with the filtered copy
-    circles = np.concatenate(circ_acc)
+    circles.resize((count, circles.shape[1]), refcheck=False)
     edges = np.concatenate(edge_acc) if tangency else None
-    del circ_acc, edge_acc
+    del edge_acc
 
     # a child is never the bounding circle or a line, and the keep test
     # holds it within the bound, so 0 < b <= bound; only the root circles
-    # can break the bound
-    keep_mask = meets(circles, region) if region is not None else np.ones(len(circles), dtype=bool)
-    keep_mask[:4] &= np.abs(start[:, lane]) <= bound
-    if not keep_mask.all():
+    # can break the bound, so without a region a mask is built only when
+    # one of them does
+    roots_kept = np.abs(start[:, lane]) <= bound
+    keep_mask = None
+    if region is not None:
+        keep_mask = meets(circles, region)
+        keep_mask[:4] &= roots_kept
+    elif not roots_kept.all():
+        keep_mask = np.ones(count, dtype=bool)
+        keep_mask[:4] = roots_kept
+    if keep_mask is not None and not keep_mask.all():
         circles = circles[keep_mask]
         if tangency:
             edges = edges[keep_mask[edges[:, 0]] & keep_mask[edges[:, 1]]]
@@ -337,11 +366,20 @@ def enumerate_orbit(
         curvatures=np.ascontiguousarray(circles[:, lane]),
         quad_count=quad_count,
         edges=edges,
-        quads=np.concatenate(quads_acc) if keep_quads else None,
+        quads=np.concatenate(quads_acc, dtype=np.int64) if keep_quads else None,
         quad_depths=np.concatenate(depths_acc) if keep_quads else None,
         acc_rows=None if rows0 is None else circles,
         generations=depth,
     )
+
+
+def _lane_dtype(root: Quad, bound: int) -> type:
+    """int32 when every doubled quad sum 2*S of a curvature walk of ``root``
+    to ``bound`` fits in it, that is when 8*m < 2**31, m the larger of the
+    bound and the largest |root entry| (see ``enumerate_orbit``); int64
+    otherwise."""
+    m = max(bound, *(abs(x) for x in root))
+    return np.int32 if 8 * m < 2**31 else np.int64
 
 
 def verify_distinct_circles(orbit: PackingOrbit) -> bool:

@@ -70,6 +70,14 @@ def test_config_rejects_bad_root(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_two_negative_curvatures(tmp_path):
+    # a fixed point of the root reduction, but no packing's root
+    path = tmp_path / "bad.ini"
+    path.write_text("[packing]\nroot = -24, -12, -1, -1\nbound = 100\n")
+    with pytest.raises(ConfigError, match="more than one negative curvature"):
+        load_config(path)
+
+
 def test_config_rejects_unreduced_root(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[packing]\nroot = 15, 2, 2, 3\n")

@@ -289,6 +289,29 @@ def test_box_counts_match_per_circle_reference_in_narrow_bands(monkeypatch, std_
     test_box_counts_match_per_circle_reference_float_rows()
 
 
+@pytest.mark.parametrize("chunk", [1, 500, 40_000])
+def test_box_counts_in_sample_chunks_match_one_shot(monkeypatch, std_orbit_1e4, chunk):
+    rows = std_orbit_1e4.acc_rows
+    eps = [2.0**-k for k in range(3, 11)]
+    monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", 1 << 62)
+    one_shot = ct.box_counts(rows, eps)
+    monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", chunk)
+    # the larger circles of the finest box size hold several chunks of samples
+    radii = 1.0 / np.abs(rows[:, 1].astype(float))
+    big = radii > eps[-1] / 2.0
+    parts = ct._sample_cells(np.zeros(big.sum()), np.zeros(big.sum()), radii[big], eps[-1])
+    assert len(parts) > 2
+    assert sum(ix.size for ix, _ in parts) > 2 * chunk
+    assert ct.box_counts(rows, eps).tolist() == one_shot.tolist()
+
+
+def test_box_counts_match_per_circle_reference_in_small_sample_chunks(monkeypatch, std_orbit_1e4):
+    monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", 100)
+    test_box_counts_match_per_circle_reference_standard(std_orbit_1e4)
+    test_box_counts_match_per_circle_reference_strip()
+    test_box_counts_match_per_circle_reference_float_rows()
+
+
 @pytest.mark.parametrize("band_cells", [1 << 22, 64])
 def test_box_counts_negative_cells(monkeypatch, band_cells):
     monkeypatch.setattr(ct, "_BOX_BAND_CELLS", band_cells)

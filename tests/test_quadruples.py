@@ -636,6 +636,45 @@ def test_curvature_walk_matches_per_swap_walk_any_bound(root, bound):
     _assert_matches_reference(root, bound)
 
 
+# n = 23171: (-n, n + 1, n(n + 1), n(n + 1) + 1) has 2*S = 2,147,673,652,
+# past 2**31, so int32 lanes would wrap on its first generation
+WIDE_ROOT = (-23171, 23172, 536_918_412, 536_918_413)
+# n = 16383: its largest entry is 268,419,073 < 2**28, just inside the
+# int32 limit
+NARROW_ROOT = (-16383, 16384, 268_419_072, 268_419_073)
+
+
+@pytest.mark.parametrize(
+    "root, bound, kw, lanes",
+    [
+        pytest.param(WIDE_ROOT, 100_000, {}, np.int64, id="past-int32"),
+        pytest.param(WIDE_ROOT, 100_000, dict(tangency=True, keep_quads=True), np.int64, id="past-int32-full"),
+        pytest.param(NARROW_ROOT, 100_000, dict(tangency=True, keep_quads=True), np.int32, id="inside-int32"),
+        pytest.param((-4, 5, 20, 21), 5000, dict(tangency=True, keep_quads=True), np.int32, id="unembedded-full"),
+    ],
+)
+def test_lane_dtype_guard_matches_per_swap_walk(root, bound, kw, lanes):
+    assert descartes_form(root) == 0 and is_root(root)
+    # checked before the walk: wrapped int32 sums make negative children,
+    # which pass the bound, so a walk past the limit would never end
+    assert quadruples._lane_dtype(root, bound) is lanes
+    _assert_matches_reference(root, bound, **kw)
+    orbit = enumerate_orbit(root, bound, **kw)
+    for name in ("curvatures", "quads", "edges"):
+        got = getattr(orbit, name)
+        assert got is None or got.dtype == np.int64, name
+
+
+def test_enumerate_rejects_two_negative_curvatures():
+    # is_root accepts it, but no packing has two bounding circles, and every
+    # child of it is negative, so a walk would never end; the bound is below
+    # every root curvature, so no walk starts even without the check
+    root = (-24, -12, -1, -1)
+    assert descartes_form(root) == 0 and is_root(root)
+    with pytest.raises(ValueError, match="more than one negative curvature"):
+        enumerate_orbit(root, 0)
+
+
 def test_bound_below_a_root_circle_drops_it_and_remaps_edges():
     # the root circle of curvature 7 is id 1 and every child is larger, so
     # the walk keeps three circles and renumbers the edges between them
@@ -660,24 +699,36 @@ def test_walk_logs_each_generation(caplog):
 
 
 # tracemalloc peaks, in bytes, of the same calls on the walk that builds
-# each generation's children in four swap blocks (numpy 2.4.6); the walk
-# that swapped a curvature frontier and a row frontier separately (commit
-# c18c4f9) read 19,353,368 and 119,845,440
-BLOCK_WALK_PEAKS = {"rows-2e4": 18_801_017, "curvatures-3e5": 91_340_194}
+# each generation's children in four swap blocks, with int32 curvature
+# lanes and one result grown in place (numpy 2.4.6).  The int64 walk that
+# joined its per-generation pieces at the end read 18,801,017 and
+# 91,340,194 on the standard root, and the walk that swapped a curvature
+# frontier and a row frontier separately (commit c18c4f9) 19,353,368 and
+# 119,845,440
+BLOCK_WALK_PEAKS = {
+    "rows-2e4": 18_642_486,
+    "curvatures-3e5": 57_433_712,
+    "curvatures-(-2,3,6,7)": 53_892_388,
+    "curvatures-(-4,5,20,21)": 48_800_788,
+}
 
 
 @pytest.mark.parametrize(
-    "case, bound, kw",
+    "case, root, bound, kw",
     [
-        pytest.param("rows-2e4", 20_000, dict(keep_quads=True, embedding="auto"), id="rows-2e4"),
-        pytest.param("curvatures-3e5", 300_000, {}, id="curvatures-3e5"),
+        pytest.param("rows-2e4", STANDARD, 20_000, dict(keep_quads=True, embedding="auto"), id="rows-2e4"),
+        # the exponent benchmark's roots at the bounds where each orbit holds
+        # as many quads as the standard root's at T = 3e5
+        pytest.param("curvatures-3e5", STANDARD, 300_000, {}, id="curvatures-3e5"),
+        pytest.param("curvatures-(-2,3,6,7)", (-2, 3, 6, 7), 612_449, {}, id="curvatures-(-2,3,6,7)"),
+        pytest.param("curvatures-(-4,5,20,21)", (-4, 5, 20, 21), 1_304_951, {}, id="curvatures-(-4,5,20,21)"),
     ],
 )
-def test_walk_traced_peak_stays_within_two_frontier_walk(case, bound, kw):
-    enumerate_orbit(STANDARD, 100, **kw)  # first-use allocations
+def test_walk_traced_peak_stays_within_two_frontier_walk(case, root, bound, kw):
+    enumerate_orbit(root, 100, **kw)  # first-use allocations
     tracemalloc.start()
     try:
-        enumerate_orbit(STANDARD, bound, **kw)
+        enumerate_orbit(root, bound, **kw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
