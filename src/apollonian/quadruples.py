@@ -14,8 +14,10 @@ with a curvature bound exhaustive.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +58,13 @@ MAX_BOUND = 10**8
 
 # the entries a swap leaves in place, for each swap index
 KEPT_POSITIONS = np.array([[p for p in range(4) if p != i] for i in range(4)])
+
+# the most quads a frontier piece of ``enumerate_orbit`` holds; each piece
+# is swapped on its own, so the walk's transients scale with it, not with a
+# generation's width.  From 2**14 to 2**17 the T = 3e5 walk runs equally
+# fast; larger pieces raise its peak, and 2**16 keeps every generation of a
+# T = 2e4 walk (at most 31,310 quads) in one piece
+PIECE = 1 << 16
 
 # lines formatted at once by _write_table: its unit matrix takes about 64
 # bytes a line, so a chunk and the digit arrays beside it stay near 1 MB
@@ -142,6 +151,11 @@ class PackingOrbit:
     ``acc_rows`` (optional) carries the exact inversive row (cocurvature,
     curvature, curvature*x, curvature*y) of each circle when the root has a
     known integral embedding; its column 1 equals ``curvatures``.
+
+    Rows, quads and edges are int64 and depths int32.  ``curvatures`` are
+    int64 with rows and otherwise have the walk's lane dtype, int32 for
+    every root and bound ``enumerate_orbit`` walks in int32; as |b| <=
+    bound <= ``MAX_BOUND`` < 2**31, they hold every value.
     """
 
     root: Quad
@@ -189,13 +203,22 @@ def enumerate_orbit(
     a row of lanes: its signed curvature alone, or, with an embedding, its
     exact inversive row, whose lane 1 is the curvature.  Swap i replaces
     circle C_i of a quadruple by 2*S - 3*C_i, S the sum of its four circles,
-    on every lane at once; the bound is tested on the curvature lane.  The
-    next frontier is laid out in four contiguous blocks, one per swap, each
-    in parent order, so that the quads a swap made are one slice of it and
-    the next generation forbids repeating that swap by masking the slice.
-    Child ids, edges, quads and circles all follow this swap-major order.
-    Each generation's circles are written into one int64 result that grows
-    in place, so the walk never joins its pieces into a second copy.
+    on every lane at once; the bound is tested on the curvature lane.  A
+    generation's children are laid out swap-major: the quads swap 0 made,
+    in parent order, then swap 1's, and so on.  Child ids, edges, quads and
+    circles all follow this order, and so does the next frontier, in which
+    the next generation forbids repeating a swap by masking the columns it
+    made.
+
+    The frontier is a sequence of pieces of at most ``PIECE`` quads, each
+    with the ends of the swap blocks it holds.  Each piece is swapped on its
+    own and then dropped, each swap's children of it an array of their own;
+    at the end of the generation the children, in swap-major order, are cut
+    into the pieces of the next frontier.  So the walk's transients scale
+    with ``PIECE``, not with a generation's width.  A generation narrower
+    than ``PIECE`` stays one piece in four swap blocks, as it was made.
+    Each generation's circles are written into one result that grows in
+    place, so the walk never joins its pieces into a second copy.
 
     Without an embedding the lanes are int32 whenever 8*m < 2**31, m the
     larger of the bound and the largest |root entry|, and int64 otherwise;
@@ -203,8 +226,9 @@ def enumerate_orbit(
     (one negative entry at most, the bounding circle), so its doubled sum
     2*S lies in [-2*m, 8*m], and a kept child 2*S - 3*C_old in (0, bound]:
     no int32 step can wrap.  Under ``MAX_BOUND`` that holds for every root
-    whose entries are below 2**28.  The returned arrays are int64 on every
-    path.
+    whose entries are below 2**28.  The result is stored in the lane dtype,
+    so a curvature-only walk returns its curvatures in int32 when its lanes
+    are; quads and edges are int64 on every path (see ``PackingOrbit``).
 
     One DEBUG record per generation on the ``apollonian.quadruples`` logger
     gives its depth, its width (the quads it made) and the quads made so
@@ -255,71 +279,29 @@ def enumerate_orbit(
     else:
         start, lane = rows0, 1
 
-    # every circle, root circles first, in one int64 array grown in place;
-    # filtered by bound (and region) below
-    circles = np.empty((4, start.shape[1]), dtype=np.int64)
-    circles[:] = start
+    # every circle, root circles first, in one array of the lane dtype grown
+    # in place; filtered by bound (and region) below
+    circles = start.copy()
     count = 4
     quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
     quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
     depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
     edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)] if tangency else None
 
-    # the frontier is entry-major, (4, n, lanes), and circle ids (4, n), so
-    # that each entry position is one contiguous block
-    frontier = start[:, None, :].copy()
-    frontier_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
-    ends = [0] * 5  # the root was made by no swap
+    # the frontier: pieces (quads, ends, ids), see ``_swap_piece``; the root
+    # quad is one piece, made by no swap
+    root_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
+    frontier = deque([(start[:, None, :].copy(), [0] * 5, root_ids)])
     depth = 0
 
     while True:
         depth += 1
-        width = frontier.shape[1]
-        # swap i replaces C_i by 2*S - 3*C_i, S the sum of the quadruple's
-        # circles; on the curvature lane that stays within the bound exactly
-        # when q_i >= ceil((2*sum(q) - bound) / 3)
-        twice_sum = 2 * frontier.sum(axis=0, dtype=frontier.dtype)
-        keep = frontier[..., lane] >= (twice_sum[:, lane] - bound + 2) // 3
-        for i in range(4):
-            keep[i, ends[i] : ends[i + 1]] = False  # no swap repeats
-        # the children lie in four contiguous blocks, one per swap and each
-        # in parent order: swap i's are columns ends[i]:ends[i + 1].
-        # ``parent`` indexes the swapped circle C_old among the frontier's
-        # 4 * width, ascending, until it is reduced to frontier positions
-        parent = np.flatnonzero(keep)
-        del keep
-        new = frontier.reshape(4 * width, -1).take(parent, axis=0)  # C_old
-        if region is not None:
-            # the swap's branch lies in the closed interior of its dual
-            # circle D, and 2D = S - 2*C_old is an integer row
-            alive = branch_alive(twice_sum.take(parent % width, axis=0) // 2 - 2 * new, region)
-            parent, new = parent[alive], new[alive]
-            del alive
-        ends = [0, *np.searchsorted(parent, width * np.arange(1, 5)).tolist()]
-        n = ends[4]
+        made, widths, lone = _swap_frontier(frontier, bound, lane, region)
+        n = sum(widths)
         quad_count += n
         log.debug("generation %d: %d quads, %d in all", depth, n, quad_count)
         if n == 0:
             break
-        parent %= width
-        new *= -3
-        new += twice_sum.take(parent, axis=0)  # 2*S - 3*C_old
-        del twice_sum
-        child = frontier.take(parent, axis=1)
-        if tangency:
-            ids = frontier_ids.take(parent, axis=1)
-            e = np.empty((3 * n, 2), dtype=np.int64)
-        del parent
-        for i in range(4):
-            a, b = ends[i], ends[i + 1]
-            child[i, a:b] = new[a:b]
-            if tangency:
-                # edges from the three kept circles to the new one, grouped
-                # by swap, then by kept position, then by child
-                block = e[3 * a : 3 * b].reshape(3, b - a, 2)
-                block[..., 0] = ids[KEPT_POSITIONS[i], a:b]
-                ids[i, a:b] = np.arange(count + a, count + b)
-                block[..., 1] = ids[i, a:b]
         if count + n > len(circles):
             # an eighth more than needed, as ndarray.resize zero-fills what
             # it adds; it reallocates, and glibc moves a large block by
@@ -327,16 +309,17 @@ def enumerate_orbit(
             # outlives its statement, so the reference check, which a
             # debugger's frame locals can trip, is off
             circles.resize((count + n + (count + n) // 8, circles.shape[1]), refcheck=False)
-        circles[count : count + n] = new
+        quads = np.empty((n, 4), dtype=circles.dtype) if keep_quads else None
+        e = np.empty((3 * n, 2), dtype=np.int64) if tangency else None
+        _lay_out(made, widths, circles, count, lane, quads, e)
         if keep_quads:
-            # a copy, so that the accumulator does not hold the whole child
-            quads_acc.append(child[..., lane].T.copy())
+            quads_acc.append(quads)
             depths_acc.append(np.full(n, depth, dtype=np.int32))
         if tangency:
             edge_acc.append(e)
-            frontier_ids = ids
         count += n
-        frontier = child
+        # a generation narrower than a piece stays one piece, as it was made
+        frontier = _cut(made) if lone is None else deque([lone])
     circles.resize((count, circles.shape[1]), refcheck=False)
     edges = np.concatenate(edge_acc) if tangency else None
     del edge_acc
@@ -371,6 +354,137 @@ def enumerate_orbit(
         acc_rows=None if rows0 is None else circles,
         generations=depth,
     )
+
+
+def _swap_frontier(frontier, bound, lane, region):
+    """Swap every piece of ``frontier``, dropping each once it is done.
+
+    Returns ``made``, where ``made[i]`` holds swap i's children as one
+    ``(children, ids)`` pair per parent piece, in parent order; ``widths``,
+    where ``widths[i]`` counts them; and ``lone``: the children as one piece
+    in four swap blocks when the frontier was one piece and they fit in
+    one, and None otherwise."""
+    split = len(frontier) > 1
+    made = [deque() for _ in range(4)]
+    widths = [0] * 4
+    while frontier:
+        pieces = _swap_piece(*frontier.popleft(), bound, lane, region, split)
+        for child, ends, ids in pieces:
+            for i, block in enumerate(made):
+                a, b = ends[i], ends[i + 1]
+                if a < b:
+                    block.append((child[:, a:b], None if ids is None else ids[:, a:b]))
+                    widths[i] += b - a
+    return made, widths, pieces[0] if not split and pieces[0][0].shape[1] <= PIECE else None
+
+
+def _lay_out(made, widths, circles, count, lane, quads, e):
+    """Write one generation's children, in swap-major order, into the
+    circles from row ``count`` on, into ``quads`` (or None) and into the
+    edges ``e`` (or None), and give them their ids; ``widths[i]`` is the
+    number of children swap i made."""
+    a = 0
+    for i, block in enumerate(made):
+        if e is not None:
+            # edges from the three kept circles to the new one, grouped by
+            # swap, then by kept position, then by child
+            swap_edges = e[3 * a : 3 * (a + widths[i])].reshape(3, widths[i], 2)
+            first = a
+        for child, ids in block:
+            b = a + child.shape[1]
+            circles[count + a : count + b] = child[i]
+            if quads is not None:
+                quads[a:b] = child[..., lane].T
+            if e is not None:
+                edge_block = swap_edges[:, a - first : b - first]
+                edge_block[..., 0] = ids[KEPT_POSITIONS[i]]
+                # a child's id is count plus its place in swap-major order
+                ids[i] = np.arange(count + a, count + b)
+                edge_block[..., 1] = ids[i]
+            a = b
+
+
+def _swap_piece(quads, ends, ids, bound, lane, region, split):
+    """The four swaps on one frontier piece; returns its children as pieces.
+
+    A piece is ``quads``, a ``(4, m, lanes)`` array whose entry positions
+    are contiguous blocks; ``ends``, its columns ``ends[i]:ends[i + 1]``
+    made by swap i, which may not repeat; and ``ids``, the ``(4, m)`` circle
+    ids, or None.  The children come as one piece in four swap blocks, each
+    in parent order, or, with ``split``, as one piece per swap, which can be
+    released on its own.  A child's swapped entry is the new circle; its id
+    is left for the caller to set."""
+    m = quads.shape[1]
+    # swap i replaces C_i by 2*S - 3*C_i, S the sum of the quadruple's
+    # circles; on the curvature lane that stays within the bound exactly
+    # when q_i >= ceil((2*sum(q) - bound) / 3)
+    twice_sum = 2 * quads.sum(axis=0, dtype=quads.dtype)
+    keep = quads[..., lane] >= (twice_sum[:, lane] - bound + 2) // 3
+    for i in range(4):
+        keep[i, ends[i] : ends[i + 1]] = False  # no swap repeats
+    # ``parent`` indexes the swapped circle C_old among the piece's 4 * m,
+    # ascending, so swap i's children are parent[cut[i]:cut[i + 1]]
+    parent = np.flatnonzero(keep)
+    del keep
+    new = quads.reshape(4 * m, -1).take(parent, axis=0)  # C_old
+    if region is not None:
+        # the swap's branch lies in the closed interior of its dual circle
+        # D, and 2D = S - 2*C_old is an integer row
+        alive = branch_alive(twice_sum.take(parent % m, axis=0) // 2 - 2 * new, region)
+        parent, new = parent[alive], new[alive]
+        del alive
+    cut = np.searchsorted(parent, m * np.arange(5)).tolist()
+    parent %= m
+    new *= -3
+    new += twice_sum.take(parent, axis=0)  # 2*S - 3*C_old
+    if not split:
+        child = quads.take(parent, axis=1)
+        for i in range(4):
+            child[i, cut[i] : cut[i + 1]] = new[cut[i] : cut[i + 1]]
+        return [(child, cut, None if ids is None else ids.take(parent, axis=1))]
+    pieces = []
+    for i in range(4):
+        a, b = cut[i], cut[i + 1]
+        child = quads.take(parent[a:b], axis=1)
+        child[i] = new[a:b]
+        ends = [0] * (i + 1) + [b - a] * (4 - i)
+        pieces.append((child, ends, None if ids is None else ids.take(parent[a:b], axis=1)))
+    return pieces
+
+
+def _cut(made) -> deque:
+    """The next frontier: the children of ``made``, swap 0's deque of
+    ``(children, ids)`` pairs first, cut into pieces of at most ``PIECE``
+    columns.  Each pair is released once it is copied."""
+    pieces = deque()
+    parts = []  # (swap, children, ids) slices of the piece being filled
+    room = PIECE
+    for i, block in enumerate(made):
+        while block:
+            child, ids = block.popleft()
+            a, width = 0, child.shape[1]
+            while a < width:
+                b = min(a + room, width)
+                parts.append((i, child[:, a:b], None if ids is None else ids[:, a:b]))
+                room -= b - a
+                a = b
+                if room == 0:
+                    pieces.append(_join(parts))
+                    parts, room = [], PIECE
+    if parts:
+        pieces.append(_join(parts))
+    return pieces
+
+
+def _join(parts):
+    """One contiguous frontier piece from (swap, children, ids) slices in
+    swap-major order."""
+    ends = [0] * 5
+    for i, child, _ in parts:
+        ends[i + 1] += child.shape[1]
+    quads = np.concatenate([child for _, child, _ in parts], axis=1)
+    ids = None if parts[0][2] is None else np.concatenate([ids for *_, ids in parts], axis=1)
+    return quads, list(itertools.accumulate(ends)), ids
 
 
 def _lane_dtype(root: Quad, bound: int) -> type:
@@ -414,7 +528,8 @@ def write_circles(orbit: PackingOrbit, path) -> None:
     signed curvature alone, in orbit order within each |curvature|.  The
     order is ``_lexsort_int64``'s: stable radix passes over 16-bit digits of
     the keys, the same permutation ``np.lexsort`` gives."""
-    b = orbit.curvatures
+    # the sort keys must be int64, and a walk without rows returns int32
+    b = orbit.curvatures.astype(np.int64, copy=False)
     with open(path, "wb") as fh:
         if orbit.acc_rows is None:
             fh.write(b"curvature\n")
@@ -440,7 +555,10 @@ def _lexsort_int64(keys) -> np.ndarray:
     uint64, which keeps its order and cannot overflow, and split into as many
     16-bit digits as its span needs, least significant first.  numpy sorts
     16-bit keys stably by radix, so each digit costs one O(n) pass where an
-    int64 key costs an O(n log n) comparison sort."""
+    int64 key costs an O(n log n) comparison sort.  Raises TypeError on a
+    key of another dtype, whose uint64 view would not be its values."""
+    if any(key.dtype != np.int64 for key in keys):
+        raise TypeError(f"keys must be int64, got {', '.join(str(key.dtype) for key in keys)}")
     if len(keys[0]) == 0:
         return np.zeros(0, dtype=np.intp)
     digits = []

@@ -415,6 +415,9 @@ def test_lexsort_int64_matches_np_lexsort(keys):
     expected = np.lexsort(keys)
     assert order.dtype == expected.dtype
     assert np.array_equal(order, expected)
+    # the uint64 view of an int32 key would read pairs of its entries as one
+    with pytest.raises(TypeError, match="keys must be int64"):
+        quadruples._lexsort_int64([*keys[:-1], keys[-1].astype(np.int32)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.0**64, -1e300])
@@ -583,7 +586,12 @@ def _assert_matches_reference(root, bound, **kw):
         if want is None or got is None:
             assert got is None and want is None, name
         elif isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, name
+            # a walk without rows returns its curvatures in its lane dtype;
+            # every other array has the int64 (depths int32) of the reference
+            if name == "curvatures" and expected["acc_rows"] is None:
+                assert got.dtype == quadruples._lane_dtype(root, bound), name
+            else:
+                assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
         else:
             assert got == want, name
@@ -594,22 +602,44 @@ def _assert_matches_reference(root, bound, **kw):
 FULL = dict(tangency=True, keep_quads=True, embedding="auto")
 STRIP = (0, 0, 1, 1)
 
+# (id, root, bound, enumerate_orbit keywords)
+KERNEL_CASES = [
+    ("standard-2", STANDARD, 2, FULL),
+    ("standard-2e4", STANDARD, 20_000, FULL),
+    ("standard-1e5", STANDARD, 100_000, FULL),
+    # what the exponent fit asks for: curvatures only
+    ("standard-3e5", STANDARD, 300_000, {}),
+    ("standard-window", STANDARD, 20_000, {**FULL, "region": (-0.2, 0.2, -0.2, 0.2)}),
+    ("strip-window", STRIP, 2000, {**FULL, "region": (0.0, 2.0, 0.0, 2.0)}),
+    ("strip-offset-window", STRIP, 2000, {**FULL, "region": (-0.3, 0.7, -0.1, 1.3)}),
+    ("unembedded-2e4", (-2, 3, 6, 7), 20_000, FULL),
+]
 
-@pytest.mark.parametrize(
-    "root, bound, kw",
-    [
-        pytest.param(STANDARD, 2, FULL, id="standard-2"),
-        pytest.param(STANDARD, 20_000, FULL, id="standard-2e4"),
-        pytest.param(STANDARD, 100_000, FULL, id="standard-1e5"),
-        # what the exponent fit asks for: curvatures only
-        pytest.param(STANDARD, 300_000, {}, id="standard-3e5"),
-        pytest.param(STANDARD, 20_000, {**FULL, "region": (-0.2, 0.2, -0.2, 0.2)}, id="standard-window"),
-        pytest.param(STRIP, 2000, {**FULL, "region": (0.0, 2.0, 0.0, 2.0)}, id="strip-window"),
-        pytest.param(STRIP, 2000, {**FULL, "region": (-0.3, 0.7, -0.1, 1.3)}, id="strip-offset-window"),
-        pytest.param((-2, 3, 6, 7), 20_000, FULL, id="unembedded-2e4"),
-    ],
-)
+
+@pytest.mark.parametrize("root, bound, kw", [pytest.param(*case[1:], id=case[0]) for case in KERNEL_CASES])
 def test_generation_kernel_matches_per_swap_walk(root, bound, kw):
+    _assert_matches_reference(root, bound, **kw)
+
+
+# the cases with tangency, quads or rows; standard-3e5 already spans many
+# pieces at the default size.  A piece costs about 0.1 ms of Python, so the
+# widest orbits are cut only into the larger pieces: standard-2e4 (166,020
+# quads) at 7 and 97, standard-1e5 (1,359,168) at 97
+PIECE_CUTS = [
+    pytest.param(piece, *case[1:], id=f"{case[0]}-piece-{piece}")
+    for piece in (1, 7, 97)
+    for case in KERNEL_CASES
+    if case[0] != "standard-3e5"
+    and (case[0], piece) not in {("standard-2e4", 1), ("standard-1e5", 1), ("standard-1e5", 7)}
+]
+
+
+@pytest.mark.parametrize("piece, root, bound, kw", PIECE_CUTS)
+def test_pieces_cut_inside_swap_blocks_match_per_swap_walk(monkeypatch, piece, root, bound, kw):
+    # pieces this small cut every wide generation, and most of its swap
+    # blocks, at many places; ids, edges, quads, depths and region pruning
+    # must not see the cuts
+    monkeypatch.setattr(quadruples, "PIECE", piece)
     _assert_matches_reference(root, bound, **kw)
 
 
@@ -659,8 +689,11 @@ def test_lane_dtype_guard_matches_per_swap_walk(root, bound, kw, lanes):
     # which pass the bound, so a walk past the limit would never end
     assert quadruples._lane_dtype(root, bound) is lanes
     _assert_matches_reference(root, bound, **kw)
+    # no embedding: the curvatures keep the lane dtype, quads and edges are
+    # int64
     orbit = enumerate_orbit(root, bound, **kw)
-    for name in ("curvatures", "quads", "edges"):
+    assert orbit.curvatures.dtype == lanes
+    for name in ("quads", "edges"):
         got = getattr(orbit, name)
         assert got is None or got.dtype == np.int64, name
 
@@ -698,18 +731,19 @@ def test_walk_logs_each_generation(caplog):
     assert want[-1][1:] == (0, orbit.quad_count)
 
 
-# tracemalloc peaks, in bytes, of the same calls on the walk that builds
-# each generation's children in four swap blocks, with int32 curvature
-# lanes and one result grown in place (numpy 2.4.6).  The int64 walk that
-# joined its per-generation pieces at the end read 18,801,017 and
-# 91,340,194 on the standard root, and the walk that swapped a curvature
-# frontier and a row frontier separately (commit c18c4f9) 19,353,368 and
-# 119,845,440
+# tracemalloc peaks, in bytes, of the same calls on the walk that swaps its
+# frontier one piece of at most 2**16 quads at a time and keeps a
+# curvature-only result in int32 (numpy 2.4.6).  The walk that swapped each
+# generation whole into an int64 result read 18,642,486, 57,433,712,
+# 53,892,388 and 48,800,788; the one that also joined its per-generation
+# pieces at the end 18,801,017 and 91,340,194 on the standard root; and the
+# walk that swapped a curvature frontier and a row frontier separately
+# (commit c18c4f9) 19,353,368 and 119,845,440
 BLOCK_WALK_PEAKS = {
-    "rows-2e4": 18_642_486,
-    "curvatures-3e5": 57_433_712,
-    "curvatures-(-2,3,6,7)": 53_892_388,
-    "curvatures-(-4,5,20,21)": 48_800_788,
+    "rows-2e4": 18_637_589,
+    "curvatures-3e5": 27_588_761,
+    "curvatures-(-2,3,6,7)": 26_427_065,
+    "curvatures-(-4,5,20,21)": 25_615_588,
 }
 
 

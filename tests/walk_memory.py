@@ -7,7 +7,7 @@ behind the N(T) fit) in a fresh subprocess, and prints the walk's wall
 time, its tracemalloc peak and the subprocess's ``ru_maxrss``.  The
 subprocess walks twice: untraced first, for the time and ``ru_maxrss``,
 then under tracemalloc, for the traced peak.  A T = 1e6 case holds about
-0.45 GB.  Run from the repository root:
+0.2 GB.  Run from the repository root:
 
     PYTHONPATH=src python tests/walk_memory.py
 """
