@@ -17,6 +17,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 _MR_LIMIT = 3 * 10**14
 # a bound below one period of the residues mod 24 gives no density
 MIN_DENSITY_BOUND = 24
+# prime_mask sieves values up to this; above it, Miller-Rabin per value
+_SIEVE_MAX = 10**8
+# quadruples whose entries no_odd_prime_triple looks up at once
+_TRIPLE_CHUNK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -71,14 +75,19 @@ def prime_mask(values: np.ndarray) -> np.ndarray:
     vmax = int(values.max(initial=0))
     if vmax < 2:
         return np.zeros(values.shape, dtype=bool)
-    if vmax > 10**8:
+    if vmax > _SIEVE_MAX:
         return np.fromiter((is_prime(int(v)) for v in values), dtype=bool, count=values.size)
+    return _prime_table(vmax)[np.clip(values, 0, vmax)] & (values >= 2)
+
+
+def _prime_table(vmax: int) -> np.ndarray:
+    """Boolean table over 0..vmax, True at the primes (Eratosthenes)."""
     sieve = np.ones(vmax + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(math.isqrt(vmax)) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return sieve[np.clip(values, 0, vmax)] & (values >= 2)
+    return sieve
 
 
 @dataclass
@@ -159,10 +168,22 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
     """
     if orbit.quads is None:
         raise ValueError("orbit lacks stored quadruples; enumerate with keep_quads=True")
-    q = np.abs(orbit.quads)
-    pm = prime_mask(q.ravel()).reshape(q.shape)
-    odd_prime = pm & (q % 2 == 1)
-    return not bool((odd_prime.sum(axis=1) >= 3).any())
+    quads = orbit.quads
+    vmax = max(int(quads.max(initial=0)), -int(quads.min(initial=0)))
+    # one table of the odd primes up to max |entry|, read a chunk of rows at
+    # a time, so no temporary is as large as the quadruples
+    table = _prime_table(vmax) if vmax <= _SIEVE_MAX else None
+    if table is not None:
+        table[2:3] = False
+    for start in range(0, len(quads), _TRIPLE_CHUNK):
+        q = np.abs(quads[start : start + _TRIPLE_CHUNK])
+        if table is not None:
+            odd_prime = table[q]
+        else:
+            odd_prime = prime_mask(q.ravel()).reshape(q.shape) & (q % 2 == 1)
+        if (np.count_nonzero(odd_prime, axis=1) >= 3).any():
+            return False
+    return True
 
 
 def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:

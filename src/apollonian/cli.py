@@ -219,11 +219,19 @@ def cmd_report(cfg: RunConfig) -> int:
     if skipped:
         summary.append(f"non-square-free moduli skipped: {skipped}")
     reports, capped = [], []
+    computed: dict[int, list] = {}
     for q in cfg.moduli:
         if q in skipped:
             continue
+        # the swaps are the identity mod 2, so for odd m reduction mod m maps
+        # the group mod 2m isomorphically onto the group mod m, and the two
+        # Cayley graphs are isomorphic: q = 2m takes m's row when both are
+        # asked for
+        base = q // 2 if q % 2 == 0 and q // 2 >= 3 and q // 2 in cfg.moduli else q
         with _stage(f"spectral q={q}", failures):
-            rep = congruence.expander_report([q], cfg.element_cap)
+            if base not in computed:
+                computed[base] = congruence.expander_report([base], cfg.element_cap)
+            rep = [(q, order, spec) for _, order, spec in computed[base]]
             reports += rep
             if not rep:
                 capped.append(q)

@@ -575,8 +575,9 @@ def _crt_keys(keys_a: np.ndarray, a: int, keys_b: np.ndarray, b: int) -> np.ndar
 
 def orbit_mod(root, q: int) -> np.ndarray:
     """Orbit of the root quadruple under the swaps mod q, as a sorted (n, 4)
-    array; the proportion of the orbit satisfying a congruence is the natural
-    density estimate for the matching congruence slice of the sieve.
+    uint8 array (q <= 255); the proportion of the orbit satisfying a
+    congruence is the natural density estimate for the matching congruence
+    slice of the sieve.
 
     The orbit is built from the factors of q by strong approximation for the
     Apollonian group (Fuchs, J. Number Theory 2011): mod a prime p >= 5 it is
@@ -589,7 +590,8 @@ def orbit_mod(root, q: int) -> np.ndarray:
     must satisfy the Descartes relation mod q.
 
     Each orbit is computed once per process and kept, keyed by (root mod q,
-    q), within ``_ORBIT_MEMO_BYTES``; every call returns a fresh array.
+    q), within ``_ORBIT_MEMO_BYTES``; every call returns a fresh uint8 copy,
+    so a caller that multiplies entries widens them itself.
     """
     q = int(q)
     if q < 1:
@@ -620,4 +622,4 @@ def orbit_mod(root, q: int) -> np.ndarray:
                 _orbit_memo[key] = orbit
                 while sum(o.nbytes for o in _orbit_memo.values()) > _ORBIT_MEMO_BYTES:
                     _orbit_memo.popitem(last=False)
-    return orbit.astype(np.int64)
+    return orbit.copy()

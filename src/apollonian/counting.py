@@ -181,17 +181,21 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
     Each circle curve is sampled at arc steps of eps/3 (at least 8 samples)
     and its samples are binned to the eps-mesh; circles smaller than a box
     mark their bounding boxes.  Lines are sampled across the viewport when
-    one is given and skipped otherwise.  Occupied boxes are counted on a
-    cell bitmap (``_count_cells``).
+    one is given and skipped otherwise.  Each box size is counted in one pass
+    over chunks of at most ``_SAMPLES_PER_CHUNK`` cells (``_cell_chunks``),
+    each dropped before the next is made (``_count_cells``), so memory
+    follows one chunk and the occupied boxes, not the number of samples.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0):
         raise ValueError("box sizes must be positive")
     rows = np.asarray(rows).reshape(-1, 4)
     lines = np.abs(rows[:, 1]) < LINE_EPS
-    line_rows = rows[lines].astype(float)
-    b, wx, wy = rows[~lines, 1:].astype(float).T
-    max_curv = np.abs(b).max(initial=0.0)
+    line_rows = rows[lines].astype(float) if viewport is not None else np.empty((0, 4))
+    idx = np.flatnonzero(~lines)
+    radii = rows[idx, 1].astype(float)
+    np.abs(radii, out=radii)
+    max_curv = radii.max(initial=0.0)
     if max_curv > 0 and eps_grid.min() < 2.0 / max_curv:
         warnings.warn(
             f"box size {eps_grid.min():g} is below the resolution supported by "
@@ -199,123 +203,158 @@ def box_counts(rows: np.ndarray, eps_grid, viewport: Rect | None = None) -> np.n
             ResolutionWarning,
             stacklevel=2,
         )
-    out = np.empty(eps_grid.size, dtype=np.int64)
     # circles by increasing radius, so that those smaller than a box are a
-    # prefix at every box size
-    radii = 1.0 / np.abs(b)
+    # prefix at every box size; only the centres and radii are kept, and the
+    # centres are computed a chunk of rows at a time
+    np.divide(1.0, radii, out=radii)
     order = np.argsort(radii)
     radii = radii[order]
-    cx = (wx / b)[order]
-    cy = (wy / b)[order]
+    idx = idx[order]
+    del order
+    cx = np.empty(idx.size)
+    cy = np.empty(idx.size)
+    for lo in range(0, idx.size, _SAMPLES_PER_CHUNK):
+        part = rows[idx[lo : lo + _SAMPLES_PER_CHUNK]]
+        b = part[:, 1].astype(float)
+        cx[lo : lo + b.size] = part[:, 2] / b
+        cy[lo : lo + b.size] = part[:, 3] / b
+    del idx
+    # every cell lies in the rectangle of these bounds divided by eps and
+    # floored: adding, multiplying and dividing by eps round monotonically,
+    # so no sample of a circle leaves its bounding box, and no kept line
+    # sample leaves the viewport
+    bounds = [
+        (cx - radii).min(initial=math.inf),
+        (cx + radii).max(initial=-math.inf),
+        (cy - radii).min(initial=math.inf),
+        (cy + radii).max(initial=-math.inf),
+    ]
+    if line_rows.size:
+        x0, x1, y0, y1 = viewport
+        bounds = [min(bounds[0], x0), max(bounds[1], x1), min(bounds[2], y0), max(bounds[3], y1)]
+    out = np.zeros(eps_grid.size, dtype=np.int64)
+    if not (radii.size or line_rows.size):
+        return out
     for k, eps in enumerate(eps_grid):
-        m = int(np.searchsorted(radii, eps / 2.0, side="right"))
-        r = radii[:m]
-        lox = np.floor((cx[:m] - r) / eps).astype(np.int64)
-        loy = np.floor((cy[:m] - r) / eps).astype(np.int64)
-        # bounding boxes are at most 2x2 cells here, and most are one
-        # cell, so only the wide and tall ones mark a second column or row
-        hix = np.minimum(np.floor((cx[:m] + r) / eps).astype(np.int64), lox + 1)
-        hiy = np.minimum(np.floor((cy[:m] + r) / eps).astype(np.int64), loy + 1)
-        wide = hix > lox
-        tall = hiy > loy
-        both = wide & tall
-        cells = [
-            (lox, loy),
-            (hix[wide], loy[wide]),
-            (lox[tall], hiy[tall]),
-            (hix[both], hiy[both]),
-            *_sample_cells(cx[m:], cy[m:], radii[m:], eps),
-        ]
-        if viewport is not None and line_rows.size:
-            x0, x1, y0, y1 = viewport
-            span = math.hypot(x1 - x0, y1 - y0)
-            ts = np.arange(-span, span, eps / 3.0)
-            # the line {(nx, ny) . p = a/2} as p = (a/2) n + t (-ny, nx)
-            for a, _, nx, ny in line_rows:
-                xs = a / 2.0 * nx - ts * ny
-                ys = a / 2.0 * ny + ts * nx
-                inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
-                cells.append(
-                    (np.floor(xs[inside] / eps).astype(np.int64), np.floor(ys[inside] / eps).astype(np.int64))
-                )
-        out[k] = _count_cells(cells)
+        fx0, fx1, fy0, fy1 = (math.floor(v / eps) for v in bounds)
+        out[k] = _count_cells(
+            _cell_chunks(cx, cy, radii, eps, line_rows, viewport),
+            fx0,
+            fy0,
+            fx1 - fx0 + 1,
+            fy1 - fy0 + 1,
+        )
     return out
 
 
-# samples per chunk in _sample_cells: sampling a chunk peaks at 64 bytes a
-# sample, 16 of them the cells it keeps, so near 32 MB at any box size
-_SAMPLES_PER_CHUNK = 1 << 19
+# samples per chunk: sampling a chunk takes near 80 bytes a sample, so about
+# 1.3 MB at any box size; chunks of 2^13 to 2^16 count at the same speed
+_SAMPLES_PER_CHUNK = 1 << 14
+
+
+def _cell_chunks(cx, cy, r, eps: float, line_rows, viewport):
+    """Cells (ix, iy) of the eps-mesh that the curves mark, as chunks of at
+    most ``_SAMPLES_PER_CHUNK`` cells, each made when the previous one has
+    been used: the bounding-box cells of the circles smaller than a box
+    (r <= eps/2, a prefix of the radii, which ascend), the samples of the
+    other circles, then the samples of the lines."""
+    m = int(np.searchsorted(r, eps / 2.0, side="right"))
+    for lo in range(0, m, _SAMPLES_PER_CHUNK):
+        hi = min(m, lo + _SAMPLES_PER_CHUNK)
+        yield from _bounding_cells(cx[lo:hi], cy[lo:hi], r[lo:hi], eps)
+    yield from _sample_cells(cx[m:], cy[m:], r[m:], eps)
+    if line_rows.size:
+        x0, x1, y0, y1 = viewport
+        span = math.hypot(x1 - x0, y1 - y0)
+        ts = np.arange(-span, span, eps / 3.0)
+        # the line {(nx, ny) . p = a/2} as p = (a/2) n + t (-ny, nx)
+        for a, _, nx, ny in line_rows:
+            for lo in range(0, ts.size, _SAMPLES_PER_CHUNK):
+                t = ts[lo : lo + _SAMPLES_PER_CHUNK]
+                xs = a / 2.0 * nx - t * ny
+                ys = a / 2.0 * ny + t * nx
+                inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+                yield np.floor(xs[inside] / eps).astype(np.int64), np.floor(ys[inside] / eps).astype(np.int64)
+
+
+def _bounding_cells(cx, cy, r, eps: float):
+    """Cells of the bounding boxes of circles with r <= eps/2, as up to four
+    (ix, iy) parts: such a box is at most 2x2 cells, and most are one cell,
+    so only the wide and tall ones mark a second column or row."""
+    lox = np.floor((cx - r) / eps).astype(np.int64)
+    loy = np.floor((cy - r) / eps).astype(np.int64)
+    hix = np.minimum(np.floor((cx + r) / eps).astype(np.int64), lox + 1)
+    hiy = np.minimum(np.floor((cy + r) / eps).astype(np.int64), loy + 1)
+    wide = hix > lox
+    tall = hiy > loy
+    both = wide & tall
+    yield lox, loy
+    yield hix[wide], loy[wide]
+    yield lox[tall], hiy[tall]
+    yield hix[both], hiy[both]
 
 
 def _sample_cells(cx: np.ndarray, cy: np.ndarray, r: np.ndarray, eps: float):
     """Cells (ix, iy) of the samples of the circles at arc steps of eps/3,
-    at least 8 per circle, as one part per chunk of consecutive circles that
-    holds at most ``_SAMPLES_PER_CHUNK`` samples (or one circle).  Each
-    chunk's sampling temporaries die before the next chunk is sampled."""
+    at least 8 per circle, one chunk of ``_SAMPLES_PER_CHUNK`` consecutive
+    samples at a time (the last chunk may be shorter); a circle with more
+    samples than a chunk spans several."""
     n = np.maximum(8, np.ceil(2 * math.pi * r / (eps / 3.0)).astype(np.int64))
     ends = np.cumsum(n)
-    parts = []
-    lo = 0
-    while lo < r.size:
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - n[lo] + _SAMPLES_PER_CHUNK, side="right")))
-        parts.append(_sample_chunk(cx[lo:hi], cy[lo:hi], r[lo:hi], n[lo:hi], eps))
-        lo = hi
-    return parts
+    total = int(ends[-1]) if n.size else 0
+    for s0 in range(0, total, _SAMPLES_PER_CHUNK):
+        s1 = min(s0 + _SAMPLES_PER_CHUNK, total)
+        # circles c0 .. c1 - 1 hold samples s0 .. s1 - 1
+        c0 = int(np.searchsorted(ends, s0, side="right"))
+        c1 = int(np.searchsorted(ends, s1 - 1, side="right")) + 1
+        first = ends[c0:c1] - n[c0:c1]
+        owner = np.repeat(
+            np.arange(c1 - c0), np.minimum(ends[c0:c1], s1) - np.maximum(first, s0)
+        )
+        # sample j of a circle with n samples sits at angle j * (2 pi / n),
+        # which is np.linspace(0, 2 pi, n, endpoint=False) to the bit
+        th = (np.arange(s0, s1) - first[owner]) * (2 * math.pi / n[c0:c1][owner])
+        xs = cx[c0:c1][owner] + r[c0:c1][owner] * np.cos(th)
+        ys = cy[c0:c1][owner] + r[c0:c1][owner] * np.sin(th)
+        yield np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)
 
 
-def _sample_chunk(cx, cy, r, n, eps: float):
-    """Cells (ix, iy) of the n[k] samples of each circle k."""
-    # every sample of every circle in one flat array; sample j of a circle
-    # with n samples sits at angle j * (2 pi / n), which is
-    # np.linspace(0, 2 pi, n, endpoint=False) to the bit
-    owner = np.repeat(np.arange(r.size), n)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(n) - n, n)
-    th = j * (2 * math.pi / n[owner])
-    xs = cx[owner] + r[owner] * np.cos(th)
-    ys = cy[owner] + r[owner] * np.sin(th)
-    return np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)
-
-
-# cells per band of the bitmap in _count_cells (bytes, as it is boolean)
+# cells of the largest rectangle that _count_cells marks on a boolean map
+# (bytes, one a cell)
 _BOX_BAND_CELLS = 1 << 22
 
 
-def _count_cells(parts: list[tuple[np.ndarray, np.ndarray]]) -> int:
-    """Distinct cells among the (ix, iy) int64 index pairs of all parts.
+def _count_cells(chunks, x0: int, y0: int, width: int, height: int) -> int:
+    """Distinct cells among the (ix, iy) int64 index pairs of the chunks, all
+    inside the rectangle of ``width`` x ``height`` cells at (x0, y0).
 
-    The cells are keyed row-major over the bounding rectangle of the parts
-    and marked on a boolean map of one band of keys at a time: key k lies in
-    band k // ``_BOX_BAND_CELLS``, whatever the shape of the rectangle.
-    With more than one band, each part's keys are sorted, so a band takes
-    one slice of each part, and only the bands that hold a key are visited:
-    the work grows with the occupied bands, not with the area of the
+    The cells are keyed row-major over the rectangle.  A rectangle of at
+    most ``_BOX_BAND_CELLS`` cells is a boolean map, on which each chunk
+    marks its keys.  A larger one keeps each chunk's distinct keys (sorted,
+    then compared with their neighbours) and counts their union at the end,
+    so the work and memory follow the occupied cells, not the area of the
     rectangle.
     """
-    parts = [(ix, iy) for ix, iy in parts if ix.size]
-    if not parts:
-        return 0
-    x0 = min(int(ix.min()) for ix, _ in parts)
-    y0 = min(int(iy.min()) for _, iy in parts)
-    width = max(int(ix.max()) for ix, _ in parts) - x0 + 1
-    height = max(int(iy.max()) for _, iy in parts) - y0 + 1
-    band = np.zeros(min(width * height, _BOX_BAND_CELLS), dtype=bool)
-    if band.size == width * height:
-        for ix, iy in parts:
-            band[_row_major(ix, iy, x0, y0, width)] = True
-        return int(np.count_nonzero(band))
-    keys = [np.sort(_row_major(ix, iy, x0, y0, width)) for ix, iy in parts]
-    occupied = set()
-    for key in keys:
-        ids = key // band.size
-        occupied.update(ids[np.flatnonzero(np.diff(ids, prepend=-1))].tolist())
-    total = 0
-    for start in sorted(b * band.size for b in occupied):
-        band.fill(False)
-        for key in keys:
-            lo, hi = np.searchsorted(key, (start, start + band.size))
-            band[key[lo:hi] - start] = True
-        total += int(np.count_nonzero(band))
-    return total
+    if width * height >= 1 << 63:
+        raise OverflowError(f"a {width} x {height} cell rectangle overflows int64 keys")
+    if width * height <= _BOX_BAND_CELLS:
+        cells = np.zeros(width * height, dtype=bool)
+        for ix, iy in chunks:
+            cells[_row_major(ix, iy, x0, y0, width)] = True
+        return int(np.count_nonzero(cells))
+    keys = [_distinct(_row_major(ix, iy, x0, y0, width)) for ix, iy in chunks]
+    return _distinct(np.concatenate(keys)).size if keys else 0
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-D array, ascending; sorts it in place.
+    A sort and a neighbour compare: ``np.unique`` hashes int64 keys, which is
+    several times slower here."""
+    keys.sort()
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new]
 
 
 def _row_major(ix: np.ndarray, iy: np.ndarray, x0: int, y0: int, width: int) -> np.ndarray:

@@ -104,7 +104,11 @@ def slice_series(series: SieveSeries, q: int) -> CongruenceSlice:
         raise ValueError("the max selector has no congruence density; use coord/product")
     mass = int((series.values % q == 0).sum())
     om = orbit_mod(series.root, q)
-    fvals = apply_selector(series.selector, om)
+    if series.selector[0] == "product":
+        # uint8 entries; their product, at most 254^2, fits in int32
+        fvals = om[:, series.selector[1] - 1].astype(np.int32) * om[:, series.selector[2] - 1]
+    else:
+        fvals = apply_selector(series.selector, om)
     g_hat = float((fvals % q == 0).sum() / len(om))
     return CongruenceSlice(q=q, mass=mass, g_hat=g_hat, r_hat=mass - g_hat * series.X)
 

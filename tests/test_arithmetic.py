@@ -183,6 +183,51 @@ def test_odd_prime_triangle_negative_control():
         ar.no_odd_prime_triple(enumerate_orbit((-1, 2, 2, 3), 100, tangency=True))
 
 
+def _quads_orbit(rows):
+    quads = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return PackingOrbit(root=(-1, 2, 2, 3), bound=int(np.abs(quads).max(initial=1)),
+                        curvatures=np.unique(quads), quad_count=len(quads), quads=quads)
+
+
+def _odd_prime_triple_free_whole(quads):
+    """The former formula: one (n, 4) prime mask of |quads| at once."""
+    q = np.abs(quads)
+    pm = ar.prime_mask(q.ravel()).reshape(q.shape)
+    return not bool(((pm & (q % 2 == 1)).sum(axis=1) >= 3).any())
+
+
+# every row holds at most two odd primes: 0, 1, 2, 9 and even entries are not
+# odd primes, and a negative entry counts by its absolute value
+EDGE_QUADS = [(0, 1, 2, 3), (-1, -2, 2, 9), (0, 0, 0, 0), (1, 1, 1, 1),
+              (2, 2, 2, 3), (-3, -5, 2, 4), (-2, 3, 6, 7), (1, 9, 15, 21)]
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1000, 1])
+def test_no_odd_prime_triple_matches_the_whole_array_formula(monkeypatch, std_orbit_1e4, chunk):
+    monkeypatch.setattr(ar, "_TRIPLE_CHUNK", chunk)
+    quads = std_orbit_1e4.quads if chunk > 1 else std_orbit_1e4.quads[:3000]
+    planted = np.array([(-3, 5, -7, 2)])  # |-3|, 5 and |-7| are odd primes
+    cases = {
+        "orbit": (quads, True),
+        "edges": (EDGE_QUADS, True),
+        "orbit and edges": (np.vstack([quads, EDGE_QUADS]), True),
+        "planted last": (np.vstack([quads, EDGE_QUADS, planted]), False),
+        "planted first": (np.vstack([planted, quads]), False),
+        "all odd primes": ([(3, 5, 7, 11)], False),
+    }
+    for name, (rows, expected) in cases.items():
+        rows = np.asarray(rows, dtype=np.int64)
+        assert _odd_prime_triple_free_whole(rows) is expected, name
+        assert ar.no_odd_prime_triple(_quads_orbit(rows)) is expected, name
+
+
+def test_no_odd_prime_triple_beyond_the_sieve(monkeypatch):
+    # past the sieve limit the entries go to Miller-Rabin one by one
+    monkeypatch.setattr(ar, "_SIEVE_MAX", 10)
+    assert ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS))
+    assert not ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS + [(-13, 2, 17, 19)]))
+
+
 def test_empty_orbit_triple_free():
     orb = enumerate_orbit((-1, 2, 2, 3), 1, tangency=True, keep_quads=True)
     assert ar.no_odd_prime_triple(orb)

@@ -575,6 +575,32 @@ def test_cli_report_names_moduli_over_the_element_cap(config_path, capsys):
     assert "over moduli [3]\n" in summary and "failures" not in summary
 
 
+def test_cli_report_takes_the_row_of_2m_from_m(config_path, monkeypatch):
+    from apollonian import congruence
+
+    reduced = []
+    real = congruence.reduce_group_mod
+
+    def counted(q, element_cap=congruence.ELEMENT_CAP_DEFAULT):
+        reduced.append(q)
+        return real(q, element_cap)
+
+    monkeypatch.setattr(congruence, "reduce_group_mod", counted)
+    path, out = config_path
+    text = Path(path).read_text().replace("moduli = 2, 3, 6", "moduli = 10, 2, 3, 5, 6")
+    Path(path).write_text(text.replace("element_cap = 100000", "element_cap = 20000"))
+    assert main(["report", "--config", path]) == 0
+    # 10 comes before 5 in the list and still computes 5 once; 2 has no
+    # odd half of at least 3
+    assert reduced == [5, 2, 3]
+    rows = dict(
+        line.split(",", 1) for line in Path(out, "spectral.csv").read_text().splitlines()[1:]
+    )
+    assert list(rows) == ["2", "3", "5", "6", "10"]
+    assert rows["6"] == rows["3"] and rows["10"] == rows["5"]
+    assert rows["3"].startswith("120,") and rows["5"].startswith("14400,")
+
+
 # every file a report writes, by the stage that writes it
 STAGE_FILES = {
     "counts/fit": ["counts.csv"],

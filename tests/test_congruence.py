@@ -372,6 +372,19 @@ def test_expander_report_skips_capped_and_rejects_nonsquarefree():
         cg.expander_report([4])
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_group_mod_2m_has_the_spectrum_of_the_group_mod_m(m):
+    # the swaps are the identity mod 2, so the report takes the row of 2m
+    # from m; a direct run agrees
+    odd, even = cg.reduce_group_mod(m), cg.reduce_group_mod(2 * m)
+    assert even.order == odd.order
+    a, b = cg.spectrum(cg.build_cayley(odd)), cg.spectrum(cg.build_cayley(even))
+    assert abs(a.lambda1 - b.lambda1) <= 1e-12
+    for field in ("lambda0", "lambda_min", "cheeger_lower", "cheeger_upper"):
+        assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
+    assert (a.n, a.method) == (b.n, b.method)
+
+
 def test_orbit_mod_basics():
     orb = cg.orbit_mod((-1, 2, 2, 3), 2)
     assert orb.shape == (1, 4)  # swaps act trivially mod 2
@@ -430,7 +443,7 @@ def fresh_memo(monkeypatch):
 @pytest.mark.parametrize("q", [3, 5, 6, 7, 11, 15])
 def test_orbit_mod_matches_naive_closure(fresh_memo, root, q):
     orb = cg.orbit_mod(root, q)
-    assert orb.dtype == np.int64
+    assert orb.dtype == np.uint8
     assert np.array_equal(orb, naive_closure(root, q))
 
 
@@ -487,7 +500,7 @@ def test_orbit_mod_of_a_root_divisible_by_a_prime_of_q(fresh_memo, root, q):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)])
 def test_orbit_mod_prime_is_the_nonzero_cone(fresh_memo, p):
-    orb = cg.orbit_mod((-1, 2, 2, 3), p)
+    orb = cg.orbit_mod((-1, 2, 2, 3), p).astype(np.int64)  # squares overflow uint8
     chi = 1 if p % 4 == 1 else -1
     assert len(orb) == p**3 + chi * (p * p - p) - 1
     assert not ((2 * (orb**2).sum(axis=1) - orb.sum(axis=1) ** 2) % p).any()

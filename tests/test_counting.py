@@ -289,19 +289,28 @@ def test_box_counts_match_per_circle_reference_in_narrow_bands(monkeypatch, std_
     test_box_counts_match_per_circle_reference_float_rows()
 
 
+# eight circles resolve no box below 2/6
+@pytest.mark.filterwarnings("ignore::apollonian.counting.ResolutionWarning")
 @pytest.mark.parametrize("chunk", [1, 500, 40_000])
 def test_box_counts_in_sample_chunks_match_one_shot(monkeypatch, std_orbit_1e4, chunk):
+    # the eight largest circles, at the coarsest box size at which the
+    # largest one holds more than three chunks of samples
     rows = std_orbit_1e4.acc_rows
-    eps = [2.0**-k for k in range(3, 11)]
+    rows = rows[np.argsort(np.abs(rows[:, 1]), kind="stable")[:8]]
+    b = rows[:, 1].astype(float)
+    cx, cy, r = rows[:, 2] / b, rows[:, 3] / b, 1.0 / np.abs(b)
+    k = next(k for k in range(1, 15) if 2 * math.pi * r.max() / (2.0**-k / 3.0) > 3 * chunk)
+    eps = [2.0 ** (2 - k), 2.0 ** (1 - k), 2.0**-k]
     monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", 1 << 62)
     one_shot = ct.box_counts(rows, eps)
+    whole = list(ct._sample_cells(cx, cy, r, eps[-1]))
     monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", chunk)
-    # the larger circles of the finest box size hold several chunks of samples
-    radii = 1.0 / np.abs(rows[:, 1].astype(float))
-    big = radii > eps[-1] / 2.0
-    parts = ct._sample_cells(np.zeros(big.sum()), np.zeros(big.sum()), radii[big], eps[-1])
-    assert len(parts) > 2
-    assert sum(ix.size for ix, _ in parts) > 2 * chunk
+    parts = list(ct._sample_cells(cx, cy, r, eps[-1]))
+    assert len(whole) == 1 and len(parts) > 3
+    assert all(ix.size == chunk for ix, _ in parts[:-1])
+    assert 0 < parts[-1][0].size <= chunk
+    for axis in (0, 1):
+        assert np.array_equal(np.concatenate([p[axis] for p in parts]), whole[0][axis])
     assert ct.box_counts(rows, eps).tolist() == one_shot.tolist()
 
 
@@ -333,13 +342,20 @@ def test_box_counts_negative_cells(monkeypatch, band_cells):
 
 def test_box_counts_visit_only_occupied_bands(monkeypatch):
     # two tiny circles 1000 units apart: at eps = 2**-14 the rectangle
-    # between them is 2.7e14 cells, 2.6e11 bands of 1024 keys, of which two
-    # hold a cell
+    # between them is 2.7e14 cells, and counting keeps only the cells that
+    # the circles mark
     monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 1 << 10)
     circles = [Circle.from_center_radius(c, 1e-6) for c in ((0.0, 0.0), (1000.0, 1000.0))]
     rows = np.array([c.vector() for c in circles])
     eps = [2.0**-10, 2.0**-13, 2.0**-14]
-    assert ct.box_counts(rows, eps).tolist() == _box_counts_per_circle(circles, eps)
+    tracemalloc.start()
+    try:
+        counts = ct.box_counts(rows, eps).tolist()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == _box_counts_per_circle(circles, eps)
+    assert peak < 1 << 20
 
 
 def test_box_counts_split_a_row_wider_than_a_band():
@@ -358,21 +374,53 @@ def test_box_counts_split_a_row_wider_than_a_band():
     assert peak < 2 * ct._BOX_BAND_CELLS
 
 
+def test_box_counts_memory_follows_one_chunk_and_the_occupied_boxes(monkeypatch, std_orbit_1e4):
+    # from eps = 2**-9 (the finest default box) to 2**-11 the samples of
+    # the T = 1e4 packing grow from 139,907 to 854,028, and the peak stays
+    # within one fixed bound: the centres and radii, one chunk, and the
+    # distinct keys of the occupied boxes at 2**-11 with their union
+    monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", 1 << 12)
+    rows = std_orbit_1e4.acc_rows
+    radii = 1.0 / np.abs(rows[:, 1].astype(float))
+
+    def samples(eps):
+        big = radii[radii > eps / 2.0]
+        return int(np.maximum(8, np.ceil(2 * math.pi * big / (eps / 3.0))).sum())
+
+    finest = ct.box_counts(rows, [2.0**-11])[0]
+    bound = 48 * len(rows) + 128 * ct._SAMPLES_PER_CHUNK + 48 * int(finest)
+    # below the 16 bytes of cell indices a sample that a list of every
+    # sample's cell takes at 2**-11
+    assert bound < 16 * samples(2.0**-11)
+    assert samples(2.0**-11) > 4 * samples(2.0**-9)
+    for eps in (2.0**-9, 2.0**-11):
+        tracemalloc.start()
+        try:
+            ct.box_counts(rows, [eps])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, eps
+
+
 @pytest.mark.parametrize("band_cells", [1 << 22, 250, 99, 1])
 def test_count_cells_matches_a_set(monkeypatch, band_cells):
-    # rows are 100 cells wide: bands of 250 and of 99 keys start and end
-    # inside rows, and bands of one key are single cells
+    # a rectangle of 100 x 12 cells, or a larger one around it: a boolean
+    # map at 1 << 22 cells, distinct keys per chunk below 1200
     monkeypatch.setattr(ct, "_BOX_BAND_CELLS", band_cells)
     rng = np.random.default_rng(7)
     parts = [
         (rng.integers(-60, 40, size), rng.integers(-9, 3, size))
         for size in (500, 1, 0, 80)
     ]
-    # the extreme cells of the rectangle: each sits on a band edge
+    # the extreme cells of the rectangle, and a repeat of the first part
     parts.append((np.array([-60, 39, -60, 39]), np.array([-9, -9, 2, 2])))
+    parts.append((parts[0][0][::-1].copy(), parts[0][1][::-1].copy()))
     cells = {(int(x), int(y)) for ix, iy in parts for x, y in zip(ix, iy)}
-    assert ct._count_cells(parts) == len(cells)
-    assert ct._count_cells([(ix[:0], iy[:0]) for ix, iy in parts]) == 0
+    for x0, y0, width, height in ((-60, -9, 100, 12), (-70, -12, 130, 19)):
+        assert ct._count_cells(iter(parts), x0, y0, width, height) == len(cells)
+        assert ct._count_cells(((ix[:0], iy[:0]) for ix, iy in parts), x0, y0, width, height) == 0
+        assert ct._count_cells(iter([]), x0, y0, width, height) == 0
 
 
 def test_curvilinear_triangle_standard(std_orbit_1e4):

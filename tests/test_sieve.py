@@ -52,6 +52,19 @@ def test_series_requires_quads():
         sv.build_series(orb, ("coord", 1))
 
 
+@pytest.mark.parametrize("selector", [("coord", 2), ("product", 1, 2), ("product", 3, 4)])
+def test_slice_density_from_the_uint8_orbit(std_orbit_1e4, selector):
+    # entries mod 77 reach 76, so products of two wrap in uint8
+    from apollonian.congruence import orbit_mod
+
+    series = sv.build_series(std_orbit_1e4, selector)
+    om = orbit_mod(series.root, 77)
+    assert om.dtype == np.uint8
+    fvals = sv.apply_selector(selector, om.astype(np.int64))
+    expected = float((fvals % 77 == 0).sum() / len(om))
+    assert sv.slice_series(series, 77).g_hat == expected
+
+
 def test_slice_mass_is_direct_count(series_coord):
     for q in (2, 3, 5, 7):
         sl = sv.slice_series(series_coord, q)
