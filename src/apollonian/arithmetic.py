@@ -4,12 +4,11 @@ exception list for the local-global behaviour of curvatures."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadruples import PackingOrbit, is_primitive
+from .quadruples import PackingOrbit, is_primitive, prime_table
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.4e14; curvatures
 # and sieve products at desk scale stay far below this.
@@ -77,17 +76,7 @@ def prime_mask(values: np.ndarray) -> np.ndarray:
         return np.zeros(values.shape, dtype=bool)
     if vmax > _SIEVE_MAX:
         return np.fromiter((is_prime(int(v)) for v in values), dtype=bool, count=values.size)
-    return _prime_table(vmax)[np.clip(values, 0, vmax)] & (values >= 2)
-
-
-def _prime_table(vmax: int) -> np.ndarray:
-    """Boolean table over 0..vmax, True at the primes (Eratosthenes)."""
-    sieve = np.ones(vmax + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(vmax)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return sieve
+    return prime_table(vmax)[np.clip(values, 0, vmax)] & (values >= 2)
 
 
 @dataclass
@@ -125,8 +114,8 @@ def tally(orbit: PackingOrbit) -> CurvatureTally:
 
 def prime_stats(orbit: PackingOrbit) -> PrimeStats:
     """Prime circle count (with multiplicity) and twin-prime tangent pair
-    count over the enumerated orbit; requires a primitive root and a
-    tangency graph."""
+    count over the enumerated orbit; requires a primitive root and twin
+    counts."""
     if not is_primitive(orbit.root):
         raise ValueError(f"root {orbit.root} is not primitive")
     return prime_count_curve(orbit, [orbit.bound])[0]
@@ -172,7 +161,7 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
     vmax = max(int(quads.max(initial=0)), -int(quads.min(initial=0)))
     # one table of the odd primes up to max |entry|, read a chunk of rows at
     # a time, so no temporary is as large as the quadruples
-    table = _prime_table(vmax) if vmax <= _SIEVE_MAX else None
+    table = prime_table(vmax) if vmax <= _SIEVE_MAX else None
     if table is not None:
         table[2:3] = False
     for start in range(0, len(quads), _TRIPLE_CHUNK):
@@ -187,19 +176,18 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
 
 
 def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:
-    """PrimeStats at each threshold, from one enumerated orbit."""
-    if orbit.edges is None:
-        raise ValueError("orbit lacks a tangency graph; enumerate with tangency=True")
+    """PrimeStats at each threshold, from one enumerated orbit.  A twin
+    pair lies within t exactly when the circle that counts it does
+    (``PackingOrbit.twins``), so pi_2(t) is a masked sum."""
+    if orbit.twins is None:
+        raise ValueError("orbit lacks twin counts; enumerate with twins=True")
     u = orbit.unsigned_curvatures
     pm = prime_mask(u)
     out = []
-    for t in ts:
-        t = int(t)
+    for t in map(int, ts):
         if t > orbit.bound:
             raise ValueError(f"threshold {t} exceeds orbit bound {orbit.bound}")
         below = u <= t
-        pi = int((pm & below).sum())
-        e = orbit.edges
-        em = below[e[:, 0]] & below[e[:, 1]] & pm[e[:, 0]] & pm[e[:, 1]]
-        out.append(PrimeStats(pi=pi, pi2=int(em.sum()), bound=t))
+        pi2 = orbit.twins.sum(where=below, dtype=np.int64)
+        out.append(PrimeStats(pi=int(np.count_nonzero(pm & below)), pi2=int(pi2), bound=t))
     return out

@@ -86,11 +86,11 @@ def _seed_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _enumerate(cfg: RunConfig, *, tangency: bool, keep_quads: bool):
+def _enumerate(cfg: RunConfig, *, twins: bool, keep_quads: bool):
     return enumerate_orbit(
         cfg.root,
         cfg.bound,
-        tangency=tangency,
+        twins=twins,
         keep_quads=keep_quads,
         embedding="auto",
         region=cfg.window,
@@ -98,7 +98,7 @@ def _enumerate(cfg: RunConfig, *, tangency: bool, keep_quads: bool):
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    orbit = _enumerate(cfg, tangency=False, keep_quads=True)
+    orbit = _enumerate(cfg, twins=False, keep_quads=True)
     dump = os.path.join(cfg.out_dir, "orbit.txt")
     lines = write_orbit_dump(orbit, dump)
     circles_path = os.path.join(cfg.out_dir, "circles.csv")
@@ -153,7 +153,7 @@ def cmd_report(cfg: RunConfig) -> int:
     summary: list[str] = []
     out = cfg.out_dir
 
-    orbit = _enumerate(cfg, tangency=True, keep_quads=True)
+    orbit = _enumerate(cfg, twins=True, keep_quads=True)
     summary.append(f"root {cfg.root}, bound {cfg.bound}")
     summary.append(f"circles {orbit.circle_count}, quadruples {orbit.quad_count}")
 

@@ -330,10 +330,11 @@ def _count_cells(chunks, x0: int, y0: int, width: int, height: int) -> int:
 
     The cells are keyed row-major over the rectangle.  A rectangle of at
     most ``_BOX_BAND_CELLS`` cells is a boolean map, on which each chunk
-    marks its keys.  A larger one keeps each chunk's distinct keys (sorted,
-    then compared with their neighbours) and counts their union at the end,
-    so the work and memory follow the occupied cells, not the area of the
-    rectangle.
+    marks its keys.  A larger one keeps the distinct keys seen so far as one
+    sorted union and each later chunk's distinct keys (sorted, then compared
+    with their neighbours), and merges those into the union whenever they
+    outnumber it.  So the work and memory follow the occupied cells, not
+    the area of the rectangle nor the number of chunks that mark a cell.
     """
     if width * height >= 1 << 63:
         raise OverflowError(f"a {width} x {height} cell rectangle overflows int64 keys")
@@ -342,8 +343,12 @@ def _count_cells(chunks, x0: int, y0: int, width: int, height: int) -> int:
         for ix, iy in chunks:
             cells[_row_major(ix, iy, x0, y0, width)] = True
         return int(np.count_nonzero(cells))
-    keys = [_distinct(_row_major(ix, iy, x0, y0, width)) for ix, iy in chunks]
-    return _distinct(np.concatenate(keys)).size if keys else 0
+    union, pending = np.empty(0, dtype=np.int64), []  # pending: the chunks' keys since the last merge
+    for ix, iy in chunks:
+        pending.append(_distinct(_row_major(ix, iy, x0, y0, width)))
+        if sum(map(len, pending)) > union.size:
+            union, pending = _distinct(np.concatenate([union, *pending])), []
+    return _distinct(np.concatenate([union, *pending])).size
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ with a curvature bound exhaustive.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from collections import deque
@@ -55,9 +54,6 @@ KNOWN_EMBEDDINGS: dict[Quad, tuple[tuple[int, int, int, int], ...]] = {
 # consumes pairwise products, so bounds up to 1e8 keep every intermediate
 # below 2^63.
 MAX_BOUND = 10**8
-
-# the entries a swap leaves in place, for each swap index
-KEPT_POSITIONS = np.array([[p for p in range(4) if p != i] for i in range(4)])
 
 # the most quads a frontier piece of ``enumerate_orbit`` holds; each piece
 # is swapped on its own, so the walk's transients scale with it, not with a
@@ -144,16 +140,17 @@ class PackingOrbit:
 
     ``curvatures[k]`` is the signed curvature of circle id ``k``; ids 0..3 are
     the root circles that pass the bound/region filter, later ids follow BFS
-    creation order.  ``edges`` (optional) lists tangent circle pairs, i.e.
-    pairs co-occurring in some enumerated quadruple.  ``quads`` (optional)
+    creation order.  ``twins`` (optional) counts the tangent pairs of prime
+    |curvature| on the circle of each pair with the larger |curvature|, so
+    pi_2(t) is its sum over |curvature| <= t.  ``quads`` (optional)
     stores one row per enumerated quadruple in BFS order with ``quad_depths``
     giving the word length (under a ``region``, see ``enumerate_orbit``).
     ``acc_rows`` (optional) carries the exact inversive row (cocurvature,
     curvature, curvature*x, curvature*y) of each circle when the root has a
     known integral embedding; its column 1 equals ``curvatures``.
 
-    Rows, quads and edges are int64 and depths int32.  ``curvatures`` are
-    int64 with rows and otherwise have the walk's lane dtype, int32 for
+    Rows and quads are int64, depths int32 and twins uint8.  ``curvatures``
+    are int64 with rows and otherwise have the walk's lane dtype, int32 for
     every root and bound ``enumerate_orbit`` walks in int32; as |b| <=
     bound <= ``MAX_BOUND`` < 2**31, they hold every value.
     """
@@ -162,7 +159,7 @@ class PackingOrbit:
     bound: int
     curvatures: np.ndarray
     quad_count: int
-    edges: np.ndarray | None = None
+    twins: np.ndarray | None = None
     quads: np.ndarray | None = None
     quad_depths: np.ndarray | None = None
     acc_rows: np.ndarray | None = None
@@ -182,11 +179,21 @@ def embedding_for_root(root: Quad) -> np.ndarray | None:
     return None if rows is None else np.array(rows, dtype=np.int64)
 
 
+def prime_table(vmax: int) -> np.ndarray:
+    """Boolean table over 0..vmax, True at the primes (Eratosthenes)."""
+    sieve = np.ones(vmax + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(math.isqrt(vmax)) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return sieve
+
+
 def enumerate_orbit(
     root,
     bound: int,
     *,
-    tangency: bool = False,
+    twins: bool = False,
     keep_quads: bool = False,
     embedding: str | None = None,
     region: tuple[float, float, float, float] | None = None,
@@ -205,7 +212,7 @@ def enumerate_orbit(
     circle C_i of a quadruple by 2*S - 3*C_i, S the sum of its four circles,
     on every lane at once; the bound is tested on the curvature lane.  A
     generation's children are laid out swap-major: the quads swap 0 made,
-    in parent order, then swap 1's, and so on.  Child ids, edges, quads and
+    in parent order, then swap 1's, and so on.  Child ids, quads and
     circles all follow this order, and so does the next frontier, in which
     the next generation forbids repeating a swap by masking the columns it
     made.
@@ -216,9 +223,9 @@ def enumerate_orbit(
     at the end of the generation the children, in swap-major order, are cut
     into the pieces of the next frontier.  So the walk's transients scale
     with ``PIECE``, not with a generation's width.  A generation narrower
-    than ``PIECE`` stays one piece in four swap blocks, as it was made.
-    Each generation's circles are written into one result that grows in
-    place, so the walk never joins its pieces into a second copy.
+    than ``PIECE`` that is one piece stays that piece.  Each generation's
+    circles are written into one result that grows in place, one write per
+    piece, so the walk never joins its pieces into a second copy.
 
     Without an embedding the lanes are int32 whenever 8*m < 2**31, m the
     larger of the bound and the largest |root entry|, and int64 otherwise;
@@ -228,7 +235,16 @@ def enumerate_orbit(
     no int32 step can wrap.  Under ``MAX_BOUND`` that holds for every root
     whose entries are below 2**28.  The result is stored in the lane dtype,
     so a curvature-only walk returns its curvatures in int32 when its lanes
-    are; quads and edges are int64 on every path (see ``PackingOrbit``).
+    are; quads are int64 on every path (see ``PackingOrbit``).
+
+    ``twins`` counts the twin-prime tangencies as the walk goes.  The
+    frontier then carries a ``(4, m)`` bool lane, each entry "prime and
+    kept": of prime |curvature|, within the bound and, under a region,
+    meeting it.  Each tangent pair is two root circles or a child and one
+    of the three entries its swap kept, so a flagged child counts its
+    flagged kept entries, and each root pair counts on its circle of larger
+    |curvature|, the later on a tie.  A child has the largest |curvature|
+    of its quad, so a pair lies within t exactly when that circle does.
 
     One DEBUG record per generation on the ``apollonian.quadruples`` logger
     gives its depth, its width (the quads it made) and the quads made so
@@ -237,9 +253,10 @@ def enumerate_orbit(
     ``embedding`` may be "auto" (look up the exact integral embedding of the
     root) or None.
     ``region`` (xmin, xmax, ymin, ymax) keeps the circles whose curve meets
-    the closed rectangle (``region.meets``, exact).  The walk visits only the
-    quadruples whose swap's dual circle, which holds the whole branch, meets
-    it (``region.branch_alive``), so ``quads`` and ``quad_count`` count those.
+    the closed rectangle (``region.meets``, exact), tested once on each
+    circle as it is made.  The walk visits only the quadruples whose swap's
+    dual circle, which holds the whole branch, meets it
+    (``region.branch_alive``), so ``quads`` and ``quad_count`` count those.
     A region needs an embedding and is the only way to enumerate an
     unbounded (strip) packing.
     """
@@ -279,25 +296,39 @@ def enumerate_orbit(
     else:
         start, lane = rows0, 1
 
-    # every circle, root circles first, in one array of the lane dtype grown
-    # in place; filtered by bound (and region) below
-    circles = start.copy()
     count = 4
     quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
     quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
     depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
-    edge_acc = [np.array([[i, j] for i in range(4) for j in range(i + 1, 4)], dtype=np.int64)] if tangency else None
 
-    # the frontier: pieces (quads, ends, ids), see ``_swap_piece``; the root
-    # quad is one piece, made by no swap
-    root_ids = np.arange(4, dtype=np.int64)[:, None] if tangency else None
-    frontier = deque([(start[:, None, :].copy(), [0] * 5, root_ids)])
+    # a child is never the bounding circle or a line, and the keep test
+    # holds it within the bound, so 0 < b <= bound; only the root circles
+    # can break the bound
+    b0 = np.abs(start[:, lane])
+    kept = b0 <= bound
+    if region is not None:
+        kept &= meets(start, region)
+    primes = flags = counts = None
+    if twins:
+        primes = prime_table(bound)
+        flags = kept & primes[np.where(kept, b0, 0)]
+        f, b = flags.tolist(), b0.tolist()
+        counts = np.array([f[k] * sum(f[j] for j in range(4) if (b[j], j) < (b[k], k)) for k in range(4)], np.uint8)
+        flags = flags[:, None]
+    # every circle, root circles first, in one array of the lane dtype grown
+    # in place and filtered by bound (and region) below; under a region,
+    # ``inside`` marks the circles that meet it, and ``counts`` holds twins
+    circles, inside = start.copy(), None if region is None else kept.copy()
+    grown = [a for a in (circles, inside, counts) if a is not None]
+
+    # the frontier: pieces (quads, ends, flags), see ``_swap_piece``; the
+    # root quad is one piece, made by no swap
+    frontier = deque([(start[:, None, :].copy(), [0] * 5, flags)])
     depth = 0
 
     while True:
         depth += 1
-        made, widths, lone = _swap_frontier(frontier, bound, lane, region)
-        n = sum(widths)
+        made, n = _swap_frontier(frontier, bound, lane, region)
         quad_count += n
         log.debug("generation %d: %d quads, %d in all", depth, n, quad_count)
         if n == 0:
@@ -308,47 +339,35 @@ def enumerate_orbit(
             # remapping its pages, not copying them.  No view of ``circles``
             # outlives its statement, so the reference check, which a
             # debugger's frame locals can trip, is off
-            circles.resize((count + n + (count + n) // 8, circles.shape[1]), refcheck=False)
+            for a in grown:
+                a.resize((count + n + (count + n) // 8, *a.shape[1:]), refcheck=False)
         quads = np.empty((n, 4), dtype=circles.dtype) if keep_quads else None
-        e = np.empty((3 * n, 2), dtype=np.int64) if tangency else None
-        _lay_out(made, widths, circles, count, lane, quads, e)
+        _lay_out(made, circles, count, lane, quads, region, inside, primes, counts)
         if keep_quads:
             quads_acc.append(quads)
             depths_acc.append(np.full(n, depth, dtype=np.int32))
-        if tangency:
-            edge_acc.append(e)
         count += n
-        # a generation narrower than a piece stays one piece, as it was made
-        frontier = _cut(made) if lone is None else deque([lone])
-    circles.resize((count, circles.shape[1]), refcheck=False)
-    edges = np.concatenate(edge_acc) if tangency else None
-    del edge_acc
+        frontier = _cut(made)
+    for a in grown:
+        a.resize((count, *a.shape[1:]), refcheck=False)
 
-    # a child is never the bounding circle or a line, and the keep test
-    # holds it within the bound, so 0 < b <= bound; only the root circles
-    # can break the bound, so without a region a mask is built only when
-    # one of them does
-    roots_kept = np.abs(start[:, lane]) <= bound
-    keep_mask = None
-    if region is not None:
-        keep_mask = meets(circles, region)
-        keep_mask[:4] &= roots_kept
-    elif not roots_kept.all():
+    # without a region a mask is built only when a root circle breaks the
+    # bound
+    keep_mask = inside
+    if keep_mask is None and not kept.all():
         keep_mask = np.ones(count, dtype=bool)
-        keep_mask[:4] = roots_kept
+        keep_mask[:4] = kept
     if keep_mask is not None and not keep_mask.all():
         circles = circles[keep_mask]
-        if tangency:
-            edges = edges[keep_mask[edges[:, 0]] & keep_mask[edges[:, 1]]]
-            remap = np.cumsum(keep_mask) - 1
-            edges = remap[edges]
+        if twins:
+            counts = counts[keep_mask]
 
     return PackingOrbit(
         root=root,
         bound=bound,
         curvatures=np.ascontiguousarray(circles[:, lane]),
         quad_count=quad_count,
-        edges=edges,
+        twins=counts,
         quads=np.concatenate(quads_acc, dtype=np.int64) if keep_quads else None,
         quad_depths=np.concatenate(depths_acc) if keep_quads else None,
         acc_rows=None if rows0 is None else circles,
@@ -359,61 +378,55 @@ def enumerate_orbit(
 def _swap_frontier(frontier, bound, lane, region):
     """Swap every piece of ``frontier``, dropping each once it is done.
 
-    Returns ``made``, where ``made[i]`` holds swap i's children as one
-    ``(children, ids)`` pair per parent piece, in parent order; ``widths``,
-    where ``widths[i]`` counts them; and ``lone``: the children as one piece
-    in four swap blocks when the frontier was one piece and they fit in
-    one, and None otherwise."""
+    Returns ``made`` and the number of children in it.  ``made[i]`` holds
+    the nonempty children pieces of swap i, in parent order, or with a lone
+    frontier piece ``made[0]`` holds its children as one piece; so the
+    pieces of ``made[0]``, ``made[1]``, ... are in swap-major order."""
     split = len(frontier) > 1
     made = [deque() for _ in range(4)]
-    widths = [0] * 4
+    n = 0
     while frontier:
-        pieces = _swap_piece(*frontier.popleft(), bound, lane, region, split)
-        for child, ends, ids in pieces:
-            for i, block in enumerate(made):
-                a, b = ends[i], ends[i + 1]
-                if a < b:
-                    block.append((child[:, a:b], None if ids is None else ids[:, a:b]))
-                    widths[i] += b - a
-    return made, widths, pieces[0] if not split and pieces[0][0].shape[1] <= PIECE else None
+        for i, piece in enumerate(_swap_piece(*frontier.popleft(), bound, lane, region, split)):
+            if len(piece[3]):
+                made[i].append(piece)
+                n += len(piece[3])
+    return made, n
 
 
-def _lay_out(made, widths, circles, count, lane, quads, e):
-    """Write one generation's children, in swap-major order, into the
-    circles from row ``count`` on, into ``quads`` (or None) and into the
-    edges ``e`` (or None), and give them their ids; ``widths[i]`` is the
-    number of children swap i made."""
-    a = 0
-    for i, block in enumerate(made):
-        if e is not None:
-            # edges from the three kept circles to the new one, grouped by
-            # swap, then by kept position, then by child
-            swap_edges = e[3 * a : 3 * (a + widths[i])].reshape(3, widths[i], 2)
-            first = a
-        for child, ids in block:
-            b = a + child.shape[1]
-            circles[count + a : count + b] = child[i]
+def _lay_out(made, circles, count, lane, quads, region, inside, primes, counts):
+    """Write one generation's children pieces ``made`` into the circles from
+    row ``count`` on and into ``quads`` (or None), one write per piece; mark
+    the new circles that meet the region in ``inside``; and with the prime
+    table ``primes``, set their flags and write their twin counts."""
+    a = count
+    for block in made:
+        for child, ends, flags, new in block:
+            b = a + len(new)
+            circles[a:b] = new
             if quads is not None:
-                quads[a:b] = child[..., lane].T
-            if e is not None:
-                edge_block = swap_edges[:, a - first : b - first]
-                edge_block[..., 0] = ids[KEPT_POSITIONS[i]]
-                # a child's id is count plus its place in swap-major order
-                ids[i] = np.arange(count + a, count + b)
-                edge_block[..., 1] = ids[i]
+                quads[a - count : b - count] = child[..., lane].T
+            if region is not None:
+                inside[a:b] = meets(new, region)
+            if primes is not None:
+                flag = primes[new[:, lane]] if region is None else primes[new[:, lane]] & inside[a:b]
+                for i in range(4):
+                    flags[i, ends[i] : ends[i + 1]] = flag[ends[i] : ends[i + 1]]
+                # a flagged child counts its flagged kept entries: its
+                # column's flags less its own
+                counts[a:b] = flag * (flags.sum(axis=0, dtype=np.uint8) - flag)
             a = b
 
 
-def _swap_piece(quads, ends, ids, bound, lane, region, split):
+def _swap_piece(quads, ends, flags, bound, lane, region, split):
     """The four swaps on one frontier piece; returns its children as pieces.
 
     A piece is ``quads``, a ``(4, m, lanes)`` array whose entry positions
     are contiguous blocks; ``ends``, its columns ``ends[i]:ends[i + 1]``
-    made by swap i, which may not repeat; and ``ids``, the ``(4, m)`` circle
-    ids, or None.  The children come as one piece in four swap blocks, each
-    in parent order, or, with ``split``, as one piece per swap, which can be
-    released on its own.  A child's swapped entry is the new circle; its id
-    is left for the caller to set."""
+    made by swap i, which may not repeat; and ``flags``, the ``(4, m)``
+    prime-and-kept flags of its entries, or None.  The children come as one
+    piece in four swap blocks, each in parent order, or, with ``split``, as
+    one piece per swap, which can be released on its own; each also holds
+    its new circles as one ``(k, lanes)`` array, their flags unset."""
     m = quads.shape[1]
     # swap i replaces C_i by 2*S - 3*C_i, S the sum of the quadruple's
     # circles; on the curvature lane that stays within the bound exactly
@@ -441,31 +454,38 @@ def _swap_piece(quads, ends, ids, bound, lane, region, split):
         child = quads.take(parent, axis=1)
         for i in range(4):
             child[i, cut[i] : cut[i + 1]] = new[cut[i] : cut[i + 1]]
-        return [(child, cut, None if ids is None else ids.take(parent, axis=1))]
+        return [(child, cut, None if flags is None else flags.take(parent, axis=1), new)]
     pieces = []
     for i in range(4):
         a, b = cut[i], cut[i + 1]
         child = quads.take(parent[a:b], axis=1)
         child[i] = new[a:b]
         ends = [0] * (i + 1) + [b - a] * (4 - i)
-        pieces.append((child, ends, None if ids is None else ids.take(parent[a:b], axis=1)))
+        pieces.append((child, ends, None if flags is None else flags.take(parent[a:b], axis=1), child[i]))
     return pieces
 
 
 def _cut(made) -> deque:
-    """The next frontier: the children of ``made``, swap 0's deque of
-    ``(children, ids)`` pairs first, cut into pieces of at most ``PIECE``
-    columns.  Each pair is released once it is copied."""
+    """The next frontier: the children pieces of ``made``, swap 0's first,
+    cut into pieces of at most ``PIECE`` columns, each released once it is
+    copied.  Children that are one piece of at most ``PIECE`` columns are
+    the frontier as they are."""
+    lone = sum(map(len, made)) == 1 and next(filter(None, made))
+    if lone and lone[0][0].shape[1] <= PIECE:
+        child, ends, flags, _ = lone.popleft()
+        return deque([(child, ends, flags)])
     pieces = deque()
-    parts = []  # (swap, children, ids) slices of the piece being filled
+    parts = []  # (children, ends, flags) column slices of the piece being filled
     room = PIECE
-    for i, block in enumerate(made):
+    for block in made:
         while block:
-            child, ids = block.popleft()
+            child, ends, flags, _ = block.popleft()
             a, width = 0, child.shape[1]
             while a < width:
                 b = min(a + room, width)
-                parts.append((i, child[:, a:b], None if ids is None else ids[:, a:b]))
+                # the swap blocks of columns a:b
+                part_ends = [min(max(e, a), b) - a for e in ends]
+                parts.append((child[:, a:b], part_ends, None if flags is None else flags[:, a:b]))
                 room -= b - a
                 a = b
                 if room == 0:
@@ -477,14 +497,13 @@ def _cut(made) -> deque:
 
 
 def _join(parts):
-    """One contiguous frontier piece from (swap, children, ids) slices in
-    swap-major order."""
-    ends = [0] * 5
-    for i, child, _ in parts:
-        ends[i + 1] += child.shape[1]
-    quads = np.concatenate([child for _, child, _ in parts], axis=1)
-    ids = None if parts[0][2] is None else np.concatenate([ids for *_, ids in parts], axis=1)
-    return quads, list(itertools.accumulate(ends)), ids
+    """One contiguous frontier piece from (children, ends, flags) column
+    slices in swap-major order: its swap block i is the slices' blocks i in
+    turn, so its ends are the sums of theirs."""
+    quads = np.concatenate([child for child, _, _ in parts], axis=1)
+    ends = [sum(column) for column in zip(*(ends for _, ends, _ in parts))]
+    flags = None if parts[0][2] is None else np.concatenate([flags for *_, flags in parts], axis=1)
+    return quads, ends, flags
 
 
 def _lane_dtype(root: Quad, bound: int) -> type:
@@ -494,20 +513,6 @@ def _lane_dtype(root: Quad, bound: int) -> type:
     otherwise."""
     m = max(bound, *(abs(x) for x in root))
     return np.int32 if 8 * m < 2**31 else np.int64
-
-
-def verify_distinct_circles(orbit: PackingOrbit) -> bool:
-    """Validation mode for the reduced-word walk: check on exact inversive
-    rows that no two words created the same circle.
-
-    Distinct words may well revisit the same curvature vector (a root fixed
-    by one of the swaps makes the whole packing mirror-symmetric), but the
-    circles themselves must all differ; requires an embedding.
-    """
-    if orbit.acc_rows is None:
-        raise ValueError("distinct-circle validation needs an embedding")
-    rows = np.unique(orbit.acc_rows, axis=0)
-    return rows.shape[0] == orbit.acc_rows.shape[0]
 
 
 def write_orbit_dump(orbit: PackingOrbit, path) -> int:

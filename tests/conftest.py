@@ -28,10 +28,10 @@ def graph_from_edges(n, edges):
 
 @pytest.fixture(scope="session")
 def std_orbit_1e4():
-    """Standard packing to T=1e4 with tangency graph, quadruples, and exact
+    """Standard packing to T=1e4 with twin counts, quadruples, and exact
     plane embedding; shared by most statistics tests."""
     return enumerate_orbit(
-        STANDARD_ROOT, 10**4, tangency=True, keep_quads=True, embedding="auto"
+        STANDARD_ROOT, 10**4, twins=True, keep_quads=True, embedding="auto"
     )
 
 

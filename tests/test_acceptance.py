@@ -141,8 +141,8 @@ def test_criterion_7_triplet_exclusion(std_orbit_1e4):
     assert ar.no_odd_prime_triple(std_orbit_1e4)
     print(
         f"\nPASS criterion 7: no triangle of odd prime curvatures among "
-        f"{std_orbit_1e4.circle_count} circles / {len(std_orbit_1e4.edges)} "
-        f"tangencies to T=1e4"
+        f"{std_orbit_1e4.circle_count} circles / {std_orbit_1e4.quad_count} "
+        f"quadruples to T=1e4"
     )
 
 

@@ -6,7 +6,8 @@ import pytest
 from apollonian import arithmetic as ar
 from apollonian.quadruples import PackingOrbit, enumerate_orbit
 
-from conftest import TEST_ROOTS
+from conftest import STANDARD_ROOT, TEST_ROOTS
+from test_quadruples import _reference_walk
 
 
 def test_is_prime_small():
@@ -59,20 +60,20 @@ def test_tally_strip_one_period():
 
 
 def test_prime_stats_t3():
-    orb = enumerate_orbit((-1, 2, 2, 3), 3, tangency=True)
+    orb = enumerate_orbit((-1, 2, 2, 3), 3, twins=True)
     s = ar.prime_stats(orb)
     assert s.pi == 4  # two 2s and two 3s
     assert s.pi2 == 5  # (2,2) once and (2,3) four times
 
 
 def test_prime_stats_t1():
-    orb = enumerate_orbit((-1, 2, 2, 3), 1, tangency=True)
+    orb = enumerate_orbit((-1, 2, 2, 3), 1, twins=True)
     s = ar.prime_stats(orb)
     assert s.pi == 0 and s.pi2 == 0
 
 
 def test_prime_stats_rejects_imprimitive():
-    orb = enumerate_orbit((-2, 4, 4, 6), 20, tangency=True)
+    orb = enumerate_orbit((-2, 4, 4, 6), 20, twins=True)
     with pytest.raises(ValueError):
         ar.prime_stats(orb)
 
@@ -180,7 +181,7 @@ def test_odd_prime_triangle_negative_control():
     # rows with two odd primes at most: 8 and -2 are even, 9 is not prime
     assert ar.no_odd_prime_triple(orbit([(3, 5, 8, 9), (-2, 3, 6, 7)]))
     with pytest.raises(ValueError, match="keep_quads"):
-        ar.no_odd_prime_triple(enumerate_orbit((-1, 2, 2, 3), 100, tangency=True))
+        ar.no_odd_prime_triple(enumerate_orbit((-1, 2, 2, 3), 100, twins=True))
 
 
 def _quads_orbit(rows):
@@ -229,11 +230,17 @@ def test_no_odd_prime_triple_beyond_the_sieve(monkeypatch):
 
 
 def test_empty_orbit_triple_free():
-    orb = enumerate_orbit((-1, 2, 2, 3), 1, tangency=True, keep_quads=True)
+    orb = enumerate_orbit((-1, 2, 2, 3), 1, twins=True, keep_quads=True)
     assert ar.no_odd_prime_triple(orb)
 
 
 def test_pi_bounded_by_counts(std_orbit_1e4):
     s = ar.prime_stats(std_orbit_1e4)
     assert s.pi <= std_orbit_1e4.circle_count
-    assert s.pi2 <= len(std_orbit_1e4.edges)
+    # the tangent pairs of the reference walk, the oracle of the twin fold:
+    # pi_2 counts those whose circles are both prime
+    ref = _reference_walk(STANDARD_ROOT, 10**4, twins=True)
+    edges = ref["edges"]
+    prime = ar.prime_mask(np.abs(ref["curvatures"]))
+    assert s.pi2 == np.count_nonzero(prime[edges[:, 0]] & prime[edges[:, 1]])
+    assert s.pi2 < len(edges)

@@ -697,7 +697,7 @@ def test_cli_report_below_first_decade(config_path, capsys):
     from apollonian import arithmetic
     from apollonian.quadruples import enumerate_orbit
 
-    orbit = enumerate_orbit((-1, 2, 2, 3), 50, tangency=True)
+    orbit = enumerate_orbit((-1, 2, 2, 3), 50, twins=True)
     (s,) = arithmetic.prime_count_curve(orbit, [50])
     primes = Path(out, "primes.csv").read_text().splitlines()
     assert primes == ["T,pi,pi2,N", f"50,{s.pi},{s.pi2},{orbit.circle_count}"]

@@ -423,6 +423,25 @@ def test_count_cells_matches_a_set(monkeypatch, band_cells):
         assert ct._count_cells(iter([]), x0, y0, width, height) == 0
 
 
+def test_count_cells_holds_the_union_not_every_chunk(monkeypatch):
+    # 400 chunks of a growing prefix of 5000 cells, each chunk 1000 + 10 k
+    # of them: the distinct keys of every chunk take 9.6 MB, and their
+    # concatenation as much again, but the union of them 40 kB
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 1)
+    rng = np.random.default_rng(5)
+    ix, iy = rng.integers(-3000, 3000, 5000), rng.integers(-2000, 2000, 5000)
+    cells = {(int(x), int(y)) for x, y in zip(ix, iy)}
+    chunks = ((ix[: 1000 + 10 * k][::-1].copy(), iy[: 1000 + 10 * k][::-1].copy()) for k in range(401))
+    tracemalloc.start()
+    try:
+        count = ct._count_cells(chunks, -3000, -2000, 6000, 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(cells)
+    assert peak < 1 << 20
+
+
 def test_curvilinear_triangle_standard(std_orbit_1e4):
     """Dual route: circles inside the gap of (2L, 2R, 3T) equal the counts
     from the swap subtree rooted at the quadruple (15, 2, 2, 3)."""

@@ -21,6 +21,9 @@ from apollonian.quadruples import (
     write_orbit_dump,
 )
 from apollonian import quadruples
+from apollonian.arithmetic import is_prime, prime_count_curve
+
+from conftest import STRIP_WINDOW, TEST_ROOTS
 
 STANDARD = (-1, 2, 2, 3)
 
@@ -212,22 +215,23 @@ def test_count_consistency_between_bounds():
 
 
 def test_tangency_edges_match_quadruple_cooccurrence():
-    orb = enumerate_orbit(STANDARD, 6, tangency=True, keep_quads=True)
-    assert orb.edges is not None
+    # the edges of the per-swap reference walk, the oracle of the twin fold
+    ref = _reference_walk(STANDARD, 6, twins=True, keep_quads=True)
     # every edge pair must co-occur in a quadruple of matching curvatures
-    curv = orb.curvatures
-    quads = {tuple(sorted(abs(int(x)) for x in row)) for row in orb.quads}
-    for a, b in orb.edges:
+    curv = ref["curvatures"]
+    quads = {tuple(sorted(abs(int(x)) for x in row)) for row in ref["quads"]}
+    for a, b in ref["edges"]:
         ca, cb = abs(int(curv[a])), abs(int(curv[b]))
         assert any(ca in q and cb in q for q in quads)
     # at T=3 the two curvature-3 circles are not tangent to each other
-    orb3 = enumerate_orbit(STANDARD, 3, tangency=True)
-    pairs = {
-        tuple(sorted((abs(int(orb3.curvatures[a])), abs(int(orb3.curvatures[b])))))
-        for a, b in orb3.edges
-    }
+    ref3 = _reference_walk(STANDARD, 3, twins=True)
+    pairs = [tuple(sorted((abs(int(ref3["curvatures"][a])), abs(int(ref3["curvatures"][b]))))) for a, b in ref3["edges"]]
     assert (3, 3) not in pairs
-    assert len(orb3.edges) == 9
+    assert len(pairs) == 9
+    # the walk's fold counts the prime ones: (2, 2) once and (2, 3) four times
+    orb3 = enumerate_orbit(STANDARD, 3, twins=True)
+    assert sorted(p for p in pairs if 1 not in p) == [(2, 2)] + [(2, 3)] * 4
+    assert int(orb3.twins.sum()) == 5
 
 
 def test_strip_region_enumeration():
@@ -440,14 +444,14 @@ def test_bound_cap_guard():
 
 
 def test_duplicate_vectors_are_distinct_circles(std_orbit_1e4):
-    from apollonian.quadruples import verify_distinct_circles
-
     # the standard root is fixed by swap 4, so curvature vectors repeat...
     quads = std_orbit_1e4.quads
     uniq = np.unique(quads, axis=0)
     assert uniq.shape[0] < quads.shape[0]
-    # ...but every word still creates a geometrically new circle
-    assert verify_distinct_circles(std_orbit_1e4)
+    # ...but every word still creates a geometrically new circle: no two
+    # exact inversive rows are equal
+    rows = std_orbit_1e4.acc_rows
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
 def test_any_decreasing_swap_choice_reaches_same_root(std_orbit_1e4):
@@ -473,16 +477,18 @@ def test_any_decreasing_swap_choice_reaches_same_root(std_orbit_1e4):
 # --- the generation kernel against the per-swap reference walk ---
 
 
-def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=None,
+def _reference_walk(root, bound, *, twins=False, keep_quads=False, embedding=None,
                     region=None):
     """The former body of ``enumerate_orbit``: one masked pass over the
     frontier per swap index.  Takes validated arguments and returns the
-    ``PackingOrbit`` fields as a dict."""
+    ``PackingOrbit`` fields as a dict, with ``twins`` replaced by
+    ``edges``, the tangent pairs of kept circles: the six root pairs, and
+    each child with the three entries its swap kept, by circle id."""
     from apollonian.region import branch_alive, meets
 
     rows0 = embedding_for_root(root) if embedding == "auto" else None
     with_rows = rows0 is not None
-    track_ids = tangency
+    track_ids = twins
     circ_curv = [np.array(root, dtype=np.int64)]
     circ_rows = [rows0] if with_rows else None
     root_in_ball = max(abs(x) for x in root) <= bound
@@ -578,9 +584,36 @@ def _reference_walk(root, bound, *, tangency=False, keep_quads=False, embedding=
     }
 
 
+def _prime_by_miller_rabin(u):
+    """Bool mask over the non-negative ints ``u``: which are prime, by
+    ``arithmetic.is_prime`` on each distinct value, apart from the walk's
+    sieve."""
+    values = np.unique(u)
+    return np.isin(u, [v for v in values.tolist() if is_prime(v)])
+
+
+def _twin_steps(curvatures, edges, bound):
+    """pi_2 of the edges as steps: entry t counts the tangent pairs of
+    circles of prime |curvature| whose larger |curvature| is t, so that
+    pi_2(t) is the sum of the entries up to t."""
+    u = np.abs(curvatures.astype(np.int64))
+    prime = _prime_by_miller_rabin(u)
+    e = edges[prime[edges[:, 0]] & prime[edges[:, 1]]]
+    return np.bincount(np.maximum(u[e[:, 0]], u[e[:, 1]]), minlength=bound + 1)
+
+
 def _assert_matches_reference(root, bound, **kw):
     orbit = enumerate_orbit(root, bound, **kw)
     expected = _reference_walk(root, bound, **kw)
+    edges = expected.pop("edges")
+    if edges is None:
+        assert orbit.twins is None
+    else:
+        # the fold against the edges at every t: the counts per |b| agree
+        assert orbit.twins.dtype == np.uint8
+        u = np.abs(orbit.curvatures.astype(np.int64))
+        folded = np.bincount(u, weights=orbit.twins, minlength=bound + 1)
+        assert np.array_equal(folded, _twin_steps(expected["curvatures"], edges, bound)), "twins"
     for name, want in expected.items():
         got = getattr(orbit, name)
         if want is None or got is None:
@@ -599,7 +632,7 @@ def _assert_matches_reference(root, bound, **kw):
         assert np.array_equal(orbit.curvatures, orbit.acc_rows[:, 1])
 
 
-FULL = dict(tangency=True, keep_quads=True, embedding="auto")
+FULL = dict(twins=True, keep_quads=True, embedding="auto")
 STRIP = (0, 0, 1, 1)
 
 # (id, root, bound, enumerate_orbit keywords)
@@ -621,7 +654,7 @@ def test_generation_kernel_matches_per_swap_walk(root, bound, kw):
     _assert_matches_reference(root, bound, **kw)
 
 
-# the cases with tangency, quads or rows; standard-3e5 already spans many
+# the cases with twins, quads or rows; standard-3e5 already spans many
 # pieces at the default size.  A piece costs about 0.1 ms of Python, so the
 # widest orbits are cut only into the larger pieces: standard-2e4 (166,020
 # quads) at 7 and 97, standard-1e5 (1,359,168) at 97
@@ -637,8 +670,8 @@ PIECE_CUTS = [
 @pytest.mark.parametrize("piece, root, bound, kw", PIECE_CUTS)
 def test_pieces_cut_inside_swap_blocks_match_per_swap_walk(monkeypatch, piece, root, bound, kw):
     # pieces this small cut every wide generation, and most of its swap
-    # blocks, at many places; ids, edges, quads, depths and region pruning
-    # must not see the cuts
+    # blocks, at many places; ids, twin counts, quads, depths and region
+    # pruning must not see the cuts
     monkeypatch.setattr(quadruples, "PIECE", piece)
     _assert_matches_reference(root, bound, **kw)
 
@@ -678,9 +711,9 @@ NARROW_ROOT = (-16383, 16384, 268_419_072, 268_419_073)
     "root, bound, kw, lanes",
     [
         pytest.param(WIDE_ROOT, 100_000, {}, np.int64, id="past-int32"),
-        pytest.param(WIDE_ROOT, 100_000, dict(tangency=True, keep_quads=True), np.int64, id="past-int32-full"),
-        pytest.param(NARROW_ROOT, 100_000, dict(tangency=True, keep_quads=True), np.int32, id="inside-int32"),
-        pytest.param((-4, 5, 20, 21), 5000, dict(tangency=True, keep_quads=True), np.int32, id="unembedded-full"),
+        pytest.param(WIDE_ROOT, 100_000, dict(twins=True, keep_quads=True), np.int64, id="past-int32-full"),
+        pytest.param(NARROW_ROOT, 100_000, dict(twins=True, keep_quads=True), np.int32, id="inside-int32"),
+        pytest.param((-4, 5, 20, 21), 5000, dict(twins=True, keep_quads=True), np.int32, id="unembedded-full"),
     ],
 )
 def test_lane_dtype_guard_matches_per_swap_walk(root, bound, kw, lanes):
@@ -689,13 +722,12 @@ def test_lane_dtype_guard_matches_per_swap_walk(root, bound, kw, lanes):
     # which pass the bound, so a walk past the limit would never end
     assert quadruples._lane_dtype(root, bound) is lanes
     _assert_matches_reference(root, bound, **kw)
-    # no embedding: the curvatures keep the lane dtype, quads and edges are
-    # int64
+    # no embedding: the curvatures keep the lane dtype, quads are int64 and
+    # twin counts uint8
     orbit = enumerate_orbit(root, bound, **kw)
     assert orbit.curvatures.dtype == lanes
-    for name in ("quads", "edges"):
-        got = getattr(orbit, name)
-        assert got is None or got.dtype == np.int64, name
+    assert orbit.quads is None or orbit.quads.dtype == np.int64
+    assert orbit.twins is None or orbit.twins.dtype == np.uint8
 
 
 def test_enumerate_rejects_two_negative_curvatures():
@@ -708,15 +740,47 @@ def test_enumerate_rejects_two_negative_curvatures():
         enumerate_orbit(root, 0)
 
 
-def test_bound_below_a_root_circle_drops_it_and_remaps_edges():
+def test_bound_below_a_root_circle_drops_it_and_its_twin_pairs():
     # the root circle of curvature 7 is id 1 and every child is larger, so
-    # the walk keeps three circles and renumbers the edges between them
+    # the walk keeps three circles; 7 is prime and tangent to |-2| and 3,
+    # which are prime, but only the pair (|-2|, 3) is kept, counted on 3
     root = (-2, 7, 3, 6)
-    _assert_matches_reference(root, 6, tangency=True, keep_quads=True)
-    orbit = enumerate_orbit(root, 6, tangency=True, keep_quads=True)
+    _assert_matches_reference(root, 6, twins=True, keep_quads=True)
+    orbit = enumerate_orbit(root, 6, twins=True, keep_quads=True)
     assert orbit.curvatures.tolist() == [-2, 3, 6]
-    assert orbit.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert orbit.twins.tolist() == [0, 1, 0]
     assert orbit.quad_count == 0 and orbit.quads.shape == (0, 4)
+
+
+# the twin fold against the reference walk's edges: the four test roots, a
+# window, the strip, and roots with a circle past the bound (every child of
+# such a root is larger still, so the walk keeps only root circles)
+TWIN_CASES = [
+    *(pytest.param(root, 20_000, None, id=str(root).replace(" ", "")) for root in TEST_ROOTS),
+    pytest.param(STANDARD, 20_000, (0.1, 0.3, 0.3, 0.5), id="window"),
+    pytest.param(STRIP, 2000, STRIP_WINDOW, id="strip"),
+    pytest.param((-2, 7, 3, 6), 6, None, id="past-bound-(-2,7,3,6)"),
+    pytest.param((-2, 3, 6, 7), 6, None, id="past-bound-(-2,3,6,7)"),
+]
+# the decades, and thresholds between them
+TWIN_THRESHOLDS = [1, 2, 3, 6, 10, 47, 100, 555, 1000, 1999, 2000, 7777, 10_000, 19_999, 20_000]
+
+
+@pytest.mark.parametrize("piece", [quadruples.PIECE, 97, 7])
+@pytest.mark.parametrize("root, bound, window", TWIN_CASES)
+def test_twin_fold_matches_pi2_on_the_reference_edges(monkeypatch, piece, root, bound, window):
+    monkeypatch.setattr(quadruples, "PIECE", piece)
+    kw = dict(twins=True, embedding="auto", region=window)
+    orbit = enumerate_orbit(root, bound, **kw)
+    ref = _reference_walk(root, bound, **kw)
+    u = np.abs(ref["curvatures"].astype(np.int64))
+    assert np.array_equal(orbit.unsigned_curvatures, u)
+    prime = _prime_by_miller_rabin(u)
+    i, j = ref["edges"].T
+    ts = [t for t in TWIN_THRESHOLDS if t <= bound]
+    for s in prime_count_curve(orbit, ts):
+        below = prime & (u <= s.bound)
+        assert (s.pi, s.pi2) == (np.count_nonzero(below), np.count_nonzero(below[i] & below[j])), s.bound
 
 
 def test_walk_logs_each_generation(caplog):
@@ -738,9 +802,13 @@ def test_walk_logs_each_generation(caplog):
 # 53,892,388 and 48,800,788; the one that also joined its per-generation
 # pieces at the end 18,801,017 and 91,340,194 on the standard root; and the
 # walk that swapped a curvature frontier and a row frontier separately
-# (commit c18c4f9) 19,353,368 and 119,845,440
+# (commit c18c4f9) 19,353,368 and 119,845,440.  The report's walk, with
+# twin counts, quads and rows, read 27,290,146 while it built a tangency
+# edge list from circle ids carried on the frontier; it now folds the twin
+# count into the walk
 BLOCK_WALK_PEAKS = {
     "rows-2e4": 18_637_589,
+    "report-2e4": 18_824_128,
     "curvatures-3e5": 27_588_761,
     "curvatures-(-2,3,6,7)": 26_427_065,
     "curvatures-(-4,5,20,21)": 25_615_588,
@@ -751,6 +819,7 @@ BLOCK_WALK_PEAKS = {
     "case, root, bound, kw",
     [
         pytest.param("rows-2e4", STANDARD, 20_000, dict(keep_quads=True, embedding="auto"), id="rows-2e4"),
+        pytest.param("report-2e4", STANDARD, 20_000, FULL, id="report-2e4"),
         # the exponent benchmark's roots at the bounds where each orbit holds
         # as many quads as the standard root's at T = 3e5
         pytest.param("curvatures-3e5", STANDARD, 300_000, {}, id="curvatures-3e5"),

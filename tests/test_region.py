@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from apollonian import counting as ct
 from apollonian import geometry as geo
+from apollonian.arithmetic import prime_mask
 from apollonian.geometry import Circle
 from apollonian.quadruples import embedding_for_root, enumerate_orbit
 from apollonian.region import branch_alive, check_rect, meets
+
+from test_quadruples import _reference_walk
 
 STANDARD = (-1, 2, 2, 3)
 STRIP = (0, 0, 1, 1)
@@ -336,10 +339,18 @@ def test_check_rect_accepts_degenerate_windows():
 
 
 def test_pruned_walk_keeps_tangency_edges_between_tangent_circles():
+    # the pruned reference walk's edges, the oracle of the twin fold, join
+    # tangent circles, and the walk's fold counts the prime pairs among them
+    # (none to T = 300 in this window, two to T = 2000)
     window = (-0.3, 0.7, -0.1, 1.3)
-    orbit = enumerate_orbit(STRIP, 300, tangency=True, embedding="auto", region=window)
-    a, b, wx, wy = orbit.acc_rows.T
-    i, j = orbit.edges.T
+    kw = dict(twins=True, embedding="auto", region=window)
+    ref = _reference_walk(STRIP, 2000, **kw)
+    a, b, wx, wy = ref["acc_rows"].T
+    i, j = ref["edges"].T
     # Lorentz product of two tangent circles is -1, here doubled to stay integral
     product = 2 * (wx[i] * wx[j] + wy[i] * wy[j]) - (a[i] * b[j] + b[i] * a[j])
-    assert len(i) > orbit.circle_count and (product == -2).all()
+    assert len(i) > len(b) and (product == -2).all()
+    orbit = enumerate_orbit(STRIP, 2000, **kw)
+    assert np.array_equal(orbit.acc_rows, ref["acc_rows"])
+    prime = prime_mask(np.abs(b))
+    assert int(orbit.twins.sum()) == np.count_nonzero(prime[i] & prime[j]) > 0
