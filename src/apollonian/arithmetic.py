@@ -122,10 +122,13 @@ def prime_stats(orbit: PackingOrbit) -> PrimeStats:
 
 
 def residues_mod(t: CurvatureTally, m: int) -> frozenset[int]:
-    """Residues mod m attained by the distinct curvatures."""
+    """Residues mod m attained by the distinct curvatures, marked in a (m,)
+    table: ``np.unique`` without counts imports ``numpy.ma`` (numpy 2.4)."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    return frozenset(int(r) for r in np.unique(t.distinct % m))
+    seen = np.zeros(m, dtype=bool)
+    seen[t.distinct % m] = True
+    return frozenset(np.flatnonzero(seen).tolist())
 
 
 def distinct_density(t: CurvatureTally) -> float:
@@ -182,7 +185,10 @@ def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:
     if orbit.twins is None:
         raise ValueError("orbit lacks twin counts; enumerate with twins=True")
     u = orbit.unsigned_curvatures
-    pm = prime_mask(u)
+    # every |b| is at most the bound, so it indexes the table as it is,
+    # where prime_mask would clip a copy of it; the walk has sieved to the
+    # same bound (at most MAX_BOUND), so the table fits
+    pm = prime_table(orbit.bound)[u]
     out = []
     for t in map(int, ts):
         if t > orbit.bound:

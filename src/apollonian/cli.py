@@ -315,9 +315,11 @@ def cmd_report(cfg: RunConfig) -> int:
             # the fractal measure of the residual set
             if fit is not None:
                 with _stage("packing-constant", failures):
-                    h_est = float(
-                        np.median([b * e ** fit.alpha_hat for e, b in zip(eps, counts)])
-                    )
+                    # the median by hand: np.median imports numpy.ma, and
+                    # statistics imports fractions and decimal
+                    hs = sorted(float(b * e**fit.alpha_hat) for e, b in zip(eps, counts))
+                    mid = len(hs) // 2
+                    h_est = hs[mid] if len(hs) % 2 else (hs[mid - 1] + hs[mid]) / 2
                     summary.append(
                         f"packing-constant estimate (uncontrolled) c_hat/H_est "
                         f"{fit.c_hat / h_est:.5f}"

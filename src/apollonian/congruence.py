@@ -34,11 +34,12 @@ _CHEEGER_MAX_VERTICES = 20  # exact_cheeger enumerates all 2^n vertex subsets
 # a Lanczos eigenpair (lam, v) is accepted when
 # |A v - lam v| <= _EIGEN_TOL * max(1, |lam|) * sqrt(n)
 _EIGEN_TOL = 1e-8
-# thick-restart Lanczos: basis size (ARPACK's default ncv), restarts before
-# EigenConvergenceError, and the converged residual relative to the largest
-# Ritz value; Ritz values of B B^T at most _ZERO_RITZ times the largest are
-# zero singular values
-_LANCZOS_BASIS = 20
+# thick-restart Lanczos: basis size, restarts before EigenConvergenceError,
+# and the converged residual relative to the largest Ritz value; Ritz values
+# of B B^T at most _ZERO_RITZ times the largest are zero singular values.
+# Ten vectors take as many operator calls as twenty at q = 7 (106) and a
+# sixth more at q = 11, in half the memory
+_LANCZOS_BASIS = 10
 _LANCZOS_RESTARTS = 100
 _LANCZOS_TOL = 1e-12
 _ZERO_RITZ = 1e-12
@@ -296,6 +297,26 @@ def _gather_sum(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
     return out
 
 
+def _uniform_stream(n: int, stream: int) -> np.ndarray:
+    """n float64 values in [-1, 1), a fixed function of (n, stream): the
+    splitmix64 outputs at indices stream * n + 1 .. stream * n + n, so
+    distinct streams of one length never share an index.  Integer ops only,
+    so that no command imports ``numpy.random``."""
+    z = np.arange(stream * n + 1, stream * n + n + 1, dtype=np.uint64)
+    # uint64 arrays wrap silently, as splitmix64 needs
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    # the top 53 bits, scaled to [0, 2), then shifted
+    out = (z >> np.uint64(11)).astype(np.float64)
+    out *= 2.0**-52
+    out -= 1.0
+    return out
+
+
 def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues (ascending) and unit eigenvectors (rows) of
     the symmetric operator ``op`` (a function x -> A x on float64 vectors),
@@ -311,14 +332,15 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     is at most ``_LANCZOS_TOL`` times the largest Ritz value; after
     ``_LANCZOS_RESTARTS`` restarts without convergence of the top k,
     EigenConvergenceError.  When the basis spans an invariant subspace
-    before it is full, it goes on from a random vector orthogonal to it.
+    before it is full, it goes on from a fresh ``_uniform_stream``
+    direction (streams 1, 2, ...) made orthogonal to it.
     """
     n = len(v0)
     m = min(_LANCZOS_BASIS, n)
     basis = np.empty((m + 1, n))
     basis[0] = v0 / np.linalg.norm(v0)
     h = np.zeros((m, m))  # basis[:m] A basis[:m]^T
-    rng = np.random.default_rng(1)
+    fresh = 0
     kept = 0
     for _ in range(_LANCZOS_RESTARTS):
         for i in range(kept, m):
@@ -336,7 +358,8 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
             beta = float(np.linalg.norm(w))
             if i + 1 < m and not beta > _LANCZOS_TOL * np.abs(h[: i + 1, : i + 1]).max():
                 # an invariant subspace: go on from a fresh direction
-                beta, w = 0.0, rng.standard_normal(n)
+                fresh += 1
+                beta, w = 0.0, _uniform_stream(n, fresh)
                 for _ in range(2):
                     w -= (basis[: i + 1] @ w) @ basis[: i + 1]
                 w /= np.linalg.norm(w)
@@ -383,6 +406,11 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
       to (u, +-B^T u/sigma);
     - any other graph takes the top two eigenpairs of A and the top one of -A.
 
+    Every run starts from ``_uniform_stream(size, 0)``, so the result is a
+    fixed function of the table.  On the bipartite route the run holds a
+    basis of (_LANCZOS_BASIS + 1) * n/2 float64 and the two (k, n/2) intp
+    half tables, besides the table itself.
+
     Lanczos needs n >= 3 (B B^T of a 2-vertex bipartite graph has one
     eigenvalue, not two); the dense route takes every graph that small.
 
@@ -409,9 +437,8 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
         method = "dense"
     else:
         side = _two_colouring(table)
-        rng = np.random.default_rng(0)
         if side is None:
-            v0 = rng.standard_normal(n)
+            v0 = _uniform_stream(n, 0)
             vals, vecs = _top_eigenpairs(adjacency, v0, 2)
             low, low_vec = _top_eigenpairs(lambda x: -adjacency(x), v0, 1)
             pairs = [(-low[0], low_vec[0]), (vals[0], vecs[0]), (vals[1], vecs[1])]
@@ -432,7 +459,7 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
                 return _gather_sum(x, col_nb)
 
             vals, vecs = _top_eigenpairs(
-                lambda x: _gather_sum(bt(x), row_nb), rng.standard_normal(len(rows)), 2
+                lambda x: _gather_sum(bt(x), row_nb), _uniform_stream(len(rows), 0), 2
             )
             # Ritz values at rounding level of sigma_0^2 are zero singular values
             vals = np.where(vals > _ZERO_RITZ * vals[-1], vals, 0.0)
@@ -503,8 +530,11 @@ def expander_report(
             img = reduce_group_mod(q, element_cap=element_cap)
         except SizeCapError:
             continue
-        graph = build_cayley(img)
-        out.append((q, img.order, spectrum(graph)))
+        # spectrum reads only the neighbour table: the elements and keys
+        # go before it runs
+        order, graph = img.order, build_cayley(img)
+        del img
+        out.append((q, order, spectrum(graph)))
     return out
 
 

@@ -11,7 +11,9 @@ The subprocess reports twice: untraced first, for ``ru_maxrss``, then under
 tracemalloc, for the peaks.  Outputs go to a temporary directory.
 
 With no arguments it probes the ``report-1e4`` benchmark config at T = 1e4
-and at T = 1e5 (grid and fit windows stretched to the bound; about 0.4 GB):
+and at T = 1e5 (grid and fit windows stretched to the bound; about 0.4 GB),
+then the ``expander-q7`` config as written and with moduli 11 (about
+0.3 GB), whose ``spectral q=...`` stages show the Cayley graphs' cost:
 
     PYTHONPATH=src python tests/report_memory.py
     PYTHONPATH=src python tests/report_memory.py path/to/run.ini ...
@@ -31,7 +33,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 
 
 def default_configs(tmp: str) -> list[str]:
-    """The ``report-1e4`` config as written, and at T = 1e5."""
+    """The ``report-1e4`` config as written and at T = 1e5, then the
+    ``expander-q7`` config as written and with moduli 11."""
     from workloads import CONFIGS
 
     base = CONFIGS["report"]
@@ -41,8 +44,17 @@ def default_configs(tmp: str) -> list[str]:
         .replace("window = 1000, 10000", "window = 10000, 100000")
         .replace("window_alt = 100, 10000", "window_alt = 1000, 100000")
     )
+    expander = CONFIGS["expander"]
+    # the cap is already 2,000,000, above the 1,771,440 elements mod 11
+    q11 = expander.replace("moduli = 5, 7", "moduli = 11")
+    assert q11 != expander and "element_cap = 2000000" in q11
     paths = []
-    for name, text in (("report-1e4.ini", base), ("report-1e5.ini", big)):
+    for name, text in (
+        ("report-1e4.ini", base),
+        ("report-1e5.ini", big),
+        ("expander-q7.ini", expander),
+        ("expander-q11.ini", q11),
+    ):
         paths.append(os.path.join(tmp, name))
         with open(paths[-1], "w", encoding="ascii") as fh:
             fh.write(text)

@@ -732,6 +732,36 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_report_loads_no_numpy_random_ma_or_scipy(tmp_path):
+    # a fresh interpreter runs a whole report, q = 5 added so that the
+    # Lanczos route runs too.  Importing numpy.random and numpy.ma takes
+    # about 20 ms and 7 MB of RSS after numpy; fractions and decimal come
+    # with statistics
+    config = tmp_path / "run.ini"
+    config.write_text(
+        BASE_CONFIG.format(out=tmp_path / "out").replace("moduli = 2, 3, 6", "moduli = 2, 3, 5, 6")
+    )
+    code = (
+        "import sys\n"
+        "from apollonian.cli import main\n"
+        f"rc = main(['report', '--config', {str(config)!r}])\n"
+        "heavy = ('numpy.random', 'numpy.ma', 'scipy', 'fractions', 'decimal')\n"
+        "heavy_dot = tuple(m + '.' for m in heavy)\n"
+        "print(rc, sorted(m for m in sys.modules if m in heavy or m.startswith(heavy_dot)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(apollonian.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "spectral.csv").read_text().splitlines()[1:] == [
+        "2,1,,,",
+        "3,120,3.000000,0.500000,2.828427",
+        "5,14400,3.854102,0.072949,1.080363",
+        "6,120,3.000000,0.500000,2.828427",
+    ]
+
+
 def test_no_command_module_imports_the_float_geometry():
     # the float walk is the oracle of the tests, not a step of any command
     src = Path(apollonian.__file__).parent
