@@ -10,14 +10,12 @@ import numpy as np
 
 from .quadruples import PackingOrbit, is_primitive, prime_table
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.4e14; curvatures
-# and sieve products at desk scale stay far below this.
+# Deterministic Miller-Rabin witness set, valid for n < 3.4e14: is_prime is
+# the reference the tests check the sieve against
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 _MR_LIMIT = 3 * 10**14
 # a bound below one period of the residues mod 24 gives no density
 MIN_DENSITY_BOUND = 24
-# prime_mask sieves values up to this; above it, Miller-Rabin per value
-_SIEVE_MAX = 10**8
 # quadruples whose entries no_odd_prime_triple looks up at once
 _TRIPLE_CHUNK = 1 << 16
 
@@ -66,16 +64,13 @@ def is_squarefree(n: int) -> bool:
 
 
 def prime_mask(values: np.ndarray) -> np.ndarray:
-    """Vectorized primality over non-negative int64 values via a smallest
-    prime factor sieve (values must stay modest, <= ~1e8)."""
+    """Vectorized primality over integer values, read from one
+    ``prime_table`` up to the largest of them (ValueError above
+    ``MAX_BOUND``); values below 2 are not prime."""
     values = np.asarray(values)
-    if values.size == 0:
-        return np.zeros(0, dtype=bool)
     vmax = int(values.max(initial=0))
     if vmax < 2:
         return np.zeros(values.shape, dtype=bool)
-    if vmax > _SIEVE_MAX:
-        return np.fromiter((is_prime(int(v)) for v in values), dtype=bool, count=values.size)
     return prime_table(vmax)[np.clip(values, 0, vmax)] & (values >= 2)
 
 
@@ -162,17 +157,13 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
         raise ValueError("orbit lacks stored quadruples; enumerate with keep_quads=True")
     quads = orbit.quads
     vmax = max(int(quads.max(initial=0)), -int(quads.min(initial=0)))
-    # one table of the odd primes up to max |entry|, read a chunk of rows at
-    # a time, so no temporary is as large as the quadruples
-    table = prime_table(vmax) if vmax <= _SIEVE_MAX else None
-    if table is not None:
-        table[2:3] = False
+    # one table of the odd primes up to max |entry| (ValueError above
+    # MAX_BOUND), read a chunk of rows at a time, so no temporary is as
+    # large as the quadruples
+    table = prime_table(vmax)
+    table[2:3] = False
     for start in range(0, len(quads), _TRIPLE_CHUNK):
-        q = np.abs(quads[start : start + _TRIPLE_CHUNK])
-        if table is not None:
-            odd_prime = table[q]
-        else:
-            odd_prime = prime_mask(q.ravel()).reshape(q.shape) & (q % 2 == 1)
+        odd_prime = table[np.abs(quads[start : start + _TRIPLE_CHUNK])]
         if (np.count_nonzero(odd_prime, axis=1) >= 3).any():
             return False
     return True

@@ -124,6 +124,8 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     ppd = int(cp["grid"].get("points_per_decade", 20))
     if not (0 < tmin < tmax <= bound):
         raise ConfigError(f"grid range ({tmin}, {tmax}) must sit inside (0, {bound}]")
+    if ppd < 1:
+        raise ConfigError(f"points_per_decade must be >= 1; got {ppd}")
 
     window = _fit_window("window", cp["fit"].get("window", f"{tmin} {tmax}"), tmin, tmax)
     alt_raw = cp["fit"].get("window_alt", "").strip()

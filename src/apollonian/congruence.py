@@ -27,9 +27,6 @@ from .quadruples import SWAP_MATRICES
 ELEMENT_CAP_DEFAULT = 500_000
 MAX_GROUP_MODULUS = 16  # 4 bits per matrix entry pack a 4x4 matrix into one uint64
 MAX_ORBIT_MODULUS = 255  # orbit_mod stores one byte per coordinate
-# spectrum solves up to this many vertices densely: the group images mod
-# square-free q <= 16 have 1, 120 or at least 14,400 elements
-_DENSE_MAX_VERTICES = 2000
 _CHEEGER_MAX_VERTICES = 20  # exact_cheeger enumerates all 2^n vertex subsets
 # a Lanczos eigenpair (lam, v) is accepted when
 # |A v - lam v| <= _EIGEN_TOL * max(1, |lam|) * sqrt(n)
@@ -38,9 +35,11 @@ _EIGEN_TOL = 1e-8
 # and the converged residual relative to the largest Ritz value; Ritz values
 # of B B^T at most _ZERO_RITZ times the largest are zero singular values.
 # Ten vectors take as many operator calls as twenty at q = 7 (106) and a
-# sixth more at q = 11, in half the memory
+# sixth more at q = 11, in half the memory.  The Cayley graphs converge in a
+# few restarts; random 4-regular graphs of 1,000 to 2,000 vertices, whose
+# top eigenvalues crowd together, take up to 300
 _LANCZOS_BASIS = 10
-_LANCZOS_RESTARTS = 100
+_LANCZOS_RESTARTS = 1000
 _LANCZOS_TOL = 1e-12
 _ZERO_RITZ = 1e-12
 # a restart rotates the basis this many columns at a time
@@ -249,7 +248,6 @@ class SpectralReport:
     cheeger_lower: float | None
     cheeger_upper: float | None
     n: int
-    method: str
 
 
 def _breadth_first_sides(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,21 +267,6 @@ def _breadth_first_sides(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reached |= fresh
         side[frontier] = parity
     return reached, side
-
-
-def _two_colouring(table: np.ndarray) -> np.ndarray | None:
-    """Sides (False, True) of a proper 2-colouring of the graph with
-    neighbour table ``table``, or None when the graph is disconnected, has a
-    self-loop or has an odd cycle.
-
-    The side of a vertex is the parity of its breadth-first depth from
-    vertex 0; every table entry is then checked to join the two sides, so a
-    self-loop fails the check by itself.
-    """
-    reached, side = _breadth_first_sides(table)
-    if not reached.all():
-        return None
-    return side if (side[table] != side[:, None]).all() else None
 
 
 def _gather_sum(x: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
@@ -393,94 +376,91 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
     Cheeger bounds (k - lambda_1)/2 <= h <= sqrt(2k(k - lambda_1)), k the
     degree (the table's row length).
 
-    Up to ``_DENSE_MAX_VERTICES`` vertices, a dense symmetric solver.
-    Above it, thick-restart Lanczos (``_top_eigenpairs``) with A applied
-    from the neighbour table:
+    Thick-restart Lanczos (``_top_eigenpairs``) with A applied from the
+    neighbour table.  One breadth-first search from vertex 0 checks that the
+    graph is connected and gives each vertex the parity of its depth as its
+    side; then:
 
-    - a connected, loop-free graph with a proper 2-colouring (every swap
-      Cayley graph mod q >= 3: the swaps have determinant -1, so the sides
-      are det = +1 and det = -1) has A = [[0, B], [B^T, 0]] with eigenvalues
-      +-sigma(B).  One run gives the top two eigenvalues sigma_0^2, sigma_1^2
-      of B B^T on the side of vertex 0, and lambda_0 = sigma_0,
-      lambda_1 = sigma_1 and lambda_min = -sigma_0; each eigenvector u lifts
-      to (u, +-B^T u/sigma);
-    - any other graph takes the top two eigenpairs of A and the top one of -A.
+    - a graph of more than two vertices whose every table entry joins the
+      two sides (so no self-loop, no odd cycle; every swap Cayley graph mod
+      q >= 3: the swaps have determinant -1, so the sides are det = +1 and
+      det = -1) has A = [[0, B], [B^T, 0]] with eigenvalues +-sigma(B).
+      One run gives the top two eigenvalues sigma_0^2, sigma_1^2 of B B^T
+      on the side of vertex 0, and lambda_0 = sigma_0, lambda_1 = sigma_1
+      and lambda_min = -sigma_0; each eigenvector u lifts to
+      (u, +-B^T u/sigma);
+    - any other graph, the 2-vertex ones among them (their B B^T has one
+      eigenvalue, not two), takes the top two eigenpairs of A and the top
+      one of -A.
 
     Every run starts from ``_uniform_stream(size, 0)``, so the result is a
     fixed function of the table.  On the bipartite route the run holds a
     basis of (_LANCZOS_BASIS + 1) * n/2 float64 and the two (k, n/2) intp
     half tables, besides the table itself.
 
-    Lanczos needs n >= 3 (B B^T of a 2-vertex bipartite graph has one
-    eigenvalue, not two); the dense route takes every graph that small.
-
     Every returned eigenpair (lam, v) is checked on the full A:
     |A v - lam v| <= 1e-8 * max(1, |lam|) * sqrt(n), else
     EigenConvergenceError.  A graph that is not regular (some vertex appears
-    in the table other than k times) raises ValueError.
+    in the table other than k times) or not connected raises ValueError: on
+    a disconnected graph a Lanczos run can return true eigenpairs of one
+    component and miss a larger eigenvalue of another.
     """
     table = g.table
     n, k = table.shape
     if n == 1:
-        return SpectralReport(float(k), None, None, None, None, 1, "trivial")
+        return SpectralReport(float(k), None, None, None, None, 1)
     if (np.bincount(table.ravel(), minlength=n) != k).any():
         raise ValueError("spectrum needs a regular graph: every vertex k times in the table")
+    reached, side = _breadth_first_sides(table)
+    if not reached.all():
+        raise ValueError("spectrum needs a connected graph")
 
     def adjacency(x):
         return _gather_sum(x, table.T)
 
-    if n <= _DENSE_MAX_VERTICES:
-        a = np.zeros((n, n))
-        np.add.at(a, (np.repeat(np.arange(n), k), table.ravel()), 1.0)
-        vals = np.linalg.eigvalsh(a)
-        lam0, lam1, lammin = float(vals[-1]), float(vals[-2]), float(vals[0])
-        method = "dense"
+    if n == 2 or (side[table] == side[:, None]).any():
+        v0 = _uniform_stream(n, 0)
+        vals, vecs = _top_eigenpairs(adjacency, v0, 2)
+        low, low_vec = _top_eigenpairs(lambda x: -adjacency(x), v0, 1)
+        pairs = [(-low[0], low_vec[0]), (vals[0], vecs[0]), (vals[1], vecs[1])]
     else:
-        side = _two_colouring(table)
-        if side is None:
-            v0 = _uniform_stream(n, 0)
-            vals, vecs = _top_eigenpairs(adjacency, v0, 2)
-            low, low_vec = _top_eigenpairs(lambda x: -adjacency(x), v0, 1)
-            pairs = [(-low[0], low_vec[0]), (vals[0], vecs[0]), (vals[1], vecs[1])]
-        else:
-            rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
-            # neighbours of each side, as positions within the other side:
-            # one C-contiguous intp row per generator, for _gather_sum (a
-            # fancy index keeps the memory order of its index array, and
-            # table.T[:, rows] is Fortran-ordered)
-            pos = np.empty(n, dtype=np.intp)
-            pos[rows] = np.arange(len(rows))
-            pos[cols] = np.arange(len(cols))
-            row_nb = pos[np.ascontiguousarray(table.T[:, rows])]
-            col_nb = pos[np.ascontiguousarray(table.T[:, cols])]
-            del pos
+        rows, cols = np.flatnonzero(~side), np.flatnonzero(side)
+        # neighbours of each side, as positions within the other side:
+        # one C-contiguous intp row per generator, for _gather_sum (a
+        # fancy index keeps the memory order of its index array, and
+        # table.T[:, rows] is Fortran-ordered)
+        pos = np.empty(n, dtype=np.intp)
+        pos[rows] = np.arange(len(rows))
+        pos[cols] = np.arange(len(cols))
+        row_nb = pos[np.ascontiguousarray(table.T[:, rows])]
+        col_nb = pos[np.ascontiguousarray(table.T[:, cols])]
+        del pos
 
-            def bt(x):  # B^T x
-                return _gather_sum(x, col_nb)
+        def bt(x):  # B^T x
+            return _gather_sum(x, col_nb)
 
-            vals, vecs = _top_eigenpairs(
-                lambda x: _gather_sum(bt(x), row_nb), _uniform_stream(len(rows), 0), 2
-            )
-            # Ritz values at rounding level of sigma_0^2 are zero singular values
-            vals = np.where(vals > _ZERO_RITZ * vals[-1], vals, 0.0)
-            (s1, s0), (u1, u0) = np.sqrt(vals), vecs
+        vals, vecs = _top_eigenpairs(
+            lambda x: _gather_sum(bt(x), row_nb), _uniform_stream(len(rows), 0), 2
+        )
+        # Ritz values at rounding level of sigma_0^2 are zero singular values
+        vals = np.where(vals > _ZERO_RITZ * vals[-1], vals, 0.0)
+        (s1, s0), (u1, u0) = np.sqrt(vals), vecs
 
-            def lift(u, s, sign):
-                v = np.empty(n)
-                v[rows] = u
-                # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
-                # dividing rounding noise by s would not give it
-                v[cols] = sign * bt(u) / s if s > _EIGEN_TOL else 0.0
-                return v / np.linalg.norm(v)
+        def lift(u, s, sign):
+            v = np.empty(n)
+            v[rows] = u
+            # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
+            # dividing rounding noise by s would not give it
+            v[cols] = sign * bt(u) / s if s > _EIGEN_TOL else 0.0
+            return v / np.linalg.norm(v)
 
-            pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
-        for lam, vec in pairs:
-            resid = float(np.linalg.norm(adjacency(vec) - lam * vec))
-            # written so that a NaN residual fails too
-            if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(n):
-                raise EigenConvergenceError(f"eigen residual {resid:.2e} above tolerance")
-        lammin, lam1, lam0 = (float(lam) for lam, _ in pairs)
-        method = "lanczos"
+        pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
+    for lam, vec in pairs:
+        resid = float(np.linalg.norm(adjacency(vec) - lam * vec))
+        # written so that a NaN residual fails too
+        if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(n):
+            raise EigenConvergenceError(f"eigen residual {resid:.2e} above tolerance")
+    lammin, lam1, lam0 = (float(lam) for lam, _ in pairs)
     gap = k - lam1
     return SpectralReport(
         lambda0=lam0,
@@ -489,7 +469,6 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
         cheeger_lower=gap / 2.0,
         cheeger_upper=float(np.sqrt(2.0 * k * gap)),
         n=n,
-        method=method,
     )
 
 

@@ -180,7 +180,10 @@ def embedding_for_root(root: Quad) -> np.ndarray | None:
 
 
 def prime_table(vmax: int) -> np.ndarray:
-    """Boolean table over 0..vmax, True at the primes (Eratosthenes)."""
+    """Boolean table over 0..vmax, True at the primes (Eratosthenes);
+    ValueError above ``MAX_BOUND``, the largest |entry| a walk keeps."""
+    if vmax > MAX_BOUND:
+        raise ValueError(f"the prime sieve reaches {MAX_BOUND}; got {vmax}")
     sieve = np.ones(vmax + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(math.isqrt(vmax)) + 1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apollonian import arithmetic as ar
-from apollonian.quadruples import PackingOrbit, enumerate_orbit
+from apollonian.quadruples import MAX_BOUND, PackingOrbit, enumerate_orbit
 
 from conftest import STANDARD_ROOT, TEST_ROOTS
 from test_quadruples import _reference_walk
@@ -222,11 +222,19 @@ def test_no_odd_prime_triple_matches_the_whole_array_formula(monkeypatch, std_or
         assert ar.no_odd_prime_triple(_quads_orbit(rows)) is expected, name
 
 
-def test_no_odd_prime_triple_beyond_the_sieve(monkeypatch):
-    # past the sieve limit the entries go to Miller-Rabin one by one
-    monkeypatch.setattr(ar, "_SIEVE_MAX", 10)
-    assert ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS))
-    assert not ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS + [(-13, 2, 17, 19)]))
+def test_prime_tests_reject_a_value_above_max_bound():
+    # no walk keeps an entry above MAX_BOUND, the sieve's range: such a value
+    # raises before any table is built
+    for big in (MAX_BOUND + 1, -MAX_BOUND - 1):
+        with pytest.raises(ValueError, match="sieve"):
+            ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS + [(big, 2, 3, 5)]))
+    with pytest.raises(ValueError, match="sieve"):
+        ar.prime_mask(np.array([3, MAX_BOUND + 1]))
+    # negative and small values are not prime, whatever the largest value
+    vals = np.array([-7, -2, 0, 1, 2, 3, 4, 97])
+    assert ar.prime_mask(vals).tolist() == [False] * 4 + [True, True, False, True]
+    assert ar.prime_mask(np.array([-7, 1])).tolist() == [False, False]
+    assert ar.prime_mask(np.zeros((0,), dtype=np.int64)).shape == (0,)
 
 
 def test_empty_orbit_triple_free():

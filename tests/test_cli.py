@@ -450,6 +450,8 @@ def test_cli_out_override(config_path, tmp_path):
         ("window = 10, 300", "window = 1, 4"),  # below its t_min 5
         ("window = 10, 300", "window = 10, 300\nwindow_alt = 10, nan"),
         ("window = 10, 300", "window = 10, 300\nwindow_alt = 20000, 30000"),
+        ("points_per_decade = 12", "points_per_decade = 0"),
+        ("points_per_decade = 12", "points_per_decade = -3"),
     ],
 )
 def test_cli_rejects_out_of_range_caps_and_level(config_path, capsys, line, value):

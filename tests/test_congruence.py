@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apollonian import congruence as cg
 from apollonian.arithmetic import is_prime, is_squarefree
 from apollonian.quadruples import SWAP_MATRICES
-from conftest import STRIP_ROOT, TEST_ROOTS, graph_from_edges
+from conftest import STRIP_ROOT, TEST_ROOTS, adjacency_matrix, graph_from_edges, random_regular
 
 
 def edges_and_loops(g):
@@ -125,14 +127,6 @@ def test_spectrum_circulant_closed_form():
     assert rep.lambda_min == pytest.approx(lam[0], abs=1e-9)
 
 
-def lanczos_spectrum(g):
-    """spectrum(g) with the dense route closed to every graph of 3 or more
-    vertices, the least size Lanczos takes."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(cg, "_DENSE_MAX_VERTICES", 2)
-        return cg.spectrum(g)
-
-
 def test_spectrum_iterative_matches_dense(img3):
     complete = [graph_from_edges(n, itertools.combinations(range(n), 2)) for n in (3, 4, 5, 8, 20)]
     cycles = [circulant(n, (1,)) for n in (4, 5, 6)]
@@ -141,12 +135,8 @@ def test_spectrum_iterative_matches_dense(img3):
     doubled_c4 = cg.CayleyGraph(modulus=0, table=np.array(doubled_c4, dtype=np.int32))
     cayley = [cg.build_cayley(img3), cg.build_cayley(cg.reduce_group_mod(6))]
     for g in [*complete, *cycles, doubled_c4, *cayley]:
-        n, k = g.table.shape
-        a = np.zeros((n, n))
-        np.add.at(a, (np.repeat(np.arange(n), k), g.table.ravel()), 1.0)
-        ref = np.linalg.eigvalsh(a)
-        lan = lanczos_spectrum(g)
-        assert lan.method == "lanczos"
+        ref = np.linalg.eigvalsh(adjacency_matrix(g))
+        lan = cg.spectrum(g)
         assert lan.lambda0 == pytest.approx(ref[-1], abs=1e-8)
         assert lan.lambda1 == pytest.approx(ref[-2], abs=1e-8)
         assert lan.lambda_min == pytest.approx(ref[0], abs=1e-8)
@@ -184,9 +174,8 @@ def circulant_spectrum(n, steps):
 )
 def test_spectrum_lanczos_paths_circulant_closed_form(monkeypatch, n, steps, half):
     calls = record_lanczos(monkeypatch)
-    rep = lanczos_spectrum(circulant(n, steps))
+    rep = cg.spectrum(circulant(n, steps))
     lam = circulant_spectrum(n, steps)
-    assert rep.method == "lanczos"
     assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
     assert rep.lambda1 == pytest.approx(lam[-2], abs=1e-9)
     assert rep.lambda_min == pytest.approx(lam[0], abs=1e-9)
@@ -207,16 +196,13 @@ def test_spectrum_lanczos_complete_bipartite(monkeypatch):
     for m in (20, 40):
         k = graph_from_edges(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
         del calls[:]
-        rep = lanczos_spectrum(k)
+        rep = cg.spectrum(k)
         assert calls == [(m, 2)]
         assert rep.lambda0 == pytest.approx(m, abs=1e-9)
         assert rep.lambda1 == pytest.approx(0.0, abs=1e-9)
         assert rep.lambda_min == pytest.approx(-m, abs=1e-9)
         # the degree is m, not 4: the gap is m - 0
         assert rep.cheeger_lower == pytest.approx(m / 2, abs=1e-9)
-        dense = cg.spectrum(k)
-        assert dense.method == "dense"
-        assert dense.cheeger_lower == pytest.approx(m / 2, abs=1e-9)
 
 
 def test_spectrum_rejects_an_irregular_table():
@@ -280,7 +266,6 @@ def test_uniform_stream_is_splitmix64_in_minus_one_to_one():
 @pytest.mark.parametrize("q, lam1", [(5, 3.854101966249686), (7, 3.69962814827532)])
 def test_spectrum_lambda1_at_q5_and_q7(q, lam1):
     rep = cg.spectrum(cg.build_cayley(cg.reduce_group_mod(q)))
-    assert rep.method == "lanczos"
     assert rep.lambda1 == pytest.approx(lam1, abs=1e-10)
 
 
@@ -306,7 +291,6 @@ m = 20
 table = np.empty((2 * m, m), dtype=np.int32)
 table[:m] = np.arange(m, 2 * m)
 table[m:] = np.arange(m)
-cg._DENSE_MAX_VERTICES = 2
 rep = cg.spectrum(cg.CayleyGraph(modulus=0, table=table))
 assert abs(rep.lambda0 - m) < 1e-9 and abs(rep.lambda1) < 1e-9, rep
 # the starts take stream 0, the fresh directions 1, 2, ...
@@ -337,44 +321,116 @@ def test_spectrum_lanczos_rejects_inexact_eigenvectors(monkeypatch, graph):
 
     monkeypatch.setattr(cg, "_top_eigenpairs", perturbed)
     with pytest.raises(cg.EigenConvergenceError):
-        lanczos_spectrum(graph)
+        cg.spectrum(graph)
 
 
-def test_two_colouring_rejects_loops_odd_cycles_and_disconnected():
-    assert cg._two_colouring(circulant(41, (1, 2)).table) is None
-    assert cg._two_colouring(circulant(40, (1, 2)).table) is None
+def test_two_colouring_rejects_loops_odd_cycles_and_disconnected(monkeypatch):
+    # the half operator is taken exactly when the breadth-first sides are a
+    # proper 2-colouring: not on an odd cycle or a self-loop
+    calls = record_lanczos(monkeypatch)
+    looped_c4 = [[(i - 1) % 4, (i + 1) % 4, i] for i in range(4)]
+    looped_c4 = cg.CayleyGraph(modulus=0, table=np.array(looped_c4, dtype=np.int32))
+    for graph in (circulant(41, (1, 2)), circulant(40, (1, 2)), looped_c4):
+        del calls[:]
+        cg.spectrum(graph)
+        assert calls == [(graph.n, 2), (graph.n, 1)]
+    del calls[:]
+    cg.spectrum(circulant(40, (1, 3)))
+    assert calls == [(20, 2)]
+    sides = cg._breadth_first_sides(circulant(40, (1, 3)).table)
+    assert sides[1].tolist() == [i % 2 == 1 for i in range(40)]
     two_squares = graph_from_edges(8, [(i, (i + 1) % 4 + 4 * (i // 4)) for i in range(8)])
-    assert cg._two_colouring(two_squares.table) is None
     assert not two_squares.is_connected()
-    # one edge and a self-loop at each end: connected, no odd cycle, but a
-    # loop joins a side to itself
-    looped = cg.CayleyGraph(modulus=0, table=np.array([[1, 0], [0, 1]], dtype=np.int32))
-    assert looped.is_connected()
-    assert cg._two_colouring(looped.table) is None
-    side = cg._two_colouring(circulant(40, (1, 3)).table)
-    assert side.tolist() == [i % 2 == 1 for i in range(40)]
+    with pytest.raises(ValueError, match="connected"):
+        cg.spectrum(two_squares)
+    assert calls == [(20, 2)]
+
+
+def disjoint_union(*graphs):
+    """The neighbour table of the disjoint union, vertices of each graph in
+    turn."""
+    tables, first = [], 0
+    for g in graphs:
+        tables.append(g.table + first)
+        first += g.n
+    return cg.CayleyGraph(modulus=0, table=np.concatenate(tables))
+
+
+def test_spectrum_rejects_a_disconnected_graph(monkeypatch):
+    # each component is a connected 4-regular graph of its own; a Lanczos
+    # run on the union could return true eigenpairs of one component and
+    # miss lambda_1 = 4 of the other
+    calls = record_lanczos(monkeypatch)
+    k5 = graph_from_edges(5, itertools.combinations(range(5), 2))
+    for part in (k5, circulant(1001, (1, 2))):
+        with pytest.raises(ValueError, match="connected"):
+            cg.spectrum(disjoint_union(part, part))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [
+        ([[1], [0]], (1.0, -1.0, -1.0)),  # K2
+        ([[1, 0], [0, 1]], (2.0, 0.0, 0.0)),  # K2 with a self-loop at each end
+        ([[1, 1, 1], [0, 0, 0]], (3.0, -3.0, -3.0)),  # K2 with three parallel edges
+    ],
+)
+def test_spectrum_of_two_vertex_graphs(monkeypatch, table, expected):
+    # B B^T of a 2-vertex bipartite graph has one eigenvalue, so every
+    # 2-vertex graph takes the general route
+    calls = record_lanczos(monkeypatch)
+    rep = cg.spectrum(cg.CayleyGraph(modulus=0, table=np.array(table, dtype=np.int32)))
+    assert (rep.lambda0, rep.lambda1, rep.lambda_min) == pytest.approx(expected, abs=1e-9)
+    assert rep.cheeger_lower == pytest.approx((len(table[0]) - expected[1]) / 2, abs=1e-9)
+    assert calls == [(2, 2), (2, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    k=st.integers(2, 6),
+    bipartite=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_matches_the_dense_solver_on_random_regular_graphs(n, k, bipartite, seed):
+    # the bipartite graphs take an even n, the general ones an even degree;
+    # k = 2 gives a cycle
+    if bipartite:
+        n -= n % 2
+    else:
+        k += k % 2
+    graph = random_regular(n, k, bipartite, seed)
+    assert graph.is_connected()
+    assert (np.bincount(graph.table.ravel(), minlength=graph.n) == k).all()
+    a = adjacency_matrix(graph)
+    assert np.array_equal(a, a.T)
+    ref = np.linalg.eigvalsh(a)
+    rep = cg.spectrum(graph)
+    assert rep.lambda0 == pytest.approx(ref[-1], abs=1e-8)
+    assert rep.lambda1 == pytest.approx(ref[-2], abs=1e-8)
+    assert rep.lambda_min == pytest.approx(ref[0], abs=1e-8)
 
 
 def test_spectral_gap_small_moduli(monkeypatch):
     calls = record_lanczos(monkeypatch)
-    lam1, method = {}, {}
+    lam1 = {}
     for q in (3, 5, 6, 7, 10):
         img = cg.reduce_group_mod(q)
         graph = cg.build_cayley(img)
         # every swap has determinant -1, so the sides are det = +1 and -1
         det = np.rint(np.linalg.det(img.elements.astype(float))).astype(np.int64) % q
         assert set(det.tolist()) == {1, q - 1}
-        side = cg._two_colouring(graph.table)
-        assert side is not None
+        reached, side = cg._breadth_first_sides(graph.table)
+        assert reached.all()
         assert np.array_equal(side, det != det[0])
         rep = cg.spectrum(graph)
         assert rep.lambda0 == pytest.approx(4.0, abs=1e-9)
         assert rep.lambda_min == pytest.approx(-4.0, abs=1e-9)
-        lam1[q], method[q] = rep.lambda1, rep.method
-    # 120 vertices are solved densely, 14,400 and more by one half-operator
-    # Lanczos run each
-    assert method == {3: "dense", 5: "lanczos", 6: "dense", 7: "lanczos", 10: "lanczos"}
-    assert calls == [(n // 2, 2) for n in (14400, 117600, 14400)]
+        lam1[q] = rep.lambda1
+    # one half-operator Lanczos run per graph, 120 vertices and more alike
+    assert calls == [(60, 2), (7200, 2), (60, 2), (58800, 2), (7200, 2)]
+    assert lam1[3] == pytest.approx(3.0, abs=1e-9)
     assert lam1[6] == pytest.approx(lam1[3], abs=1e-7)
     assert lam1[10] == pytest.approx(lam1[5], abs=1e-7)
     assert max(lam1.values()) < 4.0 - 0.05
@@ -453,7 +509,7 @@ def test_group_mod_2m_has_the_spectrum_of_the_group_mod_m(m):
     assert abs(a.lambda1 - b.lambda1) <= 1e-12
     for field in ("lambda0", "lambda_min", "cheeger_lower", "cheeger_upper"):
         assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
-    assert (a.n, a.method) == (b.n, b.method)
+    assert a.n == b.n
 
 
 def test_orbit_mod_basics():
@@ -763,5 +819,5 @@ def test_spectrum_memory_at_q7():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.method == "lanczos"
+    assert report.lambda1 == pytest.approx(3.69962814827532, abs=1e-10)
     assert peak < 17.0 * 2**20
