@@ -10,18 +10,6 @@ from .quadruples import (
     is_root,
     reduce_to_root,
 )
-from .geometry import (
-    Circle,
-    SeedConfiguration,
-    dual_circles,
-    generate_packing_geometric,
-    invert_circle,
-    invert_point,
-    seed_for_root,
-    standard_seed,
-    strip_seed,
-    tangency_point,
-)
 
 __all__ = [
     "PackingOrbit",
@@ -31,16 +19,6 @@ __all__ = [
     "is_primitive",
     "is_root",
     "reduce_to_root",
-    "Circle",
-    "SeedConfiguration",
-    "dual_circles",
-    "generate_packing_geometric",
-    "invert_circle",
-    "invert_point",
-    "seed_for_root",
-    "standard_seed",
-    "strip_seed",
-    "tangency_point",
 ]
 
 __version__ = "0.1.0"

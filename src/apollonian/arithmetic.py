@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadruples import PackingOrbit, is_primitive, prime_table
+from .quadruples import PackingOrbit, prime_table
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.4e14: is_prime is
 # the reference the tests check the sieve against
@@ -82,10 +82,6 @@ class CurvatureTally:
     distinct: np.ndarray
     bound: int
 
-    @property
-    def total(self) -> int:
-        return sum(self.multiset.values())
-
 
 @dataclass
 class PrimeStats:
@@ -105,15 +101,6 @@ def tally(orbit: PackingOrbit) -> CurvatureTally:
         distinct=vals.astype(np.int64),
         bound=orbit.bound,
     )
-
-
-def prime_stats(orbit: PackingOrbit) -> PrimeStats:
-    """Prime circle count (with multiplicity) and twin-prime tangent pair
-    count over the enumerated orbit; requires a primitive root and twin
-    counts."""
-    if not is_primitive(orbit.root):
-        raise ValueError(f"root {orbit.root} is not primitive")
-    return prime_count_curve(orbit, [orbit.bound])[0]
 
 
 def residues_mod(t: CurvatureTally, m: int) -> frozenset[int]:

@@ -167,9 +167,6 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
 
     raw_selectors = cp["sieve"].get("selectors", "coord:4").split()
     selectors = [parse_selector(tok) for tok in raw_selectors]
-    # every report slices every selector, and max has no congruence density
-    if ("max",) in selectors:
-        raise ConfigError("[sieve] selectors takes coord:i and product:i:j, not max")
     if len(set(selectors)) < len(selectors):
         raise ConfigError(f"[sieve] selectors must be distinct; got {raw_selectors}")
     level_D = int(cp["sieve"].get("level_d", 50))

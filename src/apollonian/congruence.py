@@ -404,6 +404,12 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
     in the table other than k times) or not connected raises ValueError: on
     a disconnected graph a Lanczos run can return true eigenpairs of one
     component and miss a larger eigenvalue of another.
+
+    Known limit: a connected graph whose top eigenvalues crowd together can
+    exhaust the ``_LANCZOS_RESTARTS`` restarts and raise
+    EigenConvergenceError; the cycle C_1001 with steps +-1 needs more than
+    1,000.  No swap Cayley graph does this: they have 1, 120 or at least
+    14,400 vertices and a uniform spectral gap.
     """
     table = g.table
     n, k = table.shape

@@ -114,62 +114,6 @@ def ratio_uniformity(rows: np.ndarray, bound: float, e1: Rect, e2: Rect) -> floa
     return count_in_region(rows, bound, e1) / denom
 
 
-def count_in_curvilinear_triangle(
-    rows: np.ndarray, bound: float, triple, side_point=None
-) -> int:
-    """Circles, given as (n, 4) inversive rows, with unsigned curvature <=
-    bound that lie inside the curvilinear triangle bounded by three mutually
-    tangent circles.
-
-    A point of the triangle lies outside each of the three disks and inside
-    the disk of the triple's dual circle (the circle through its three
-    tangency points, which separates the two tangent completions); a circle
-    belongs to the triangle when its whole disk does, up to a slack of
-    1e-9 * max(1, r).  Lines never do.  When the tangency points are
-    collinear the dual is a line and both half-planes hold a mirror
-    triangle, so ``side_point`` must pick one.
-    """
-    from .geometry import _dual_through_tangencies
-
-    dual = _dual_through_tangencies(list(triple), tol=1e-8)
-    rows = np.asarray(rows, dtype=float).reshape(-1, 4)
-    u = np.abs(rows[:, 1])
-    _, b, wx, wy = rows[(u <= bound) & (u >= LINE_EPS)].T
-    cx, cy = wx / b, wy / b
-    r = 1.0 / np.abs(b)
-    slack = 1e-9 * np.maximum(1.0, r)
-    if dual.is_line:
-        if side_point is None:
-            raise ValueError(
-                "collinear tangency points give two mirror triangles; "
-                "pass side_point to choose one"
-            )
-        nx, ny = dual.normal
-        off = dual.offset
-        ref = nx * side_point[0] + ny * side_point[1] - off
-        if ref == 0:
-            raise ValueError("side_point lies on the dual line")
-        sign = 1.0 if ref > 0 else -1.0
-        inside = sign * (nx * cx + ny * cy - off) >= r - slack
-    else:
-        dx, dy = dual.center
-        inside = np.hypot(cx - dx, cy - dy) + r <= dual.radius + slack
-    for t in triple:
-        if t.is_line:
-            tn = t.normal
-            # the line's normal points into its interior, away from the gap
-            inside &= tn[0] * cx + tn[1] * cy - t.offset <= -(r - slack)
-        else:
-            tx, ty = t.center
-            d = np.hypot(cx - tx, cy - ty)
-            if t.curv < 0:
-                # bounding orientation: the gap lies inside the disk
-                inside &= d + r <= t.radius + slack
-            else:
-                inside &= d >= t.radius + r - slack
-    return int(np.count_nonzero(inside))
-
-
 class ResolutionWarning(UserWarning):
     """A box size is finer than the enumeration bound resolves."""
 

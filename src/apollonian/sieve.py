@@ -2,8 +2,8 @@
 orbit-density function g, remainder terms r_q, and almost-prime counts.
 
 A series is the multiset of values f(v) over the enumerated quadruples v with
-max-norm at most T, for a coordinate, coordinate-product, or maximal-entry
-selector f.  For square-free q the slice |A_q| counts values divisible by q;
+max-norm at most T, for a coordinate or coordinate-product selector f.
+For square-free q the slice |A_q| counts values divisible by q;
 its expected mass g(q) * X uses the exactly computed proportion of the orbit
 mod q with f = 0, so the remainder r_q = |A_q| - g(q) * X measures genuine
 equidistribution error, which the level-distribution report aggregates.
@@ -18,13 +18,13 @@ import numpy as np
 
 from .arithmetic import is_squarefree
 from .congruence import orbit_mod
-from .quadruples import PackingOrbit
+from .quadruples import PackingOrbit, prime_table
 
 Selector = tuple
 
 
 def parse_selector(spec: str) -> Selector:
-    """'coord:i', 'product:i:j' (1-based coordinates), or 'max'."""
+    """'coord:i' or 'product:i:j' (1-based coordinates)."""
     parts = spec.strip().split(":")
     if parts[0] == "coord" and len(parts) == 2:
         i = int(parts[1])
@@ -36,17 +36,13 @@ def parse_selector(spec: str) -> Selector:
         if i not in (1, 2, 3, 4) or j not in (1, 2, 3, 4) or i == j:
             raise ValueError(f"bad product selector {spec!r}")
         return ("product", i, j)
-    if parts[0] == "max" and len(parts) == 1:
-        return ("max",)
-    raise ValueError(f"unknown selector {spec!r}")
+    raise ValueError(f"unknown selector {spec!r}; the selectors are coord:i and product:i:j")
 
 
 def selector_name(selector: Selector) -> str:
     if selector[0] == "coord":
         return f"coord:{selector[1]}"
-    if selector[0] == "product":
-        return f"product:{selector[1]}:{selector[2]}"
-    return "max"
+    return f"product:{selector[1]}:{selector[2]}"
 
 
 def apply_selector(selector: Selector, quads: np.ndarray) -> np.ndarray:
@@ -54,8 +50,6 @@ def apply_selector(selector: Selector, quads: np.ndarray) -> np.ndarray:
         return quads[:, selector[1] - 1]
     if selector[0] == "product":
         return quads[:, selector[1] - 1] * quads[:, selector[2] - 1]
-    if selector[0] == "max":
-        return quads.max(axis=1)
     raise ValueError(f"unknown selector {selector!r}")
 
 
@@ -100,8 +94,6 @@ def slice_series(series: SieveSeries, q: int) -> CongruenceSlice:
         raise ValueError("slice moduli start at 2")
     if not is_squarefree(q):
         raise ValueError(f"slice moduli must be square-free; got {q}")
-    if series.selector[0] == "max":
-        raise ValueError("the max selector has no congruence density; use coord/product")
     mass = int((series.values % q == 0).sum())
     om = orbit_mod(series.root, q)
     if series.selector[0] == "product":
@@ -114,16 +106,10 @@ def slice_series(series: SieveSeries, q: int) -> CongruenceSlice:
 
 
 def sieve_primes(z: float, excluded=frozenset()) -> list[int]:
-    """Primes p < z outside the excluded set."""
-    out = []
-    for p in range(2, math.ceil(z)):
-        if p >= z:
-            break
-        if p in excluded:
-            continue
-        if all(p % d for d in range(2, int(math.isqrt(p)) + 1)):
-            out.append(p)
-    return out
+    """Primes p < z outside the excluded set, read from one ``prime_table``
+    up to the largest integer below z."""
+    table = prime_table(max(math.ceil(z) - 1, 0))
+    return [p for p in np.flatnonzero(table).tolist() if p not in excluded]
 
 
 def almost_prime_counts(series: SieveSeries, zs, excluded=frozenset()) -> list[int]:
@@ -171,6 +157,8 @@ class LevelDistributionReport:
         level distribution."""
         if self.sum_abs_r <= 0:
             return float("-inf")
+        if self.X < 2:
+            raise ValueError(f"a level exponent divides by log X and needs X >= 2; got X = {self.X}")
         return math.log(self.sum_abs_r) / math.log(self.X)
 
 

@@ -61,21 +61,15 @@ def test_tally_strip_one_period():
 
 def test_prime_stats_t3():
     orb = enumerate_orbit((-1, 2, 2, 3), 3, twins=True)
-    s = ar.prime_stats(orb)
+    s = ar.prime_count_curve(orb, [orb.bound])[0]
     assert s.pi == 4  # two 2s and two 3s
     assert s.pi2 == 5  # (2,2) once and (2,3) four times
 
 
 def test_prime_stats_t1():
     orb = enumerate_orbit((-1, 2, 2, 3), 1, twins=True)
-    s = ar.prime_stats(orb)
+    s = ar.prime_count_curve(orb, [orb.bound])[0]
     assert s.pi == 0 and s.pi2 == 0
-
-
-def test_prime_stats_rejects_imprimitive():
-    orb = enumerate_orbit((-2, 4, 4, 6), 20, twins=True)
-    with pytest.raises(ValueError):
-        ar.prime_stats(orb)
 
 
 def test_prime_upper_bound_shape(std_orbit_1e4):
@@ -243,7 +237,7 @@ def test_empty_orbit_triple_free():
 
 
 def test_pi_bounded_by_counts(std_orbit_1e4):
-    s = ar.prime_stats(std_orbit_1e4)
+    s = ar.prime_count_curve(std_orbit_1e4, [std_orbit_1e4.bound])[0]
     assert s.pi <= std_orbit_1e4.circle_count
     # the tangent pairs of the reference walk, the oracle of the twin fold:
     # pi_2 counts those whose circles are both prime

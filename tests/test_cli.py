@@ -663,6 +663,22 @@ def test_cli_report_keeps_sieve_tables_of_other_selectors(config_path, capsys, m
     assert "failures:\n  sieve coord:4: no slices\n" in summary
 
 
+def test_cli_report_names_x_when_the_series_holds_one_quadruple(tmp_path, capsys):
+    # a window off the packing keeps only the root quadruple, so X = 1 and
+    # the level exponent would divide by log X = 0
+    out = tmp_path / "out"
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[packing]\nroot = -1, 2, 2, 3\nbound = 100\n\n[region]\nwindow = 5, 6, 5, 6\n\n"
+        f"[congruence]\nmoduli = 3\n\n[output]\ndir = {out}\n"
+    )
+    assert main(["report", "--config", str(path)]) == 3
+    line = "  sieve coord:4: a level exponent divides by log X and needs X >= 2; got X = 1\n"
+    assert line in capsys.readouterr().err
+    assert line in (out / "summary.txt").read_text()
+    assert (out / "sieve_coord_4.csv").exists()
+
+
 def test_cli_report_slices_each_modulus_once(config_path, monkeypatch):
     # level_D = 12 slices the 7 square-free q < 12; the dimension trace reuses
     # their primes and slices only the 10 primes from 13 to 47
@@ -722,10 +738,12 @@ def test_cli_report_warns_once_below_resolution(config_path):
 
 def test_importing_the_cli_loads_no_scipy():
     # a fresh interpreter, so that modules other tests imported do not count;
-    # fractions and decimal would only slow the start of every command
+    # fractions and decimal would only slow the start of every command, and
+    # the float geometry is the oracle of the tests
     code = (
         "import sys, apollonian, apollonian.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'fractions', 'decimal')"
+        " or m == 'apollonian.geometry'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(apollonian.__file__).resolve().parents[1]))
     out = subprocess.run(
@@ -765,11 +783,14 @@ def test_a_report_loads_no_numpy_random_ma_or_scipy(tmp_path):
 
 
 def test_no_command_module_imports_the_float_geometry():
-    # the float walk is the oracle of the tests, not a step of any command
+    # the float walk is the oracle of the tests, not a step of any command;
+    # ast.walk reads the imports inside functions too
     src = Path(apollonian.__file__).parent
-    for name in ("cli.py", "render.py", "counting.py"):
+    names = sorted(p.name for p in src.glob("*.py") if p.name != "geometry.py")
+    assert {"__init__.py", "cli.py", "counting.py"} <= set(names)
+    for name in names:
         imported = []
-        for node in ast.parse((src / name).read_text()).body:
+        for node in ast.walk(ast.parse((src / name).read_text())):
             if isinstance(node, ast.Import):
                 imported += [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):

@@ -442,74 +442,29 @@ def test_count_cells_holds_the_union_not_every_chunk(monkeypatch):
     assert peak < 1 << 20
 
 
-def test_curvilinear_triangle_standard(std_orbit_1e4):
-    """Dual route: circles inside the gap of (2L, 2R, 3T) equal the counts
-    from the swap subtree rooted at the quadruple (15, 2, 2, 3)."""
+def _gap_curvatures(bound):
+    """Curvatures <= bound of the circles in the gap of (2L, 2R, 3T) of the
+    standard packing: one exact subtree of the walk, the reduced words that
+    continue from the swap creating the 15-circle of (15, 2, 2, 3)."""
     from apollonian.quadruples import apply_swap
 
-    seed = geo.standard_seed()
-    triple = (seed.circles[1], seed.circles[2], seed.circles[3])
-
-    def subtree_count(bound):
-        # reduced words continuing from the swap that created the 15-circle
-        total = 1 if bound >= 15 else 0
-        stack = [((15, 2, 2, 3), 1)]
-        while stack:
-            quad, last = stack.pop()
-            for i in (1, 2, 3, 4):
-                if i == last:
-                    continue
-                child = apply_swap(quad, i)
-                if child[i - 1] <= bound:
-                    total += 1
-                    stack.append((child, i))
-        return total
-
-    for bound in (15, 100, 2000):
-        geom = ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, bound, triple)
-        assert geom == subtree_count(bound)
+    out = [15] if bound >= 15 else []
+    stack = [((15, 2, 2, 3), 1)]
+    while stack:
+        quad, last = stack.pop()
+        for i in (1, 2, 3, 4):
+            if i == last:
+                continue
+            child = apply_swap(quad, i)
+            if child[i - 1] <= bound:
+                out.append(child[i - 1])
+                stack.append((child, i))
+    return np.sort(out)
 
 
-def test_curvilinear_triangle_growth_exponent(std_orbit_1e4):
-    seed = geo.standard_seed()
-    triple = (seed.circles[1], seed.circles[2], seed.circles[3])
+def test_curvilinear_triangle_growth_exponent():
     ts = np.geomspace(100, 10**4, 17)
-    ns = [ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, t, triple) for t in ts]
+    ns = np.searchsorted(_gap_curvatures(10**4), np.floor(ts), side="right")
     curve = ct.CountCurve(ts, ns)
     fit = ct.fit_exponent(curve, (100, 10**4))
     assert abs(fit.alpha_hat - 1.30568) < 0.06
-
-
-def test_curvilinear_triangle_collinear_needs_side(std_orbit_1e4):
-    seed = geo.standard_seed()
-    triple = (seed.circles[0], seed.circles[1], seed.circles[2])
-    with pytest.raises(ValueError):
-        ct.count_in_curvilinear_triangle(std_orbit_1e4.acc_rows, 100, triple)
-    top = ct.count_in_curvilinear_triangle(
-        std_orbit_1e4.acc_rows, 1000, triple, side_point=(0.0, 0.6)
-    )
-    bottom = ct.count_in_curvilinear_triangle(
-        std_orbit_1e4.acc_rows, 1000, triple, side_point=(0.0, -0.6)
-    )
-    assert top == bottom  # mirror symmetry
-    assert top > 0
-
-
-def test_curvilinear_triangle_strip_halves():
-    """The two lines of the strip and its unit circle at (2, 1) bound two
-    mirror half-strips; over the window (1, 3, 0, 2), symmetric about x = 2,
-    they hold equal counts, and every other proper circle lies in one."""
-    seed = geo.strip_seed()
-    triple = (seed.circles[0], seed.circles[1], seed.circles[3])
-    rows = enumerate_orbit(STRIP_ROOT, 1000, embedding="auto", region=(1.0, 3.0, 0.0, 2.0)).acc_rows
-    for bound in (1, 10, 100, 1000):
-        left = ct.count_in_curvilinear_triangle(rows, bound, triple, side_point=(1.5, 1.0))
-        right = ct.count_in_curvilinear_triangle(rows, bound, triple, side_point=(2.5, 1.0))
-        proper = int(np.count_nonzero((rows[:, 1] != 0) & (np.abs(rows[:, 1]) <= bound)))
-        assert left == right
-        assert left + right == proper - 1
-    # a disk on the right that crosses the line y = 0 is not inside
-    crossing = Circle.from_center_radius((2.8, -0.2), 0.3).vector()
-    assert ct.count_in_curvilinear_triangle(
-        np.vstack([rows, crossing]), 1000, triple, side_point=(2.5, 1.0)
-    ) == right

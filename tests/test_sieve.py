@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from apollonian import sieve as sv
+from apollonian.arithmetic import is_prime
 from apollonian.quadruples import enumerate_orbit
 
 
@@ -21,17 +22,9 @@ def std_orbit_1e4():
 def test_parse_selector():
     assert sv.parse_selector("coord:4") == ("coord", 4)
     assert sv.parse_selector("product:3:4") == ("product", 3, 4)
-    assert sv.parse_selector("max") == ("max",)
-    for bad in ("coord:5", "product:3:3", "foo", "product:1"):
+    for bad in ("coord:5", "product:3:3", "foo", "product:1", "max"):
         with pytest.raises(ValueError):
             sv.parse_selector(bad)
-
-
-def test_series_max_selector_small():
-    orb = enumerate_orbit((-1, 2, 2, 3), 6, keep_quads=True)
-    s = sv.build_series(orb, ("max",))
-    assert sorted(s.values.tolist()) == [3, 3, 6, 6, 6, 6]
-    assert s.X == orb.quad_count
 
 
 def test_series_singleton_at_root_bound():
@@ -81,9 +74,9 @@ def test_slice_rejects_bad_moduli(series_coord):
 
 
 def test_slice_rejects_max_selector(std_orbit_1e4):
-    s = sv.build_series(std_orbit_1e4, ("max",))
-    with pytest.raises(ValueError):
-        sv.slice_series(s, 3)
+    # max has no congruence density, so no series is built for it
+    with pytest.raises(ValueError, match="unknown selector"):
+        sv.build_series(std_orbit_1e4, ("max",))
 
 
 def test_degenerate_zero_series_slices():
@@ -120,6 +113,15 @@ def test_almost_prime_count_basics(series_coord):
 def _primes_below(z, excluded=frozenset()):
     return [p for p in range(2, math.ceil(z))
             if p < z and p not in excluded and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("excluded", [frozenset(), frozenset({2})])
+def test_sieve_primes_match_is_prime(excluded):
+    # integer and half-integer z over [0, 300], the empty cases z <= 2 and
+    # z = 2.5 among them
+    for z in [k / 2 for k in range(601)] + [-3, 2.000001]:
+        want = [p for p in range(301) if p < z and p not in excluded and is_prime(p)]
+        assert sv.sieve_primes(z, excluded) == want, z
 
 
 @pytest.mark.parametrize("excluded", [frozenset(), frozenset({2})])
@@ -164,6 +166,17 @@ def test_level_distribution_report(series_coord):
     assert rep.sum_abs_r == pytest.approx(sum(abs(s.r_hat) for s in rep.slices))
     assert rep.empirical_exponent < 0.98
     assert sv.level_distribution_report(series_coord, 2).sum_abs_r == 0.0
+
+
+def test_level_exponent_names_x_for_a_one_value_series():
+    one = sv.SieveSeries(root=(-1, 2, 2, 3), selector=("coord", 4), bound=3,
+                         values=np.array([3], dtype=np.int64))
+    rep = sv.level_distribution_report(one, 4)
+    assert rep.X == 1 and rep.sum_abs_r > 0
+    with pytest.raises(ValueError, match=r"X >= 2; got X = 1"):
+        rep.empirical_exponent
+    # no remainder still reads -inf, whatever X
+    assert sv.LevelDistributionReport(X=1, slices=[], sum_abs_r=0.0).empirical_exponent == float("-inf")
 
 
 def test_level_distribution_uniform_control():
