@@ -143,11 +143,10 @@ def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
     if orbit.quads is None:
         raise ValueError("orbit lacks stored quadruples; enumerate with keep_quads=True")
     quads = orbit.quads
-    vmax = max(int(quads.max(initial=0)), -int(quads.min(initial=0)))
-    # one table of the odd primes up to max |entry| (ValueError above
-    # MAX_BOUND), read a chunk of rows at a time, so no temporary is as
-    # large as the quadruples
-    table = prime_table(vmax)
+    # one table of the odd primes up to the bound, which holds every
+    # |entry|, read a chunk of rows at a time, so no temporary is as large
+    # as the quadruples
+    table = orbit.primes.copy()
     table[2:3] = False
     for start in range(0, len(quads), _TRIPLE_CHUNK):
         odd_prime = table[np.abs(quads[start : start + _TRIPLE_CHUNK])]
@@ -163,10 +162,9 @@ def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:
     if orbit.twins is None:
         raise ValueError("orbit lacks twin counts; enumerate with twins=True")
     u = orbit.unsigned_curvatures
-    # every |b| is at most the bound, so it indexes the table as it is,
-    # where prime_mask would clip a copy of it; the walk has sieved to the
-    # same bound (at most MAX_BOUND), so the table fits
-    pm = prime_table(orbit.bound)[u]
+    # every |b| is at most the bound, so it indexes the orbit's table as it
+    # is, where prime_mask would clip a copy of it
+    pm = orbit.primes[u]
     out = []
     for t in map(int, ts):
         if t > orbit.bound:

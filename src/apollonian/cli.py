@@ -149,11 +149,17 @@ def _stage(label: str, failures: list[str]):
 def cmd_report(cfg: RunConfig) -> int:
     if cfg.bound < arithmetic.MIN_DENSITY_BOUND:  # the residues stage would fail
         raise ConfigError(f"report needs bound >= {arithmetic.MIN_DENSITY_BOUND}; got {cfg.bound}")
+    # a common factor multiplies every curvature, so no circle is prime
+    gcd = math.gcd(*cfg.root)
+    if gcd != 1:
+        raise ConfigError(f"report needs a primitive root; {cfg.root} has gcd {gcd}")
     failures: list[str] = []
     summary: list[str] = []
     out = cfg.out_dir
 
     orbit = _enumerate(cfg, twins=True, keep_quads=True)
+    if orbit.circle_count == 0:
+        raise ConfigError(f"window {cfg.window} meets no circle of curvature at most {cfg.bound}")
     summary.append(f"root {cfg.root}, bound {cfg.bound}")
     summary.append(f"circles {orbit.circle_count}, quadruples {orbit.quad_count}")
 

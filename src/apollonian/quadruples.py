@@ -148,6 +148,8 @@ class PackingOrbit:
     ``acc_rows`` (optional) carries the exact inversive row (cocurvature,
     curvature, curvature*x, curvature*y) of each circle when the root has a
     known integral embedding; its column 1 equals ``curvatures``.
+    ``primes`` is ``prime_table(bound)``, built once per orbit: a walk that
+    counts twins hands over the table it sieved.
 
     Rows and quads are int64, depths int32 and twins uint8.  ``curvatures``
     are int64 with rows and otherwise have the walk's lane dtype, int32 for
@@ -164,6 +166,13 @@ class PackingOrbit:
     quad_depths: np.ndarray | None = None
     acc_rows: np.ndarray | None = None
     generations: int = 0
+    _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def primes(self) -> np.ndarray:
+        if self._primes is None:
+            self._primes = prime_table(self.bound)
+        return self._primes
 
     @property
     def unsigned_curvatures(self) -> np.ndarray:
@@ -375,6 +384,7 @@ def enumerate_orbit(
         quad_depths=np.concatenate(depths_acc) if keep_quads else None,
         acc_rows=None if rows0 is None else circles,
         generations=depth,
+        _primes=primes,
     )
 
 

@@ -2,13 +2,13 @@
 test suite.
 
 For each config, runs the report in a fresh subprocess and prints, per
-stage, the subprocess's ``ru_maxrss`` when the stage starts and when it
-ends, and the tracemalloc peak while it ran (of all traced memory, the
+stage, its wall time, the subprocess's ``ru_maxrss`` when the stage starts
+and when it ends, and the tracemalloc peak while it ran (of all traced memory, the
 orbit included).  The stages are the report's own
 (``counts/fit``, ``primes``, ``residues``, ``spectral q=...``, ``sieve
 ...``, ``boxcount``, ...) plus ``enumerate``, the orbit walk before them.
-The subprocess reports twice: untraced first, for ``ru_maxrss``, then under
-tracemalloc, for the peaks.  Outputs go to a temporary directory.
+The subprocess reports twice: untraced first, for wall times and
+``ru_maxrss``, then under tracemalloc, for the peaks.  Outputs go to a temporary directory.
 
 With no arguments it probes the ``report-1e4`` benchmark config at T = 1e4
 and at T = 1e5 (grid and fit windows stretched to the bound; about 0.4 GB),
@@ -65,10 +65,11 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, float, float]]:
+def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, float, float, float]]:
     """One report in this process: (stage, ru_maxrss at start and at end in
-    MB, tracemalloc peak in MB, 0 when untraced) in the order the stages
-    end.  A stage nested in another counts toward both peaks."""
+    MB, tracemalloc peak in MB, 0 when untraced, wall time in s) in the
+    order the stages end.  A stage nested in another counts toward both
+    peaks and both times."""
     from apollonian import cli
 
     rows = []
@@ -88,12 +89,14 @@ def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, fl
         entry = [0]
         open_peaks.append(entry)
         start = _rss_mb()
+        t0 = time.perf_counter()
         try:
             yield
         finally:
+            wall = time.perf_counter() - t0
             fold()
             open_peaks.remove(entry)
-            rows.append((label, start, _rss_mb(), entry[0] / 1e6))
+            rows.append((label, start, _rss_mb(), entry[0] / 1e6, wall))
 
     real_stage, real_enumerate = cli._stage, cli._enumerate
 
@@ -128,11 +131,12 @@ def measure(config: str) -> str:
         untraced = run_report(config, out, traced=False)
         wall = time.perf_counter() - t0
         traced = run_report(config, out, traced=True)
-    peak = max(end for _, _, end, _ in untraced)
+    peak = max(row[2] for row in untraced)
     lines = [f"{config}: report {wall:.2f} s, ru_maxrss {peak:.1f} MB untraced"]
-    for (label, start, end, _), (_, _, _, peak) in zip(untraced, traced):
+    for (label, start, end, _, secs), (_, _, _, peak, _) in zip(untraced, traced):
         lines.append(
-            f"  {label:<24} ru_maxrss {start:7.1f} -> {end:7.1f} MB   traced peak {peak:7.1f} MB"
+            f"  {label:<24} {secs:6.3f} s   ru_maxrss {start:7.1f} -> {end:7.1f} MB"
+            f"   traced peak {peak:7.1f} MB"
         )
     return "\n".join(lines)
 

@@ -664,12 +664,13 @@ def test_cli_report_keeps_sieve_tables_of_other_selectors(config_path, capsys, m
 
 
 def test_cli_report_names_x_when_the_series_holds_one_quadruple(tmp_path, capsys):
-    # a window off the packing keeps only the root quadruple, so X = 1 and
-    # the level exponent would divide by log X = 0
+    # every swap of this root makes a curvature of 28 or more, so at bound
+    # 24 the root quadruple is the only one, X = 1, and the level exponent
+    # would divide by log X = 0
     out = tmp_path / "out"
     path = tmp_path / "run.ini"
     path.write_text(
-        "[packing]\nroot = -1, 2, 2, 3\nbound = 100\n\n[region]\nwindow = 5, 6, 5, 6\n\n"
+        "[packing]\nroot = -8, 13, 21, 24\nbound = 24\n\n"
         f"[congruence]\nmoduli = 3\n\n[output]\ndir = {out}\n"
     )
     assert main(["report", "--config", str(path)]) == 3
@@ -677,6 +678,52 @@ def test_cli_report_names_x_when_the_series_holds_one_quadruple(tmp_path, capsys
     assert line in capsys.readouterr().err
     assert line in (out / "summary.txt").read_text()
     assert (out / "sieve_coord_4.csv").exists()
+
+
+def test_cli_report_rejects_a_window_that_meets_no_circle(tmp_path, capsys):
+    # the walk keeps the root quadruple but no circle: every statistic
+    # would fail, so the report stops after the walk and writes nothing
+    out = tmp_path / "out"
+    path = tmp_path / "run.ini"
+    path.write_text(
+        "[packing]\nroot = -1, 2, 2, 3\nbound = 100\n\n[region]\nwindow = 5, 6, 5, 6\n\n"
+        f"[congruence]\nmoduli = 3\n\n[output]\ndir = {out}\n"
+    )
+    assert main(["report", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: window (5.0, 6.0, 5.0, 6.0) meets no circle of curvature at most 100\n"
+    assert not any(out.iterdir())
+
+
+def test_cli_report_rejects_an_imprimitive_root(tmp_path, capsys):
+    # every curvature of (-2, 4, 4, 6) is even, so its prime counts would
+    # mean nothing; generate still walks it
+    out = tmp_path / "out"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[packing]\nroot = -2, 4, 4, 6\nbound = 200\n\n[output]\ndir = {out}\n")
+    assert main(["report", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: report needs a primitive root; (-2, 4, 4, 6) has gcd 2\n"
+    assert not any(out.iterdir())
+    assert main(["generate", "--config", str(path)]) == 0
+    assert "N_P(200) = 169\n" in capsys.readouterr().out
+
+
+def test_cli_report_sieves_the_primes_to_the_bound_once(config_path, monkeypatch):
+    # the walk's table serves the prime counts and the odd-prime triples
+    from apollonian import arithmetic, quadruples, sieve
+
+    real = quadruples.prime_table
+    sizes = []
+
+    def counted(vmax):
+        sizes.append(vmax)
+        return real(vmax)
+
+    for module in (quadruples, arithmetic, sieve):
+        monkeypatch.setattr(module, "prime_table", counted)
+    path, _ = config_path
+    assert main(["report", "--config", path]) == 0
+    assert sizes.count(300) == 1
 
 
 def test_cli_report_slices_each_modulus_once(config_path, monkeypatch):

@@ -2,10 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apollonian import sieve as sv
-from apollonian.arithmetic import is_prime
+from apollonian.arithmetic import is_prime, is_squarefree
 from apollonian.quadruples import enumerate_orbit
+from conftest import STRIP_ROOT, STRIP_WINDOW
+
+SQUAREFREE_Q = [q for q in range(2, 256) if is_squarefree(q)]
+
+
+def _values(series):
+    """The values f(v) of a series, for the direct recounts."""
+    return np.prod(np.stack(series.columns), axis=0)
+
+
+def _series(*columns):
+    """A hand-made series: one column is coord:1, two are product:1:2."""
+    selector = ("coord", 1) if len(columns) == 1 else ("product", 1, 2)
+    columns = tuple(np.array(c, dtype=np.int64) for c in columns)
+    bound = max(int(np.abs(c).max()) for c in columns)
+    return sv.SieveSeries(root=(-1, 2, 2, 3), selector=selector, bound=bound, columns=columns)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +50,7 @@ def test_series_singleton_at_root_bound():
     orb = enumerate_orbit((-4, 8, 9, 9), 9, keep_quads=True)
     s = sv.build_series(orb, ("coord", 1))
     assert s.X == 1
-    assert s.values.tolist() == [-4]
+    assert _values(s).tolist() == [-4]
 
 
 def test_series_X_matches_quad_count(series_coord, std_orbit_1e4):
@@ -53,7 +71,7 @@ def test_slice_density_from_the_uint8_orbit(std_orbit_1e4, selector):
     series = sv.build_series(std_orbit_1e4, selector)
     om = orbit_mod(series.root, 77)
     assert om.dtype == np.uint8
-    fvals = sv.apply_selector(selector, om.astype(np.int64))
+    fvals = np.prod(np.stack(sv.selector_columns(selector, om.astype(np.int64))), axis=0)
     expected = float((fvals % 77 == 0).sum() / len(om))
     assert sv.slice_series(series, 77).g_hat == expected
 
@@ -61,7 +79,7 @@ def test_slice_density_from_the_uint8_orbit(std_orbit_1e4, selector):
 def test_slice_mass_is_direct_count(series_coord):
     for q in (2, 3, 5, 7):
         sl = sv.slice_series(series_coord, q)
-        assert sl.mass == int((series_coord.values % q == 0).sum())
+        assert sl.mass == int((_values(series_coord) % q == 0).sum())
         assert 0.0 <= sl.g_hat <= 1.0
         assert sl.r_hat == pytest.approx(sl.mass - sl.g_hat * series_coord.X)
 
@@ -80,28 +98,25 @@ def test_slice_rejects_max_selector(std_orbit_1e4):
 
 
 def test_degenerate_zero_series_slices():
-    s = sv.SieveSeries(root=(-1, 2, 2, 3), selector=("coord", 1), bound=10,
-                       values=np.zeros(50, dtype=np.int64))
+    s = _series(np.zeros(50))
     for q in (2, 3, 5):
-        assert int((s.values % q == 0).sum()) == s.X
+        assert sv.slice_series(s, q).mass == s.X
 
 
 def test_residue_masses_partition(series_coord):
     q = 5
-    masses = [int((series_coord.values % q == r).sum()) for r in range(q)]
+    masses = [int((_values(series_coord) % q == r).sum()) for r in range(q)]
     assert sum(masses) == series_coord.X
 
 
 def test_coprime_mass_monotonicity(series_coord):
-    m2 = int((series_coord.values % 2 == 0).sum())
-    m3 = int((series_coord.values % 3 == 0).sum())
-    m6 = int((series_coord.values % 6 == 0).sum())
+    m2, m3, m6 = (sv.slice_series(series_coord, q).mass for q in (2, 3, 6))
     assert m6 <= min(m2, m3)
 
 
 def test_almost_prime_count_basics(series_coord):
     assert sv.almost_prime_count(series_coord, 2) == series_coord.X
-    odd = int((series_coord.values % 2 != 0).sum())
+    odd = int((_values(series_coord) % 2 != 0).sum())
     assert sv.almost_prime_count(series_coord, 3) == odd
     zs = [2, 3, 5, 11, 31, 101]
     ss = [sv.almost_prime_count(series_coord, z) for z in zs]
@@ -131,7 +146,7 @@ def test_almost_prime_counts_match_direct_recount(series_coord, excluded):
     for z in zs:
         coprime = np.ones(series_coord.X, dtype=bool)
         for p in _primes_below(z, excluded):
-            coprime &= series_coord.values % p != 0
+            coprime &= _values(series_coord) % p != 0
         want.append(int(coprime.sum()))
     assert sv.almost_prime_counts(series_coord, zs, excluded) == want
     assert [sv.almost_prime_count(series_coord, z, excluded) for z in zs] == want
@@ -144,7 +159,7 @@ def test_prime_count_consistency_with_sieve(series_coord, std_orbit_1e4):
     primes above the cutoff."""
     from apollonian import arithmetic as ar
 
-    vals = np.abs(series_coord.values)
+    vals = np.abs(_values(series_coord))
     z = int(math.isqrt(int(vals.max()))) + 1
     s = sv.almost_prime_count(series_coord, z)
     pm = ar.prime_mask(vals)
@@ -169,8 +184,7 @@ def test_level_distribution_report(series_coord):
 
 
 def test_level_exponent_names_x_for_a_one_value_series():
-    one = sv.SieveSeries(root=(-1, 2, 2, 3), selector=("coord", 4), bound=3,
-                         values=np.array([3], dtype=np.int64))
+    one = _series([3])
     rep = sv.level_distribution_report(one, 4)
     assert rep.X == 1 and rep.sum_abs_r > 0
     with pytest.raises(ValueError, match=r"X >= 2; got X = 1"):
@@ -184,10 +198,9 @@ def test_level_distribution_uniform_control():
     # of each slice equals X/q exactly, so the remainder against the true
     # density 1/q vanishes
     n = 2520 * 4  # divisible by lcm(1..10)
-    s = sv.SieveSeries(root=(-1, 2, 2, 3), selector=("coord", 1), bound=10,
-                       values=np.arange(1, n + 1, dtype=np.int64))
+    s = _series(np.arange(1, n + 1))
     for q in (2, 3, 5, 6, 7, 10):
-        mass = int((s.values % q == 0).sum())
+        mass = sv.slice_series(s, q).mass
         assert mass * q == n
         assert abs(mass - n / q) < 1e-9
 
@@ -208,3 +221,93 @@ def test_sieve_dimension_trace(series_coord):
     assert sv.sieve_dimension_trace(without_7, [3, 5], excluded={2})[-1][1] == pytest.approx(
         slices[1].g_hat * math.log(3)
     )
+
+
+MASS_SERIES = ["coord:4", "product:1:2", "strip coord:1", "hand coord", "hand product"]
+
+
+@pytest.fixture(scope="module")
+def mass_series(std_orbit_1e4):
+    strip = enumerate_orbit(STRIP_ROOT, 300, keep_quads=True, embedding="auto", region=STRIP_WINDOW)
+    series = {
+        "coord:4": sv.build_series(std_orbit_1e4, ("coord", 4)),
+        "product:1:2": sv.build_series(std_orbit_1e4, ("product", 1, 2)),
+        "strip coord:1": sv.build_series(strip, ("coord", 1)),
+        "hand coord": _series([0, 1, -1, -30, 255, 0, 7, -2, 221, -253]),
+        "hand product": _series([0, 1, -1, -6, 17, -1, 251], [5, 0, -1, 35, -15, 1, -2]),
+    }
+    assert (_values(series["strip coord:1"]) == 0).any()
+    return series
+
+
+def _fake_orbit_mod(root, q):
+    # one point for the orbit mod q: the masses come from the series alone,
+    # and orbit_mod takes seconds at the largest q
+    return np.array([[x % q for x in root]], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("name", MASS_SERIES)
+def test_slice_masses_match_a_recount_for_every_modulus(mass_series, monkeypatch, name):
+    monkeypatch.setattr(sv, "orbit_mod", _fake_orbit_mod)
+    series = mass_series[name]
+    values = _values(series)
+    for q in SQUAREFREE_Q:
+        assert sv.slice_series(series, q).mass == int((values % q == 0).sum()), q
+    assert (sv.detect_excluded_primes(series) == {2}) == bool((values % 2 == 0).all())
+
+
+def _survivors(values, zs, excluded):
+    out = []
+    for z in zs:
+        coprime = np.ones(values.size, dtype=bool)
+        for p in _primes_below(z, excluded):
+            coprime &= values % p != 0
+        out.append(int(coprime.sum()))
+    return out
+
+
+@pytest.mark.parametrize("name", MASS_SERIES)
+@pytest.mark.parametrize("excluded", [frozenset(), frozenset({2})])
+def test_almost_prime_counts_match_a_recount_past_256(mass_series, name, excluded):
+    zs = [2, 3.5, 100, 256, 257, 300, 1000]
+    series = mass_series[name]
+    want = _survivors(_values(series), zs, excluded)
+    assert sv.almost_prime_counts(series, zs, excluded) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=st.integers(1, 2).flatmap(
+        lambda k: st.lists(
+            st.tuples(*[st.integers(-700, 700)] * k), min_size=1, max_size=30
+        )
+    ),
+    qs=st.lists(st.sampled_from(SQUAREFREE_Q), min_size=1, max_size=5),
+    zs=st.lists(st.floats(2, 800), min_size=1, max_size=4),
+    excluded=st.sampled_from([frozenset(), frozenset({2}), frozenset({3, 5})]),
+)
+def test_masses_and_survivors_match_a_recount_on_random_columns(columns, qs, zs, excluded):
+    series = _series(*zip(*columns))
+    values = _values(series)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "orbit_mod", _fake_orbit_mod)
+        for q in qs:
+            assert sv.slice_series(series, q).mass == int((values % q == 0).sum()), q
+    assert sv.almost_prime_counts(series, zs, excluded) == _survivors(values, zs, excluded)
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 1 << 18])
+def test_masks_match_a_recount_in_chunks_of_any_size(std_orbit_1e4, monkeypatch, chunk):
+    monkeypatch.setattr(sv, "_CHUNK", chunk)
+    quads = std_orbit_1e4.quads[:3000] if chunk == 1 else std_orbit_1e4.quads
+    zs = [2, 3, 7, 100, 300]
+    for sel in [("coord", 1), ("product", 1, 2)]:
+        series = sv.SieveSeries((-1, 2, 2, 3), sel, 10**4, sv.selector_columns(sel, quads))
+        values = _values(series)
+        bits = sum(
+            (values % p == 0).astype(np.uint64) << np.uint64(i) for i, p in enumerate(sv._MASK_PRIMES)
+        )
+        masks, counts = np.unique(bits, return_counts=True)
+        assert series.masks.tolist() == masks.tolist()
+        assert series.mask_counts.tolist() == counts.tolist()
+        assert sv.almost_prime_counts(series, zs) == _survivors(values, zs, frozenset())
