@@ -12,7 +12,6 @@ operator exactly 4-regular.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -527,21 +526,20 @@ _orbit_memo: OrderedDict[tuple, np.ndarray] = OrderedDict()
 _orbit_memo_lock = threading.Lock()
 
 
-def _split_modulus(q: int) -> tuple[int, list[int]]:
-    """q = q1 * p_1 * ... * p_k, the p_i the primes >= 5 that divide q
-    exactly once, ascending.  For square-free q, q1 divides 6."""
-    primes, rest, p = [], q, 2
+def _largest_simple_prime(q: int) -> int:
+    """The largest prime p >= 5 that divides q exactly once, or 1 if none
+    does."""
+    best, rest, p = 1, q, 2
     while p * p <= rest:
         e = 0
         while rest % p == 0:
             rest //= p
             e += 1
         if p >= 5 and e == 1:
-            primes.append(p)
+            best = p
         p += 1
-    if rest >= 5:
-        primes.append(rest)
-    return q // math.prod(primes), primes
+    # what is left is 1 or a prime above every p tried, dividing q once
+    return rest if rest >= 5 else best
 
 
 def _cone_keys(p: int) -> np.ndarray:
@@ -550,42 +548,101 @@ def _cone_keys(p: int) -> np.ndarray:
 
     With s = v1 + v2 + v3 and t = v1^2 + v2^2 + v3^2, Q = 0 exactly when
     (v4 - s)^2 = 2 s^2 - 2 t: each triple takes v4 = s -+ y for the square
-    roots +-y of the right side, none, one (y = 0) or two of them.
+    roots +-y of the right side, none, one (y = 0) or two of them.  These
+    depend on (s, t) mod p alone, so each triple reads them from tables
+    indexed by s = (v1 + v2 mod p) + v3 and t = (v1^2 + v2^2 mod p) +
+    (v3^2 mod p), both in [0, 2p - 2]: no array of p^3 entries is reduced
+    mod p.
     """
-    a = np.arange(p, dtype=np.int16)
-    sq = (np.arange(p) ** 2 % p).astype(np.int16)  # a * a overflows int16
-    count = np.bincount(sq, minlength=p).astype(np.uint8)  # roots of y^2 = r
-    root = np.zeros(p, dtype=np.int16)
+    a = np.arange(p)
+    sq = a * a % p
+    count = np.bincount(sq, minlength=p)  # square roots of each residue
+    root = np.zeros(p, dtype=np.int64)
     half = (p + 1) // 2
     root[sq[:half]] = a[:half]  # 0 .. (p-1)/2 have distinct squares
-    s = (a[:, None, None] + a[None, :, None] + a) % p
-    t = sq[:, None, None] + sq[None, :, None] + sq
-    d = ((2 * sq)[s] - 2 * t) % p
-    n, y = count[d], root[d]
-    lo, hi = (s - y) % p, (s + y) % p
-    wide = a.astype(np.uint32)
-    triple = (wide[:, None, None] << 24) | (wide[None, :, None] << 16) | (wide << 8)
-    pairs = np.empty((p, p, p, 2), dtype=np.uint32)
-    pairs[..., 0] = triple | np.minimum(lo, hi)
-    pairs[..., 1] = triple | np.maximum(lo, hi)
-    keys = pairs[np.stack([n >= 1, n == 2], axis=-1)]
+    w = 2 * p - 1
+    r = np.arange(w) % p
+    d = (2 * sq[r][:, None] - 2 * r) % p  # [s, t]
+    y = root[d]
+    lo, hi = (r[:, None] - y) % p, (r[:, None] + y) % p
+    # one 8-byte entry per (s, t): both candidate v4, ascending, as two
+    # uint32, and one 2-byte entry: whether each is a solution
+    v4 = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1).astype(np.uint32)
+    v4 = v4.reshape(-1).view(np.uint64)
+    n = count[d]
+    solves = np.stack([n >= 1, n == 2], axis=-1).reshape(-1).view(np.uint16)
+    i = np.arange(p, dtype=np.int32)
+    sq = sq.astype(np.int32)
+    idx = (((i[:, None] + i) % p) * w + (sq[:, None] + sq) % p)[:, :, None] + (i * w + sq)
+    pairs, solves = v4[idx], solves[idx]
+    del idx
+    # the triple's key into both halves of its pair; equal halves make this
+    # independent of byte order
+    wide = i.astype(np.uint64) * np.uint64(0x1_0000_0001)
+    pairs |= (wide[:, None, None] << np.uint64(24)) | (wide[:, None] << np.uint64(16))
+    pairs |= wide << np.uint64(8)
+    keys = pairs.view(np.uint32)[solves.view(bool)]
     # triples in lexicographic order, each with its v4 ascending: the keys
     # come out sorted, and the first is the zero vector
     return keys[1:]
 
 
-def _crt_keys(keys_a: np.ndarray, a: int, keys_b: np.ndarray, b: int) -> np.ndarray:
+def _crt_keys(orbit_a: np.ndarray, a: int, orbit_b: np.ndarray, b: int) -> np.ndarray:
     """Packed keys of every vector mod a*b (a, b coprime) whose reductions
-    mod a and mod b have keys in ``keys_a`` and ``keys_b``, unsorted."""
+    mod a and mod b are rows of the (n, 4) uint8 arrays ``orbit_a`` and
+    ``orbit_b``, unsorted."""
     x = np.arange(a * b)
     crt = np.empty((a, b), dtype=np.uint8)
     crt[x % a, x % b] = x
-    out = np.zeros((len(keys_a), len(keys_b)), dtype=np.uint32)
-    for shift in (24, 16, 8, 0):
+    out = np.zeros((len(orbit_a), len(orbit_b)), dtype=np.uint32)
+    for i in range(4):
         # one coordinate of every pair at a time, gathered in uint8
         out <<= 8
-        out |= crt[(keys_a >> shift) & 0xFF][:, (keys_b >> shift) & 0xFF]
+        out |= crt[orbit_a[:, i]][:, orbit_b[:, i]]
     return out.reshape(-1)
+
+
+def _build_orbit(start: tuple[int, ...], q: int) -> np.ndarray:
+    """The orbit that ``orbit_mod`` returns, built: q = 1 and a prime q >= 5
+    directly, a q with no prime >= 5 dividing it once by the breadth-first
+    closure, and any other q = r * p, p its largest prime >= 5 dividing it
+    once, by CRT from the orbits mod r and mod p."""
+    if q == 1:
+        return np.zeros((1, 4), dtype=np.uint8)
+    p = _largest_simple_prime(q)
+    if p == 1:
+        begin = np.array(start, dtype=np.uint8).reshape(1, 1, 4)
+        return _swap_closure(begin, q, _pack_vecs)[0].reshape(-1, 4)
+    if q == p:
+        keys = _cone_keys(p) if any(start) else np.zeros(1, dtype=np.uint32)
+    else:
+        r = q // p
+        orbit_r = _orbit(tuple(x % r for x in start), r)
+        orbit_p = _orbit(tuple(x % p for x in start), p)
+        keys = _crt_keys(orbit_r, r, orbit_p, p)
+        keys.sort()
+    return keys.astype(">u4").view(np.uint8).reshape(-1, 4)
+
+
+def _orbit(start: tuple[int, ...], q: int) -> np.ndarray:
+    """The orbit of ``start``, a Descartes quadruple reduced mod q, from the
+    memo, else built and kept there: the memo's own array, read-only.
+    The lock is not held while an orbit is built, since building one mod q
+    asks this function for the orbits of q's factors."""
+    key = (start, q)
+    with _orbit_memo_lock:
+        orbit = _orbit_memo.get(key)
+        if orbit is not None:
+            _orbit_memo.move_to_end(key)
+            return orbit
+    orbit = _build_orbit(start, q)
+    orbit.flags.writeable = False
+    if orbit.nbytes <= _ORBIT_MEMO_BYTES:
+        with _orbit_memo_lock:
+            _orbit_memo[key] = orbit
+            while sum(o.nbytes for o in _orbit_memo.values()) > _ORBIT_MEMO_BYTES:
+                _orbit_memo.popitem(last=False)
+    return orbit
 
 
 def orbit_mod(root, q: int) -> np.ndarray:
@@ -596,45 +653,27 @@ def orbit_mod(root, q: int) -> np.ndarray:
 
     The orbit is built from the factors of q by strong approximation for the
     Apollonian group (Fuchs, J. Number Theory 2011): mod a prime p >= 5 it is
-    the whole nonzero cone Q = 0 mod p, or {0} when p divides the root, and
-    for coprime moduli it is the CRT product of the factors' orbits, the 2-
-    and 3-parts kept together.  So q = q1 * p_1 * ... * p_k, with p_i the
-    primes >= 5 dividing q once; only the orbit mod q1 comes from a
-    breadth-first closure under the swaps, each p_i from ``_cone_keys``.
-    The factors are joined by CRT on packed keys and sorted once.  The root
-    must satisfy the Descartes relation mod q.
+    the whole nonzero cone Q = 0 mod p (``_cone_keys``), or {0} when p
+    divides the root, and for coprime moduli it is the CRT product of the
+    factors' orbits, the 2- and 3-parts kept together.  So a q with no
+    prime >= 5 dividing it once is walked by a breadth-first closure under
+    the swaps, and any other q = r * p, p the largest prime >= 5 dividing q
+    once, is the CRT product of the orbits mod r and mod p, joined on packed
+    keys and sorted once.  The root must satisfy the Descartes relation mod
+    q.
 
     Each orbit is computed once per process and kept, keyed by (root mod q,
-    q), within ``_ORBIT_MEMO_BYTES``; every call returns a fresh uint8 copy,
-    so a caller that multiplies entries widens them itself.
+    q), within ``_ORBIT_MEMO_BYTES``; the orbits mod r and mod p that a
+    composite q is built from are kept there too, so every multiple of p
+    reads one cone.  Every call returns a fresh uint8 copy, so a caller that
+    multiplies entries widens them itself.
     """
     q = int(q)
     if q < 1:
         raise ValueError("modulus must be >= 1")
     if q > MAX_ORBIT_MODULUS:
         raise ValueError(f"moduli above {MAX_ORBIT_MODULUS} are not supported")
-    start = np.array([int(x) % q for x in root], dtype=np.uint8)
-    wide = [int(x) for x in start]
-    if (2 * sum(x * x for x in wide) - sum(wide) ** 2) % q:
+    start = tuple(int(x) % q for x in root)
+    if (2 * sum(x * x for x in start) - sum(start) ** 2) % q:
         raise ValueError(f"root {tuple(root)} is not a Descartes quadruple mod {q}")
-    key = (tuple(wide), q)
-    with _orbit_memo_lock:
-        orbit = _orbit_memo.get(key)
-        if orbit is not None:
-            _orbit_memo.move_to_end(key)
-    if orbit is None:
-        q1, primes = _split_modulus(q)
-        keys = _swap_closure((start % q1).reshape(1, 1, 4), q1, _pack_vecs)[1]
-        m = q1
-        for p in primes:
-            cone = _cone_keys(p) if (start % p).any() else np.zeros(1, dtype=np.uint32)
-            keys = _crt_keys(keys, m, cone, p)
-            m *= p
-        keys.sort()
-        orbit = keys.astype(">u4").view(np.uint8).reshape(-1, 4)
-        if orbit.nbytes <= _ORBIT_MEMO_BYTES:
-            with _orbit_memo_lock:
-                _orbit_memo[key] = orbit
-                while sum(o.nbytes for o in _orbit_memo.values()) > _ORBIT_MEMO_BYTES:
-                    _orbit_memo.popitem(last=False)
-    return orbit.copy()
+    return _orbit(start, q).copy()

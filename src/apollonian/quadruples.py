@@ -460,7 +460,9 @@ def _swap_piece(quads, ends, flags, bound, lane, region, split):
         parent, new = parent[alive], new[alive]
         del alive
     cut = np.searchsorted(parent, m * np.arange(5)).tolist()
-    parent %= m
+    # parent % m, by the offset of each swap block, as parent is ascending
+    for i in range(1, 4):
+        parent[cut[i] : cut[i + 1]] -= i * m
     new *= -3
     new += twice_sum.take(parent, axis=0)  # 2*S - 3*C_old
     if not split:

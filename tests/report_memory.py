@@ -13,15 +13,21 @@ The subprocess reports twice: untraced first, for wall times and
 With no arguments it probes the ``report-1e4`` benchmark config at T = 1e4
 and at T = 1e5 (grid and fit windows stretched to the bound; about 0.4 GB),
 then the ``expander-q7`` config as written and with moduli 11 (about
-0.3 GB), whose ``spectral q=...`` stages show the Cayley graphs' cost:
+0.3 GB), whose ``spectral q=...`` stages show the Cayley graphs' cost.
+``--repeat N`` runs each config in N fresh subprocesses and prints, per
+stage, the median and the range of its wall time, with the medians of the
+other columns:
 
     PYTHONPATH=src python tests/report_memory.py
-    PYTHONPATH=src python tests/report_memory.py path/to/run.ini ...
+    PYTHONPATH=src python tests/report_memory.py --repeat 5 path/to/run.ini ...
 """
 
+import argparse
 import contextlib
+import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -124,38 +130,71 @@ def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, fl
     return rows
 
 
-def measure(config: str) -> str:
-    """One config, in this process: the lines ``main`` prints."""
+def measure(config: str) -> dict:
+    """One config, in this process: the report's wall time and its stages'
+    rows, untraced and traced (see ``run_report``)."""
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()
         untraced = run_report(config, out, traced=False)
         wall = time.perf_counter() - t0
         traced = run_report(config, out, traced=True)
-    peak = max(row[2] for row in untraced)
-    lines = [f"{config}: report {wall:.2f} s, ru_maxrss {peak:.1f} MB untraced"]
-    for (label, start, end, _, secs), (_, _, _, peak, _) in zip(untraced, traced):
+    return {"wall": wall, "untraced": untraced, "traced": traced}
+
+
+def summary(config: str, runs: list[dict]) -> str:
+    """The lines ``main`` prints for one config: medians over the runs, and
+    the range of each wall time when there is more than one run."""
+
+    def timing(values):
+        mid = f"{statistics.median(values):6.3f} s"
+        if len(values) == 1:
+            return mid
+        return f"{mid} ({min(values):.3f}-{max(values):.3f})"
+
+    peak = statistics.median(max(row[2] for row in run["untraced"]) for run in runs)
+    lines = [
+        f"{config}: report {timing([run['wall'] for run in runs])}, "
+        f"ru_maxrss {peak:.1f} MB untraced, {len(runs)} run(s)"
+    ]
+    for i, (label, *_) in enumerate(runs[0]["untraced"]):
+        rows = [run["untraced"][i] for run in runs]
+        traced = [run["traced"][i] for run in runs]
+        if {row[0] for row in rows + traced} != {label}:
+            raise RuntimeError(f"{config}: the runs end their stages in different orders")
+        start = statistics.median(row[1] for row in rows)
+        end = statistics.median(row[2] for row in rows)
+        traced_peak = statistics.median(row[3] for row in traced)
         lines.append(
-            f"  {label:<24} {secs:6.3f} s   ru_maxrss {start:7.1f} -> {end:7.1f} MB"
-            f"   traced peak {peak:7.1f} MB"
+            f"  {label:<24} {timing([row[4] for row in rows])}"
+            f"   ru_maxrss {start:7.1f} -> {end:7.1f} MB   traced peak {traced_peak:7.1f} MB"
         )
     return "\n".join(lines)
 
 
-def main(configs) -> int:
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=1, help="fresh subprocesses per config")
+    parser.add_argument("configs", nargs="*")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat takes a count of at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        for config in configs or default_configs(tmp):
-            done = subprocess.run(
-                [sys.executable, __file__, "--one", config], capture_output=True, text=True
-            )
-            if done.returncode:
-                print(f"{config}: failed\n{done.stderr}", flush=True)
-                return 1
-            print(done.stdout.strip(), flush=True)
+        for config in args.configs or default_configs(tmp):
+            runs = []
+            for _ in range(args.repeat):
+                done = subprocess.run(
+                    [sys.executable, __file__, "--one", config], capture_output=True, text=True
+                )
+                if done.returncode:
+                    print(f"{config}: failed\n{done.stderr}", flush=True)
+                    return 1
+                runs.append(json.loads(done.stdout))
+            print(summary(config, runs), flush=True)
     return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--one"]:
-        print(measure(sys.argv[2]))
+        print(json.dumps(measure(sys.argv[2])))
         sys.exit(0)
     sys.exit(main(sys.argv[1:]))

@@ -644,13 +644,79 @@ def test_orbit_mod_walks_only_the_part_of_q_at_2_and_3(fresh_memo, monkeypatch):
 
     monkeypatch.setattr(cg, "_swap_closure", recording)
     for q in [q for q in range(1, 71) if is_squarefree(q)] + [210, 231]:
+        fresh_memo.clear()
         walked.clear()
         cg.orbit_mod((-1, 2, 2, 3), q)
-        assert walked == [math.gcd(q, 6)]
+        # q = 1 and the primes >= 5 and their products are not walked at all
+        assert walked == ([] if math.gcd(q, 6) == 1 else [math.gcd(q, 6)]), q
     # 5 divides 50 = 2 * 5^2 more than once, so the whole of 50 is walked
+    fresh_memo.clear()
     walked.clear()
     cg.orbit_mod((-1, 2, 2, 3), 50)
     assert walked == [50]
+
+
+def test_orbit_mod_builds_a_product_from_its_factors_memoized_orbits(fresh_memo, monkeypatch):
+    root = (-1, 2, 2, 3)
+    cg.orbit_mod(root, 5)
+    cg.orbit_mod(root, 7)
+    built = []
+
+    def recording(name):
+        real = getattr(cg, name)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_cone_keys", "_swap_closure"):
+        monkeypatch.setattr(cg, name, recording(name))
+    assert np.array_equal(cg.orbit_mod(root, 35), dense_orbit(root, 35))
+    assert built == []
+    # 70 = 2 * 35: only the part at 2 is walked; the orbit mod 35 is read
+    assert np.array_equal(cg.orbit_mod(root, 70), dense_orbit(root, 70))
+    assert built == ["_swap_closure"]
+
+
+@pytest.mark.parametrize("q", [q for q in range(1, 71) if is_squarefree(q)])
+def test_orbit_mod_without_room_to_keep_its_factors(fresh_memo, monkeypatch, q):
+    # no orbit fits, so every factor of q is built again for each call
+    monkeypatch.setattr(cg, "_ORBIT_MEMO_BYTES", 3)
+    for root in SWEEP_ROOTS:
+        assert np.array_equal(cg.orbit_mod(root, q), dense_orbit(root, q)), root
+    assert len(fresh_memo) == 0
+
+
+def reference_cone_keys(p):
+    """The cone mod p as ``_cone_keys`` built it before it read tables: s, t,
+    the right side 2 s^2 - 2 t and both candidate v4 computed per triple,
+    reduced mod p over all p^3 triples."""
+    a = np.arange(p, dtype=np.int16)
+    sq = (np.arange(p) ** 2 % p).astype(np.int16)
+    count = np.bincount(sq, minlength=p).astype(np.uint8)
+    root = np.zeros(p, dtype=np.int16)
+    half = (p + 1) // 2
+    root[sq[:half]] = a[:half]
+    s = (a[:, None, None] + a[None, :, None] + a) % p
+    t = sq[:, None, None] + sq[None, :, None] + sq
+    d = ((2 * sq)[s] - 2 * t) % p
+    n, y = count[d], root[d]
+    lo, hi = (s - y) % p, (s + y) % p
+    wide = a.astype(np.uint32)
+    triple = (wide[:, None, None] << 24) | (wide[None, :, None] << 16) | (wide << 8)
+    pairs = np.empty((p, p, p, 2), dtype=np.uint32)
+    pairs[..., 0] = triple | np.minimum(lo, hi)
+    pairs[..., 1] = triple | np.maximum(lo, hi)
+    return pairs[np.stack([n >= 1, n == 2], axis=-1)][1:]
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 102) if is_prime(p)])
+def test_cone_keys_match_the_per_triple_construction(p):
+    keys = cg._cone_keys(p)
+    assert keys.dtype == np.uint32
+    assert np.array_equal(keys, reference_cone_keys(p))
 
 
 def test_orbit_mod_rejects_a_root_off_the_cone():
@@ -708,10 +774,11 @@ def test_orbit_memo_evicts_least_recently_used(fresh_memo, monkeypatch):
 
 def test_orbit_memo_under_concurrent_callers(fresh_memo, monkeypatch):
     root = (-1, 2, 2, 3)
-    moduli = (3, 5, 6, 7, 10, 11, 13, 15)
+    moduli = (3, 5, 6, 7, 10, 11, 13, 15, 30, 35, 42)
     expected = {q: naive_closure(root, q) for q in moduli}
     uint8_bytes = {q: orb.nbytes // 8 for q, orb in expected.items()}
-    # room for the two largest orbits, so threads evict one another's entries
+    # room for the orbits mod 13 and 15, not for the one mod 35, so threads
+    # evict one another's entries, the factors of 30, 35 and 42 among them
     monkeypatch.setattr(cg, "_ORBIT_MEMO_BYTES", uint8_bytes[13] + uint8_bytes[15])
     assert sum(uint8_bytes.values()) > cg._ORBIT_MEMO_BYTES
     errors = []
