@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadruples import PackingOrbit, prime_table
+from .quadruples import PackingOrbit
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.4e14: is_prime is
 # the reference the tests check the sieve against
@@ -63,26 +63,6 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def prime_mask(values: np.ndarray) -> np.ndarray:
-    """Vectorized primality over integer values, read from one
-    ``prime_table`` up to the largest of them (ValueError above
-    ``MAX_BOUND``); values below 2 are not prime."""
-    values = np.asarray(values)
-    vmax = int(values.max(initial=0))
-    if vmax < 2:
-        return np.zeros(values.shape, dtype=bool)
-    return prime_table(vmax)[np.clip(values, 0, vmax)] & (values >= 2)
-
-
-@dataclass
-class CurvatureTally:
-    """Multiset of positive curvatures up to the bound."""
-
-    multiset: dict[int, int]
-    distinct: np.ndarray
-    bound: int
-
-
 @dataclass
 class PrimeStats:
     pi: int
@@ -90,47 +70,42 @@ class PrimeStats:
     bound: int
 
 
-def tally(orbit: PackingOrbit) -> CurvatureTally:
-    """Exact multiset of positive unsigned curvatures <= the orbit bound
-    (lines contribute curvature zero and are excluded)."""
-    u = orbit.unsigned_curvatures
-    u = u[u > 0]
-    vals, counts = np.unique(u, return_counts=True)
-    return CurvatureTally(
-        multiset={int(v): int(c) for v, c in zip(vals, counts)},
-        distinct=vals.astype(np.int64),
-        bound=orbit.bound,
-    )
+def tally(orbit: PackingOrbit) -> np.ndarray:
+    """Presence bitmap over 0..bound: True at each |curvature| of the orbit
+    other than 0 (lines carry curvature 0), the bounding circle's included."""
+    present = np.zeros(orbit.bound + 1, dtype=bool)
+    present[orbit.unsigned_curvatures] = True
+    present[0] = False
+    return present
 
 
-def residues_mod(t: CurvatureTally, m: int) -> frozenset[int]:
-    """Residues mod m attained by the distinct curvatures, marked in a (m,)
-    table: ``np.unique`` without counts imports ``numpy.ma`` (numpy 2.4)."""
+def residues_mod(present: np.ndarray, m: int) -> frozenset[int]:
+    """Residues mod m of the curvatures marked in the bitmap ``present``:
+    the columns of its rows of m that hold a mark."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    seen = np.zeros(m, dtype=bool)
-    seen[t.distinct % m] = True
-    return frozenset(np.flatnonzero(seen).tolist())
+    rows = np.zeros(-(-len(present) // m) * m, dtype=bool)
+    rows[: len(present)] = present
+    return frozenset(np.flatnonzero(rows.reshape(-1, m).any(axis=0)).tolist())
 
 
-def distinct_density(t: CurvatureTally) -> float:
+def distinct_density(present: np.ndarray) -> float:
     """Number of distinct curvatures divided by the bound; compare with
     (number of attained residues mod 24) / 24."""
-    if t.bound < MIN_DENSITY_BOUND:
+    bound = len(present) - 1
+    if bound < MIN_DENSITY_BOUND:
         raise ValueError(f"bound below {MIN_DENSITY_BOUND} gives a meaningless density")
-    return t.distinct.size / t.bound
+    return np.count_nonzero(present) / bound
 
 
-def missing_integers(t: CurvatureTally) -> np.ndarray:
+def missing_integers(present: np.ndarray) -> np.ndarray:
     """Integers n <= bound whose residue mod 24 is attained by the packing
     but which do not occur as a curvature: the empirical local-global
     exception list."""
-    adm = residues_mod(t, 24)
-    n = np.arange(1, t.bound + 1, dtype=np.int64)
-    mask = np.isin(n % 24, np.array(sorted(adm), dtype=np.int64))
-    present = np.zeros(t.bound + 1, dtype=bool)
-    present[t.distinct] = True
-    return n[mask & ~present[n]]
+    admissible = np.zeros(24, dtype=bool)
+    admissible[list(residues_mod(present, 24))] = True
+    n = np.flatnonzero(~present[1:]) + 1
+    return n[admissible[n % 24]]
 
 
 def no_odd_prime_triple(orbit: PackingOrbit) -> bool:
@@ -162,8 +137,7 @@ def prime_count_curve(orbit: PackingOrbit, ts) -> list[PrimeStats]:
     if orbit.twins is None:
         raise ValueError("orbit lacks twin counts; enumerate with twins=True")
     u = orbit.unsigned_curvatures
-    # every |b| is at most the bound, so it indexes the orbit's table as it
-    # is, where prime_mask would clip a copy of it
+    # every |b| is at most the bound, so it indexes the orbit's table as it is
     pm = orbit.primes[u]
     out = []
     for t in map(int, ts):

@@ -1,7 +1,7 @@
 """Command-line surface: generation, rendering, and report bundles.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 numeric or
-size-cap error.  All outputs are deterministic for a fixed config.
+Exit codes: 0 success, 2 configuration or validation error, 3 numeric,
+size-cap or walk-fault error.  All outputs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arithmetic, congruence, counting, render, sieve
 from .config import ConfigError, RunConfig, load_config
-from .quadruples import embedding_for_root, enumerate_orbit, write_circles, write_orbit_dump
+from .quadruples import WalkFaultError, embedding_for_root, enumerate_orbit, write_circles, write_orbit_dump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,6 +64,7 @@ def main(argv=None) -> int:
         congruence.SizeCapError,
         congruence.EigenConvergenceError,
         OverflowError,
+        WalkFaultError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -216,7 +217,7 @@ def cmd_report(cfg: RunConfig) -> int:
         )
         missing = arithmetic.missing_integers(t)
         _write_csv(os.path.join(out, "missing.csv"), "missing_n", ([str(n)] for n in missing))
-        summary.append(f"local-global exceptions {len(missing)} up to {t.bound}")
+        summary.append(f"local-global exceptions {len(missing)} up to {orbit.bound}")
         summary.append(f"odd-prime triple free: {arithmetic.no_odd_prime_triple(orbit)}")
 
     # spectral table, one stage per modulus: a failing modulus keeps the

@@ -75,6 +75,11 @@ class NotDescartesError(ValueError):
     """Input quadruple does not satisfy the Descartes relation."""
 
 
+class WalkFaultError(RuntimeError):
+    """The orbit walk made more circles than fit in the packing: its kernel
+    has a fault, such as a repeated swap, which would cycle without end."""
+
+
 def descartes_form(v) -> int:
     """Evaluate 2*(a^2+b^2+c^2+d^2) - (a+b+c+d)^2; zero iff v is a Descartes quadruple.
 
@@ -138,9 +143,10 @@ def is_root(v) -> bool:
 class PackingOrbit:
     """Circles of a packing enumerated up to a curvature bound.
 
-    ``curvatures[k]`` is the signed curvature of circle id ``k``; ids 0..3 are
-    the root circles that pass the bound/region filter, later ids follow BFS
-    creation order.  ``twins`` (optional) counts the tangent pairs of prime
+    ``curvatures[k]`` is the signed curvature of circle id ``k``; the first
+    ids are the root circles that pass the bound/region filter, later ids
+    follow BFS creation order.  Under a region only the circles that meet it
+    are stored.  ``twins`` (optional) counts the tangent pairs of prime
     |curvature| on the circle of each pair with the larger |curvature|, so
     pi_2(t) is its sum over |curvature| <= t.  ``quads`` (optional)
     stores one row per enumerated quadruple in BFS order with ``quad_depths``
@@ -235,9 +241,18 @@ def enumerate_orbit(
     at the end of the generation the children, in swap-major order, are cut
     into the pieces of the next frontier.  So the walk's transients scale
     with ``PIECE``, not with a generation's width.  A generation narrower
-    than ``PIECE`` that is one piece stays that piece.  Each generation's
-    circles are written into one result that grows in place, one write per
-    piece, so the walk never joins its pieces into a second copy.
+    than ``PIECE`` that is one piece stays that piece.  Every result (the
+    kept circles, their twin counts, the quads and their depths) is written
+    once, piece by piece, into the array the walk returns, which grows in
+    place: the walk never joins pieces or generations into a second copy,
+    and under a region it stores only the circles that meet it.
+
+    A bounded packing holds at most (bound / a)**2 + 1 circles of curvature
+    at most the bound, a its bounding circle's curvature, as their disks are
+    disjoint and each covers at least pi / bound**2 of the bounding disk's
+    pi / a**2.  A walk that makes more has a fault, such as a repeated swap,
+    which would give back its parent and cycle without end; it raises
+    ``WalkFaultError`` at the first generation past the bound.
 
     Without an embedding the lanes are int32 whenever 8*m < 2**31, m the
     larger of the bound and the largest |root entry|, and int64 otherwise;
@@ -308,16 +323,15 @@ def enumerate_orbit(
     else:
         start, lane = rows0, 1
 
-    count = 4
-    quad_count = int(max(abs(x) for x in root) <= bound)  # the root quad
-    quads_acc = [np.array([root] * quad_count, dtype=np.int64).reshape(-1, 4)] if keep_quads else None
-    depths_acc = [np.zeros(quad_count, dtype=np.int32)] if keep_quads else None
-
     # a child is never the bounding circle or a line, and the keep test
     # holds it within the bound, so 0 < b <= bound; only the root circles
     # can break the bound
     b0 = np.abs(start[:, lane])
     kept = b0 <= bound
+    # the circles a valid walk can make, by area (see above)
+    most = bound**2 // min(root) ** 2 + 1 if min(root) < 0 else math.inf
+    walked = int(np.count_nonzero(kept))
+    quad_count = int(kept.all())  # the root quad
     if region is not None:
         kept &= meets(start, region)
     primes = flags = counts = None
@@ -326,53 +340,37 @@ def enumerate_orbit(
         flags = kept & primes[np.where(kept, b0, 0)]
         f, b = flags.tolist(), b0.tolist()
         counts = np.array([f[k] * sum(f[j] for j in range(4) if (b[j], j) < (b[k], k)) for k in range(4)], np.uint8)
-        flags = flags[:, None]
-    # every circle, root circles first, in one array of the lane dtype grown
-    # in place and filtered by bound (and region) below; under a region,
-    # ``inside`` marks the circles that meet it, and ``counts`` holds twins
-    circles, inside = start.copy(), None if region is None else kept.copy()
-    grown = [a for a in (circles, inside, counts) if a is not None]
+        counts, flags = counts[kept], flags[:, None]
+    # the results, each written once and grown in place by ``_grow``: the
+    # kept circles, root circles first, with their twin counts, and the
+    # quads with their depths
+    circles = start[kept]
+    quads = np.full((quad_count, 4), root, dtype=np.int64) if keep_quads else None
+    depths = np.zeros(quad_count, dtype=np.int32) if keep_quads else None
 
     # the frontier: pieces (quads, ends, flags), see ``_swap_piece``; the
     # root quad is one piece, made by no swap
     frontier = deque([(start[:, None, :].copy(), [0] * 5, flags)])
-    depth = 0
+    count, depth = len(circles), 0
 
     while True:
         depth += 1
         made, n = _swap_frontier(frontier, bound, lane, region)
         quad_count += n
+        walked += n
         log.debug("generation %d: %d quads, %d in all", depth, n, quad_count)
         if n == 0:
             break
-        if count + n > len(circles):
-            # an eighth more than needed, as ndarray.resize zero-fills what
-            # it adds; it reallocates, and glibc moves a large block by
-            # remapping its pages, not copying them.  No view of ``circles``
-            # outlives its statement, so the reference check, which a
-            # debugger's frame locals can trip, is off
-            for a in grown:
-                a.resize((count + n + (count + n) // 8, *a.shape[1:]), refcheck=False)
-        quads = np.empty((n, 4), dtype=circles.dtype) if keep_quads else None
-        _lay_out(made, circles, count, lane, quads, region, inside, primes, counts)
+        if walked > most:
+            raise WalkFaultError(f"the walk of {root} to {bound} made {walked} circles; at most {most} fit in the packing")
         if keep_quads:
-            quads_acc.append(quads)
-            depths_acc.append(np.full(n, depth, dtype=np.int32))
-        count += n
+            _grow((quads, depths), quad_count)
+            depths[quad_count - n : quad_count] = depth
+        count = _lay_out(made, circles, counts, count, quads, quad_count - n, lane, region, primes)
         frontier = _cut(made)
-    for a in grown:
-        a.resize((count, *a.shape[1:]), refcheck=False)
-
-    # without a region a mask is built only when a root circle breaks the
-    # bound
-    keep_mask = inside
-    if keep_mask is None and not kept.all():
-        keep_mask = np.ones(count, dtype=bool)
-        keep_mask[:4] = kept
-    if keep_mask is not None and not keep_mask.all():
-        circles = circles[keep_mask]
-        if twins:
-            counts = counts[keep_mask]
+    _grow((circles, counts), count, exact=True)
+    if keep_quads:
+        _grow((quads, depths), quad_count, exact=True)
 
     return PackingOrbit(
         root=root,
@@ -380,12 +378,24 @@ def enumerate_orbit(
         curvatures=np.ascontiguousarray(circles[:, lane]),
         quad_count=quad_count,
         twins=counts,
-        quads=np.concatenate(quads_acc, dtype=np.int64) if keep_quads else None,
-        quad_depths=np.concatenate(depths_acc) if keep_quads else None,
+        quads=quads,
+        quad_depths=depths,
         acc_rows=None if rows0 is None else circles,
         generations=depth,
         _primes=primes,
     )
+
+
+def _grow(arrays, rows, exact=False):
+    """Resize each of ``arrays`` (None skipped) in place to hold ``rows``
+    rows: to exactly that with ``exact``, else, when it holds fewer, to an
+    eighth more, as ``ndarray.resize`` zero-fills what it adds.  A resize
+    reallocates, and glibc moves a large block by remapping its pages, not
+    copying them.  No view of a result outlives its statement, so the
+    reference check, which a debugger's frame locals can trip, is off."""
+    for a in arrays:
+        if a is not None and (exact or len(a) < rows):
+            a.resize((rows if exact else rows + rows // 8, *a.shape[1:]), refcheck=False)
 
 
 def _swap_frontier(frontier, bound, lane, region):
@@ -406,28 +416,38 @@ def _swap_frontier(frontier, bound, lane, region):
     return made, n
 
 
-def _lay_out(made, circles, count, lane, quads, region, inside, primes, counts):
-    """Write one generation's children pieces ``made`` into the circles from
-    row ``count`` on and into ``quads`` (or None), one write per piece; mark
-    the new circles that meet the region in ``inside``; and with the prime
-    table ``primes``, set their flags and write their twin counts."""
-    a = count
+def _lay_out(made, circles, counts, count, quads, q, lane, region, primes):
+    """Write one generation's children pieces ``made``, one write per
+    piece: their quads into ``quads`` (or None) from row ``q`` on, and those
+    of their new circles that meet the region (all without one) into the
+    circles from row ``count`` on.  With the prime table ``primes``, set the
+    pieces' flags and write the kept circles' twin counts into ``counts``.
+    Returns the new circle count."""
     for block in made:
         for child, ends, flags, new in block:
-            b = a + len(new)
-            circles[a:b] = new
             if quads is not None:
-                quads[a - count : b - count] = child[..., lane].T
-            if region is not None:
-                inside[a:b] = meets(new, region)
+                quads[q : q + len(new)] = child[..., lane].T
+                q += len(new)
+            inside = None if region is None else meets(new, region)
             if primes is not None:
-                flag = primes[new[:, lane]] if region is None else primes[new[:, lane]] & inside[a:b]
+                flag = primes[new[:, lane]]
+                if inside is not None:
+                    flag &= inside
                 for i in range(4):
                     flags[i, ends[i] : ends[i + 1]] = flag[ends[i] : ends[i + 1]]
                 # a flagged child counts its flagged kept entries: its
                 # column's flags less its own
-                counts[a:b] = flag * (flags.sum(axis=0, dtype=np.uint8) - flag)
-            a = b
+                twins = flag * (flags.sum(axis=0, dtype=np.uint8) - flag)
+            if inside is not None:
+                new = new[inside]
+                twins = None if primes is None else twins[inside]
+            b = count + len(new)
+            _grow((circles, counts), b)
+            circles[count:b] = new
+            if primes is not None:
+                counts[count:b] = twins
+            count = b
+    return count
 
 
 def _swap_piece(quads, ends, flags, bound, lane, region, split):

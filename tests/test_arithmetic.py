@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apollonian import arithmetic as ar
-from apollonian.quadruples import MAX_BOUND, PackingOrbit, enumerate_orbit
+from apollonian.quadruples import MAX_BOUND, PackingOrbit, enumerate_orbit, prime_table
 
 from conftest import STANDARD_ROOT, TEST_ROOTS
 from test_quadruples import _reference_walk
@@ -26,10 +26,10 @@ def test_is_prime_large_deterministic():
         ar.is_prime(10**15)
 
 
-def test_prime_mask_matches_scalar():
+def test_prime_table_matches_scalar():
     rng = np.random.default_rng(2)
     vals = rng.integers(0, 10**5, size=2000)
-    mask = ar.prime_mask(vals)
+    mask = prime_table(10**5)[vals]
     for v, m in zip(vals[:300], mask[:300]):
         assert m == ar.is_prime(int(v))
 
@@ -43,20 +43,29 @@ def test_is_squarefree():
     assert not ar.is_squarefree(0)
 
 
+def _multiset(orbit):
+    values, counts = np.unique(orbit.unsigned_curvatures, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def test_tally_small_bounds():
     orb = enumerate_orbit((-1, 2, 2, 3), 6)
     t = ar.tally(orb)
-    assert t.multiset == {1: 1, 2: 2, 3: 2, 6: 4}
+    assert _multiset(orb) == {1: 1, 2: 2, 3: 2, 6: 4}
+    assert t.dtype == bool and t.shape == (7,)
+    assert np.flatnonzero(t).tolist() == [1, 2, 3, 6]
     orb1 = enumerate_orbit((-1, 2, 2, 3), 1)
-    assert ar.tally(orb1).multiset == {1: 1}
+    assert _multiset(orb1) == {1: 1}
+    assert ar.tally(orb1).tolist() == [False, True]
 
 
 def test_tally_strip_one_period():
     orb = enumerate_orbit(
         (0, 0, 1, 1), 1, embedding="auto", region=(0.0, 2.0, 0.0, 2.0)
     )
-    t = ar.tally(orb)
-    assert t.multiset == {1: 2}  # the two lines carry curvature 0 and drop out
+    # the two lines carry curvature 0 and are not marked
+    assert _multiset(orb) == {0: 2, 1: 2}
+    assert ar.tally(orb).tolist() == [False, True]
 
 
 def test_prime_stats_t3():
@@ -147,7 +156,7 @@ def test_missing_integers_below_first_curvature():
     orb = enumerate_orbit((-1, 2, 2, 3), 3)
     t = ar.tally(orb)
     missing = ar.missing_integers(t)
-    present = set(t.distinct.tolist())
+    present = set(np.flatnonzero(t).tolist())
     adm = ar.residues_mod(t, 24)
     expect = [n for n in range(1, 4) if n % 24 in adm and n not in present]
     assert missing.tolist() == expect
@@ -159,8 +168,7 @@ def test_no_odd_prime_triple(std_orbit_1e4):
 
 def test_no_quadruple_with_three_odd_primes(std_orbit_1e4):
     q = np.abs(std_orbit_1e4.quads)
-    pm = ar.prime_mask(q.ravel()).reshape(q.shape)
-    odd_prime = pm & (q % 2 == 1)
+    odd_prime = prime_table(std_orbit_1e4.bound)[q] & (q % 2 == 1)
     assert int((odd_prime.sum(axis=1) >= 3).sum()) == 0
 
 
@@ -187,7 +195,7 @@ def _quads_orbit(rows):
 def _odd_prime_triple_free_whole(quads):
     """The former formula: one (n, 4) prime mask of |quads| at once."""
     q = np.abs(quads)
-    pm = ar.prime_mask(q.ravel()).reshape(q.shape)
+    pm = prime_table(int(q.max()))[q]
     return not bool(((pm & (q % 2 == 1)).sum(axis=1) >= 3).any())
 
 
@@ -223,12 +231,7 @@ def test_prime_tests_reject_a_value_above_max_bound():
         with pytest.raises(ValueError, match="sieve"):
             ar.no_odd_prime_triple(_quads_orbit(EDGE_QUADS + [(big, 2, 3, 5)]))
     with pytest.raises(ValueError, match="sieve"):
-        ar.prime_mask(np.array([3, MAX_BOUND + 1]))
-    # negative and small values are not prime, whatever the largest value
-    vals = np.array([-7, -2, 0, 1, 2, 3, 4, 97])
-    assert ar.prime_mask(vals).tolist() == [False] * 4 + [True, True, False, True]
-    assert ar.prime_mask(np.array([-7, 1])).tolist() == [False, False]
-    assert ar.prime_mask(np.zeros((0,), dtype=np.int64)).shape == (0,)
+        prime_table(MAX_BOUND + 1)
 
 
 def test_empty_orbit_triple_free():
@@ -243,6 +246,6 @@ def test_pi_bounded_by_counts(std_orbit_1e4):
     # pi_2 counts those whose circles are both prime
     ref = _reference_walk(STANDARD_ROOT, 10**4, twins=True)
     edges = ref["edges"]
-    prime = ar.prime_mask(np.abs(ref["curvatures"]))
+    prime = prime_table(10**4)[np.abs(ref["curvatures"])]
     assert s.pi2 == np.count_nonzero(prime[edges[:, 0]] & prime[edges[:, 1]])
     assert s.pi2 < len(edges)

@@ -104,6 +104,20 @@ def test_cli_root_too_far_to_reduce_exit_code(tmp_path, capsys):
     assert "did not terminate after 100000 swaps" in err
 
 
+def test_cli_walk_fault_exit_code(tmp_path, capsys, monkeypatch):
+    # a walk that repeats a swap makes more circles than fit in the packing
+    from apollonian import quadruples
+    from test_quadruples import faulty_join
+
+    monkeypatch.setattr(quadruples, "_join", faulty_join)
+    monkeypatch.setattr(quadruples, "PIECE", 7)
+    path = tmp_path / "run.ini"
+    path.write_text(f"[packing]\nroot = -1, 2, 2, 3\nbound = 100\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["generate", "--config", str(path)]) == 3
+    assert "at most 10001 fit in the packing" in capsys.readouterr().err
+    assert not Path(tmp_path, "out", "circles.csv").exists()
+
+
 def test_cli_unbounded_without_region(tmp_path, capsys):
     path = tmp_path / "strip.ini"
     path.write_text("[packing]\nroot = 0, 0, 1, 1\nbound = 50\n")
@@ -710,7 +724,7 @@ def test_cli_report_rejects_an_imprimitive_root(tmp_path, capsys):
 
 def test_cli_report_sieves_the_primes_to_the_bound_once(config_path, monkeypatch):
     # the walk's table serves the prime counts and the odd-prime triples
-    from apollonian import arithmetic, quadruples, sieve
+    from apollonian import quadruples, sieve
 
     real = quadruples.prime_table
     sizes = []
@@ -719,7 +733,7 @@ def test_cli_report_sieves_the_primes_to_the_bound_once(config_path, monkeypatch
         sizes.append(vmax)
         return real(vmax)
 
-    for module in (quadruples, arithmetic, sieve):
+    for module in (quadruples, sieve):
         monkeypatch.setattr(module, "prime_table", counted)
     path, _ = config_path
     assert main(["report", "--config", path]) == 0

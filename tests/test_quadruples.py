@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from apollonian.quadruples import (
     SWAP_MATRICES,
     NotDescartesError,
+    WalkFaultError,
     apply_swap,
     descartes_form,
     embedding_for_root,
@@ -783,6 +784,36 @@ def test_twin_fold_matches_pi2_on_the_reference_edges(monkeypatch, piece, root, 
         assert (s.pi, s.pi2) == (np.count_nonzero(below), np.count_nonzero(below[i] & below[j])), s.bound
 
 
+JOIN = quadruples._join
+
+
+def faulty_join(parts):
+    """``quadruples._join`` with a fault: the joined piece takes its first
+    part's swap-block ends, not their sums, so a swap can repeat and give
+    back its parent, and the walk cycles."""
+    quads, _, flags = JOIN(parts)
+    return quads, list(parts[0][1]), flags
+
+
+@pytest.mark.parametrize("bound, piece", [(100, 7), (1000, 97)])
+def test_area_guard_stops_a_walk_that_repeats_swaps(monkeypatch, bound, piece):
+    # without the guard this walk never ends; pieces this small make
+    # _cut join parts at these bounds
+    monkeypatch.setattr(quadruples, "_join", faulty_join)
+    monkeypatch.setattr(quadruples, "PIECE", piece)
+    with pytest.raises(WalkFaultError, match=f"at most {bound**2 + 1} fit"):
+        enumerate_orbit(STANDARD, bound)
+
+
+@pytest.mark.parametrize("root", [*TEST_ROOTS, (-4, 5, 20, 21)])
+def test_area_guard_holds_on_valid_walks(root):
+    # at most (bound / a)**2 + 1 circles of curvature at most the bound fit
+    # in a bounded packing; the smallest bounds come closest
+    a = min(root)
+    for bound in [*range(-a, 400), 10**4, 10**5]:
+        assert enumerate_orbit(root, bound).circle_count <= bound**2 // a**2 + 1
+
+
 def test_walk_logs_each_generation(caplog):
     caplog.set_level(logging.DEBUG, logger="apollonian")
     orbit = enumerate_orbit(STANDARD, 2000, keep_quads=True)
@@ -836,3 +867,23 @@ def test_walk_traced_peak_stays_within_two_frontier_walk(case, root, bound, kw):
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * BLOCK_WALK_PEAKS[case], f"{peak / 1e6:.2f} MB"
+
+
+def test_walk_traced_peak_is_the_bytes_it_returns():
+    # the report's walk at T = 1e5 returns 104.7 MB.  Its results grow in
+    # place with at most an eighth of slack (1.125), and beside them the
+    # walk holds its frontier, which late in the walk, when the results are
+    # largest, is one piece of at most PIECE = 2**16 quads of 4 rows of 4
+    # int64 lanes, 8.4 MB or 0.08 of the returned bytes: a peak within 1.21
+    # of them, 1.25 with a margin.  The walk that joined per-generation quads
+    # and depths at the end and filtered its circles through a mask read 1.47
+    kw = FULL
+    enumerate_orbit(STANDARD, 100, **kw)  # first-use allocations
+    tracemalloc.start()
+    try:
+        orbit = enumerate_orbit(STANDARD, 100_000, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (orbit.curvatures, orbit.twins, orbit.quads, orbit.quad_depths, orbit.acc_rows))
+    assert peak <= 1.25 * returned, f"{peak / returned:.3f}"

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from apollonian import counting as ct
 from apollonian import geometry as geo
-from apollonian.arithmetic import prime_mask
 from apollonian.geometry import Circle
-from apollonian.quadruples import embedding_for_root, enumerate_orbit
+from apollonian.quadruples import embedding_for_root, enumerate_orbit, prime_table
 from apollonian.region import branch_alive, check_rect, meets
 
 from test_quadruples import _reference_walk
@@ -352,5 +351,5 @@ def test_pruned_walk_keeps_tangency_edges_between_tangent_circles():
     assert len(i) > len(b) and (product == -2).all()
     orbit = enumerate_orbit(STRIP, 2000, **kw)
     assert np.array_equal(orbit.acc_rows, ref["acc_rows"])
-    prime = prime_mask(np.abs(b))
+    prime = prime_table(2000)[np.abs(b)]
     assert int(orbit.twins.sum()) == np.count_nonzero(prime[i] & prime[j]) > 0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from apollonian import sieve as sv
 from apollonian.arithmetic import is_prime, is_squarefree
-from apollonian.quadruples import enumerate_orbit
+from apollonian.quadruples import enumerate_orbit, prime_table
 from conftest import STRIP_ROOT, STRIP_WINDOW
 
 SQUAREFREE_Q = [q for q in range(2, 256) if is_squarefree(q)]
@@ -157,12 +157,10 @@ def test_almost_prime_counts_match_direct_recount(series_coord, excluded):
 def test_prime_count_consistency_with_sieve(series_coord, std_orbit_1e4):
     """Sieving by all primes up to sqrt(max) leaves exactly the units and the
     primes above the cutoff."""
-    from apollonian import arithmetic as ar
-
     vals = np.abs(_values(series_coord))
     z = int(math.isqrt(int(vals.max()))) + 1
     s = sv.almost_prime_count(series_coord, z)
-    pm = ar.prime_mask(vals)
+    pm = prime_table(int(vals.max()))[vals]
     expected = int(((pm & (vals >= z)) | (vals <= 1)).sum())
     assert s == expected
 
