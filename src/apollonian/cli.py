@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arithmetic, congruence, counting, render, sieve
 from .config import ConfigError, RunConfig, load_config
-from .quadruples import WalkFaultError, embedding_for_root, enumerate_orbit, write_circles, write_orbit_dump
+from .quadruples import WalkFaultError, embedding_for_root, enumerate_orbit, is_primitive, write_circles, write_orbit_dump
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,12 +35,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed-check",
         action="store_true",
-        help="validate the configuration and the root's exact embedding, then exit",
+        help="run the configuration's and the command's checks and check the root's exact embedding, then exit",
     )
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
+        _check_command(args.command, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -70,6 +71,22 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
 
 
+def _check_command(command: str, cfg: RunConfig) -> None:
+    """The rules ``command`` adds to the walk's, which ``load_config`` has
+    checked; ConfigError before anything is made, under ``--seed-check``
+    too."""
+    if command == "render" and embedding_for_root(cfg.root) is None:
+        raise ConfigError(
+            f"no plane embedding known for root {cfg.root}; rendering needs one of the built-in embeddings"
+        )
+    if command == "report":
+        if cfg.bound < arithmetic.MIN_DENSITY_BOUND:  # the residues stage would fail
+            raise ConfigError(f"report needs bound >= {arithmetic.MIN_DENSITY_BOUND}; got {cfg.bound}")
+        # a common factor multiplies every curvature, so no circle is prime
+        if not is_primitive(cfg.root):
+            raise ConfigError(f"report needs a primitive root; the entries of {cfg.root} share a factor")
+
+
 def _seed_check(cfg: RunConfig) -> int:
     print(f"root {cfg.root}: Descartes residual 0")
     rows = embedding_for_root(cfg.root)
@@ -93,7 +110,7 @@ def _enumerate(cfg: RunConfig, *, twins: bool, keep_quads: bool):
         cfg.bound,
         twins=twins,
         keep_quads=keep_quads,
-        embedding="auto",
+        rows=True,
         region=cfg.window,
     )
 
@@ -112,14 +129,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_render(cfg: RunConfig) -> int:
-    if embedding_for_root(cfg.root) is None:
-        print(
-            f"error: no plane embedding known for root {cfg.root}; "
-            f"rendering needs one of the built-in embeddings",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    orbit = enumerate_orbit(cfg.root, int(cfg.render_bound), embedding="auto", region=cfg.window)
+    orbit = enumerate_orbit(cfg.root, int(cfg.render_bound), rows=True, region=cfg.window)
     path = os.path.join(cfg.out_dir, "packing.svg")
     render.write_svg(path, orbit.acc_rows, viewport=cfg.window)
     print(f"wrote {orbit.circle_count} circles to {path}")
@@ -148,12 +158,6 @@ def _stage(label: str, failures: list[str]):
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    if cfg.bound < arithmetic.MIN_DENSITY_BOUND:  # the residues stage would fail
-        raise ConfigError(f"report needs bound >= {arithmetic.MIN_DENSITY_BOUND}; got {cfg.bound}")
-    # a common factor multiplies every curvature, so no circle is prime
-    gcd = math.gcd(*cfg.root)
-    if gcd != 1:
-        raise ConfigError(f"report needs a primitive root; {cfg.root} has gcd {gcd}")
     failures: list[str] = []
     summary: list[str] = []
     out = cfg.out_dir

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .congruence import ELEMENT_CAP_DEFAULT, MAX_GROUP_MODULUS, MAX_ORBIT_MODULUS
-from .quadruples import MAX_BOUND, descartes_form, embedding_for_root, is_root, reduce_to_root
+from .quadruples import check_walk
 from .sieve import Selector, parse_selector
 
 
@@ -99,25 +99,13 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     root_vals = _parse_ints(cp["packing"].get("root", ""))
     if len(root_vals) != 4:
         raise ConfigError(f"root must have four integers, got {root_vals}")
-    root = tuple(root_vals)
-    q = descartes_form(root)
-    if q != 0:
-        raise ConfigError(f"root {root} fails the Descartes relation: Q = {q}")
-    if not is_root(root):
-        try:
-            hint = f"its root is {reduce_to_root(root)}"
-        except RuntimeError as exc:  # the reduction hit its swap cap
-            hint = str(exc)
-        raise ConfigError(f"{root} is not a root quadruple; {hint}")
-    if sum(x < 0 for x in root) > 1:
-        raise ConfigError(f"root {root} has more than one negative curvature; a packing has one bounding circle at most")
     bound = cp["packing"].getint("bound", fallback=10000)
-    # the walk needs a root circle within the bound and int64 headroom
-    lowest = max(1, min(abs(x) for x in root))
-    if not lowest <= bound <= MAX_BOUND:
-        raise ConfigError(
-            f"bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; got {bound}"
-        )
+    rect = cp["region"].get("window")
+    # the walk's own rules: a root, a bound that reaches it, a window it can
+    # test; a window of positive area is the command line's rule alone
+    root, bound, rect = check_walk(root_vals, bound, rect and tuple(_parse_floats(rect)))
+    if rect is not None and (rect[0] == rect[1] or rect[2] == rect[3]):
+        raise ConfigError(f"[region] window must have positive area; got {rect}")
 
     tmax = float(cp["grid"].get("t_max", bound))
     tmin = float(cp["grid"].get("t_min", min(10.0, tmax / 10.0)))
@@ -130,28 +118,6 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
     window = _fit_window("window", cp["fit"].get("window", f"{tmin} {tmax}"), tmin, tmax)
     alt_raw = cp["fit"].get("window_alt", "").strip()
     window_alt = _fit_window("window_alt", alt_raw, tmin, tmax) if alt_raw else None
-
-    rect = None
-    if "window" in cp["region"]:
-        raw = cp["region"]["window"]
-        rect = tuple(_parse_floats(raw))
-        if (
-            len(rect) != 4
-            or not all(map(math.isfinite, rect))
-            or rect[0] >= rect[1]
-            or rect[2] >= rect[3]
-        ):
-            raise ConfigError(f"region window must be xmin,xmax,ymin,ymax; got {raw}")
-        if embedding_for_root(root) is None:
-            raise ConfigError(
-                f"a region window needs a plane embedding, and root {root} has "
-                f"no built-in one"
-            )
-    elif any(x == 0 for x in root):
-        raise ConfigError(
-            "unbounded packing (zero curvature in root) requires a [region] "
-            "window = xmin,xmax,ymin,ymax"
-        )
 
     moduli = _parse_ints(cp["congruence"].get("moduli", "2 3 5 6 7 10"))
     if any(not 2 <= m <= MAX_GROUP_MODULUS for m in moduli):
@@ -187,12 +153,11 @@ def _build(cp: configparser.ConfigParser) -> RunConfig:
 
     # render enumerates the exact rows up to this bound, which, like the
     # [packing] bound, must reach a root circle
-    render_bound = float(cp["render"].get("bound", min(bound, max(lowest, 100))))
-    if not (math.isfinite(render_bound) and lowest <= render_bound <= MAX_BOUND):
-        raise ConfigError(
-            f"[render] bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; "
-            f"got {render_bound}"
-        )
+    render_bound = float(cp["render"].get("bound", min(bound, max(100, min(map(abs, root))))))
+    try:
+        check_walk(root, render_bound, rect)
+    except ValueError as exc:
+        raise ConfigError(f"[render] {exc}") from exc
 
     out_dir = cp["output"].get("dir", "out")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .region import branch_alive, check_rect, meets
+from .region import Rect, branch_alive, check_rect, meets
 
 Quad = tuple[int, int, int, int]
 
@@ -139,6 +139,38 @@ def is_root(v) -> bool:
     return all(max(apply_swap(cur, i)) >= m for i in (1, 2, 3, 4))
 
 
+def check_walk(root, bound, region=None) -> tuple[Quad, int, Rect | None]:
+    """What ``enumerate_orbit`` walks, and ``config`` accepts: the root,
+    bound and region as the walk takes them, or the ValueError (or
+    subclass) of the first rule they break."""
+    root = tuple(int(x) for x in root)
+    q = descartes_form(root)
+    if q != 0:
+        raise NotDescartesError(f"root {root} fails the Descartes relation: Q = {q}")
+    if not is_root(root):
+        try:
+            hint = f"its root is {reduce_to_root(root)}"
+        except RuntimeError as exc:  # the reduction hit its swap cap
+            hint = str(exc)
+        raise ValueError(f"{root} is not a root quadruple; {hint}")
+    if sum(x < 0 for x in root) > 1:
+        # every child would be negative and pass the bound: the walk would
+        # never end
+        raise ValueError(f"root {root} has more than one negative curvature; a packing has one bounding circle at most")
+    # a bound of at least 1 that reaches a root circle, with int64 headroom
+    lowest = max(1, min(abs(x) for x in root))
+    if not lowest <= bound <= MAX_BOUND:
+        error = OverflowBoundError if bound > MAX_BOUND else ValueError
+        raise error(f"bound must lie in [{lowest}, {MAX_BOUND}] for root {root}; got {bound}")
+    if region is not None:
+        region = check_rect(region)
+        if embedding_for_root(root) is None:
+            raise ValueError(f"a region window needs a plane embedding, and root {root} has no built-in one")
+    elif 0 in root:
+        raise ValueError(f"unbounded packing (zero curvature in root {root}): N(T) is infinite without a region window")
+    return root, int(bound), region
+
+
 @dataclass
 class PackingOrbit:
     """Circles of a packing enumerated up to a curvature bound.
@@ -213,7 +245,7 @@ def enumerate_orbit(
     *,
     twins: bool = False,
     keep_quads: bool = False,
-    embedding: str | None = None,
+    rows: bool = False,
     region: tuple[float, float, float, float] | None = None,
 ) -> PackingOrbit:
     """Breadth-first enumeration of all packing circles with |curvature| <= bound.
@@ -277,45 +309,20 @@ def enumerate_orbit(
     gives its depth, its width (the quads it made) and the quads made so
     far.
 
-    ``embedding`` may be "auto" (look up the exact integral embedding of the
-    root) or None.
+    ``rows`` walks the exact inversive rows of the root's built-in
+    embedding, when it has one, and its curvatures otherwise.
     ``region`` (xmin, xmax, ymin, ymax) keeps the circles whose curve meets
     the closed rectangle (``region.meets``, exact), tested once on each
     circle as it is made.  The walk visits only the quadruples whose swap's
     dual circle, which holds the whole branch, meets it
     (``region.branch_alive``), so ``quads`` and ``quad_count`` count those.
-    A region needs an embedding and is the only way to enumerate an
-    unbounded (strip) packing.
+    A region needs ``rows`` and is the only way to enumerate an unbounded
+    (strip) packing.  ``check_walk`` states what the walk accepts.
     """
-    root = tuple(int(x) for x in root)
-    q0 = descartes_form(root)
-    if q0 != 0:
-        raise NotDescartesError(f"root {root} has Q = {q0} != 0")
-    if not is_root(root):
-        raise ValueError(f"{root} is not a root quadruple; reduce_to_root it first")
-    if sum(x < 0 for x in root) > 1:
-        # every child would be negative and pass the bound: the walk would
-        # never end
-        raise ValueError(f"root {root} has more than one negative curvature; a packing has one bounding circle at most")
-    bound = int(bound)
-    if bound > MAX_BOUND:
-        raise OverflowBoundError(f"bound {bound} exceeds supported maximum {MAX_BOUND}")
-    if bound < min(abs(x) for x in root):
-        raise ValueError(f"bound {bound} is below every root curvature {root}")
-    if region is not None:
-        region = check_rect(region)
-
-    if embedding is None:
-        rows0 = None
-    elif isinstance(embedding, str) and embedding == "auto":
-        rows0 = embedding_for_root(root)
-    else:
-        raise ValueError(f"unknown embedding spec {embedding!r}")
-
-    if any(x == 0 for x in root) and region is None:
-        raise ValueError("unbounded packing (zero curvature entry): N(T) is infinite; pass region=...")
-    if region is not None and rows0 is None:
-        raise ValueError(f"region filtering needs a built-in embedding (embedding='auto'); root {root}")
+    root, bound, region = check_walk(root, bound, region)
+    if region is not None and not rows:
+        raise ValueError("a region is tested on exact rows; pass rows=True")
+    rows0 = embedding_for_root(root) if rows else None
 
     # the root circles, one row of lanes each; lane ``lane`` is the curvature
     if rows0 is None:

@@ -54,7 +54,7 @@ def test_criterion_2_dual_oracle_equivalence():
         (STRIP_ROOT, geo.strip_seed(), STRIP_WINDOW),
     ):
         go = geo.generate_packing_geometric(seed, 1000, region=region)
-        qo = enumerate_orbit(root, 1000, embedding="auto", region=region)
+        qo = enumerate_orbit(root, 1000, rows=True, region=region)
         gm = sorted(round(c.unsigned_curvature) for c in go)
         qm = sorted(abs(int(x)) for x in qo.curvatures)
         assert gm == qm, f"multiset mismatch for root {root}"

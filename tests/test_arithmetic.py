@@ -61,7 +61,7 @@ def test_tally_small_bounds():
 
 def test_tally_strip_one_period():
     orb = enumerate_orbit(
-        (0, 0, 1, 1), 1, embedding="auto", region=(0.0, 2.0, 0.0, 2.0)
+        (0, 0, 1, 1), 1, rows=True, region=(0.0, 2.0, 0.0, 2.0)
     )
     # the two lines carry curvature 0 and are not marked
     assert _multiset(orb) == {0: 2, 1: 2}

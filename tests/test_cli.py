@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import apollonian
 from apollonian.cli import main
 from apollonian.config import ConfigError, load_config
+from apollonian.quadruples import NotDescartesError, OverflowBoundError, enumerate_orbit
 
 BASE_CONFIG = """
 [packing]
@@ -85,23 +87,90 @@ def test_config_rejects_unreduced_root(tmp_path):
         load_config(path)
 
 
-def test_cli_bad_root_exit_code(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text("[packing]\nroot = 1, 1, 1, 1\n")
-    rc = main(["generate", "--config", str(path)])
-    assert rc == 2
-    assert "Q = -8" in capsys.readouterr().err
-
-
-def test_cli_root_too_far_to_reduce_exit_code(tmp_path, capsys):
+# inputs the walk rejects, with the message both doors give: ``main``
+# exits 2 for every command, its --seed-check included, and
+# ``enumerate_orbit`` raises the error class
+BAD_INPUTS = {
+    "not-descartes": (
+        (1, 1, 1, 1), 100, None, NotDescartesError,
+        "root (1, 1, 1, 1) fails the Descartes relation: Q = -8",
+    ),
+    "not-a-root": (
+        (15, 2, 2, 3), 100, None, ValueError,
+        "(15, 2, 2, 3) is not a root quadruple; its root is (-1, 2, 2, 3)",
+    ),
     # (0, 1, n^2, (n+1)^2) at n = 200,000 is over 100,000 swaps from its root
-    path = tmp_path / "far.ini"
-    path.write_text("[packing]\nroot = 0, 1, 40000000000, 40000400001\n")
-    rc = main(["generate", "--config", str(path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "is not a root quadruple" in err
-    assert "did not terminate after 100000 swaps" in err
+    "too-far-to-reduce": (
+        (0, 1, 40000000000, 40000400001), 100, None, ValueError,
+        "(0, 1, 40000000000, 40000400001) is not a root quadruple; "
+        "root reduction did not terminate after 100000 swaps",
+    ),
+    # a fixed point of the root reduction, but no packing's root; the bound
+    # is below every root curvature, so no walk starts even without the check
+    "two-negative": (
+        (-24, -12, -1, -1), 0, None, ValueError,
+        "root (-24, -12, -1, -1) has more than one negative curvature; "
+        "a packing has one bounding circle at most",
+    ),
+    "bound-above-max": (
+        (-1, 2, 2, 3), 200_000_000, None, OverflowBoundError,
+        "bound must lie in [1, 100000000] for root (-1, 2, 2, 3); got 200000000",
+    ),
+    "bound-below-root": (
+        (-2, 3, 6, 7), 1, None, ValueError,
+        "bound must lie in [2, 100000000] for root (-2, 3, 6, 7); got 1",
+    ),
+    "strip-without-window": (
+        (0, 0, 1, 1), 50, None, ValueError,
+        "unbounded packing (zero curvature in root (0, 0, 1, 1)): N(T) is infinite without a region window",
+    ),
+    "window-without-embedding": (
+        (-2, 3, 6, 7), 100, (-0.2, 0.2, -0.2, 0.2), ValueError,
+        "a region window needs a plane embedding, and root (-2, 3, 6, 7) has no built-in one",
+    ),
+    "inverted-window": (
+        (-1, 2, 2, 3), 100, (0.2, -0.2, -0.2, 0.2), ValueError,
+        "window needs finite xmin <= xmax and ymin <= ymax; got (0.2, -0.2, -0.2, 0.2)",
+    ),
+    "nan-window": (
+        (-1, 2, 2, 3), 100, (math.nan, 0.2, -0.2, 0.2), ValueError,
+        "window needs finite xmin <= xmax and ymin <= ymax; got (nan, 0.2, -0.2, 0.2)",
+    ),
+}
+
+
+def _write_run(tmp_path, root, bound, window=None):
+    """A run config of ``root``, ``bound`` and ``window`` (or none), and its
+    output directory."""
+    out = tmp_path / "o"
+    path = tmp_path / "run.ini"
+    region = "" if window is None else f"[region]\nwindow = {', '.join(map(repr, window))}\n"
+    path.write_text(
+        f"[packing]\nroot = {', '.join(map(str, root))}\nbound = {bound}\n{region}[output]\ndir = {out}\n"
+    )
+    return str(path), out
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("enumerated")
+
+
+@pytest.mark.parametrize("root, bound, window, error, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_inputs_fail_alike_through_main_and_the_walk(
+    tmp_path, capsys, monkeypatch, root, bound, window, error, message
+):
+    from apollonian import cli
+
+    path, out = _write_run(tmp_path, root, bound, window)
+    monkeypatch.setattr(cli, "enumerate_orbit", _never)
+    for command in ("generate", "report", "render"):
+        for seed_check in ([], ["--seed-check"]):
+            assert main([command, "--config", path, *seed_check]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    with pytest.raises(error) as err:
+        enumerate_orbit(root, bound, rows=True, region=window)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_cli_walk_fault_exit_code(tmp_path, capsys, monkeypatch):
@@ -118,14 +187,6 @@ def test_cli_walk_fault_exit_code(tmp_path, capsys, monkeypatch):
     assert not Path(tmp_path, "out", "circles.csv").exists()
 
 
-def test_cli_unbounded_without_region(tmp_path, capsys):
-    path = tmp_path / "strip.ini"
-    path.write_text("[packing]\nroot = 0, 0, 1, 1\nbound = 50\n")
-    rc = main(["generate", "--config", str(path)])
-    assert rc == 2
-    assert "region" in capsys.readouterr().err
-
-
 def test_cli_generate(config_path, capsys):
     path, out = config_path
     rc = main(["generate", "--config", path])
@@ -140,7 +201,7 @@ def test_cli_generate(config_path, capsys):
 
 
 def test_cli_generate_applies_window_to_bounded_root(tmp_path, capsys):
-    from apollonian.quadruples import enumerate_orbit, write_circles
+    from apollonian.quadruples import write_circles
 
     out = tmp_path / "o"
     path = tmp_path / "win.ini"
@@ -150,7 +211,7 @@ def test_cli_generate_applies_window_to_bounded_root(tmp_path, capsys):
     )
     assert main(["generate", "--config", str(path)]) == 0
     orbit = enumerate_orbit(
-        (-1, 2, 2, 3), 500, embedding="auto", region=(-0.2, 0.2, -0.2, 0.2)
+        (-1, 2, 2, 3), 500, rows=True, region=(-0.2, 0.2, -0.2, 0.2)
     )
     assert f"N_P(500) = {orbit.circle_count}\n" in capsys.readouterr().out
     assert orbit.circle_count < enumerate_orbit((-1, 2, 2, 3), 500).circle_count
@@ -164,6 +225,7 @@ def test_cli_generate_applies_window_to_bounded_root(tmp_path, capsys):
         ("-2, 3, 6, 7", "window = -0.2, 0.2, -0.2, 0.2"),  # no built-in embedding
         ("-1, 2, 2, 3", "e1 = -1, 0, -1, 1"),  # only window is read
         ("-1, 2, 2, 3", "window = 0, inf, 0, 1"),
+        ("-1, 2, 2, 3", "window = 0, 0, -1, 1"),  # legal in the library, no area
     ],
 )
 def test_cli_rejects_unusable_region(tmp_path, capsys, root, region):
@@ -205,8 +267,6 @@ def test_cli_render_deterministic(config_path):
     assert svg1 == svg2
     text = svg1.decode()
     orb_count = text.count("<circle")
-    from apollonian.quadruples import enumerate_orbit
-
     assert orb_count == enumerate_orbit((-1, 2, 2, 3), 50).circle_count
 
 
@@ -434,6 +494,51 @@ def test_cli_seed_check_without_an_embedding(tmp_path, capsys):
     )
 
 
+# each command's own rules, beyond the walk's: --seed-check exits 2 with the
+# command's message exactly when the command exits 2 before walking, and
+# neither makes the output directory
+COMMAND_RULES = [
+    ("report", (-1, 2, 2, 3), 10, "report needs bound >= 24; got 10"),
+    ("report", (-2, 4, 4, 6), 200, "report needs a primitive root; the entries of (-2, 4, 4, 6) share a factor"),
+    (
+        "render", (-2, 3, 6, 7), 100,
+        "no plane embedding known for root (-2, 3, 6, 7); rendering needs one of the built-in embeddings",
+    ),
+    ("report", (-2, 3, 6, 7), 100, None),
+    ("generate", (-1, 2, 2, 3), 10, None),
+    ("generate", (-2, 4, 4, 6), 200, None),
+    ("generate", (-2, 3, 6, 7), 100, None),
+    ("render", (-1, 2, 2, 3), 10, None),
+]
+
+
+class _Walked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, root, bound, message", COMMAND_RULES)
+def test_cli_seed_check_agrees_with_its_command(tmp_path, capsys, monkeypatch, command, root, bound, message):
+    from apollonian import cli
+
+    def walked(*args, **kwargs):
+        raise _Walked
+
+    path, out = _write_run(tmp_path, root, bound)
+    monkeypatch.setattr(cli, "enumerate_orbit", walked)
+    rc = main([command, "--config", path, "--seed-check"])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    if message is None:
+        assert (rc, err) == (0, "")
+        with pytest.raises(_Walked):
+            main([command, "--config", path])
+        return
+    assert (rc, err) == (2, f"error: {message}\n")
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_out_override(config_path, tmp_path):
     path, _ = config_path
     alt = tmp_path / "alt"
@@ -525,16 +630,13 @@ def test_readme_config_block_loads(tmp_path):
 def test_cli_report_rejects_bound_below_the_density_bound(tmp_path, capsys, monkeypatch):
     from apollonian import cli
 
-    def never(*args, **kwargs):
-        raise AssertionError("enumerated")
-
-    monkeypatch.setattr(cli, "enumerate_orbit", never)
+    monkeypatch.setattr(cli, "enumerate_orbit", _never)
     out = tmp_path / "o"
     path = tmp_path / "low.ini"
     path.write_text(f"[packing]\nroot = -1, 2, 2, 3\nbound = 20\n[output]\ndir = {out}\n")
     assert main(["report", "--config", str(path)]) == 2
     assert "report needs bound >= 24; got 20" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_report_records_failed_packing_constant(config_path, capsys, monkeypatch):
@@ -716,8 +818,10 @@ def test_cli_report_rejects_an_imprimitive_root(tmp_path, capsys):
     path = tmp_path / "run.ini"
     path.write_text(f"[packing]\nroot = -2, 4, 4, 6\nbound = 200\n\n[output]\ndir = {out}\n")
     assert main(["report", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: report needs a primitive root; (-2, 4, 4, 6) has gcd 2\n"
-    assert not any(out.iterdir())
+    assert capsys.readouterr().err == (
+        "error: report needs a primitive root; the entries of (-2, 4, 4, 6) share a factor\n"
+    )
+    assert not out.exists()
     assert main(["generate", "--config", str(path)]) == 0
     assert "N_P(200) = 169\n" in capsys.readouterr().out
 
@@ -774,8 +878,6 @@ def test_cli_report_below_first_decade(config_path, capsys):
     rc = main(["report", "--config", path])
     assert rc == 0, capsys.readouterr().err
     from apollonian import arithmetic
-    from apollonian.quadruples import enumerate_orbit
-
     orbit = enumerate_orbit((-1, 2, 2, 3), 50, twins=True)
     (s,) = arithmetic.prime_count_curve(orbit, [50])
     primes = Path(out, "primes.csv").read_text().splitlines()

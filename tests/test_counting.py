@@ -252,7 +252,7 @@ def test_box_counts_match_per_circle_reference_standard(std_orbit_1e4):
 
 
 def test_box_counts_match_per_circle_reference_strip():
-    rows = enumerate_orbit(STRIP_ROOT, 1000, embedding="auto", region=STRIP_WINDOW).acc_rows
+    rows = enumerate_orbit(STRIP_ROOT, 1000, rows=True, region=STRIP_WINDOW).acc_rows
     assert (rows[:, 1] == 0).sum() == 2
     eps = [2.0**-k for k in range(3, 9)]
     circles = geo.circles_from_rows(rows)

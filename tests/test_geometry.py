@@ -182,7 +182,7 @@ def test_geometric_vs_quadruple_oracle_standard(std_geo_1e3):
 def test_geometric_vs_quadruple_oracle_strip():
     window = (0.0, 2.0, 0.0, 2.0)
     go = geo.generate_packing_geometric(geo.strip_seed(), 1000, region=window)
-    qo = enumerate_orbit((0, 0, 1, 1), 1000, embedding="auto", region=window)
+    qo = enumerate_orbit((0, 0, 1, 1), 1000, rows=True, region=window)
     gm = sorted(round(c.unsigned_curvature) for c in go)
     qm = sorted(abs(int(x)) for x in qo.curvatures)
     assert gm == qm

@@ -165,11 +165,23 @@ def test_enumerate_rejects_non_root():
 
 
 def test_enumerate_unbounded_needs_region():
-    with pytest.raises(ValueError, match=r"pass region=\.\.\.$") as err:
+    with pytest.raises(ValueError, match="infinite without a region window$") as err:
         enumerate_orbit((0, 0, 1, 1), 10)
     assert "depth" not in str(err.value)
     with pytest.raises(TypeError, match="max_depth"):
         enumerate_orbit((0, 0, 1, 1), 10, max_depth=3)
+    # a bound is at least 1, also where a root curvature is 0
+    with pytest.raises(ValueError, match=r"^bound must lie in \[1, "):
+        enumerate_orbit((0, 0, 1, 1), 0, rows=True, region=(0.0, 2.0, 0.0, 2.0))
+
+
+def test_rows_walks_the_built_in_embedding_when_there_is_one():
+    assert enumerate_orbit(STANDARD, 100).acc_rows is None
+    rows = enumerate_orbit(STANDARD, 100, rows=True).acc_rows
+    assert rows.dtype == np.int64 and rows.shape == (enumerate_orbit(STANDARD, 100).circle_count, 4)
+    assert enumerate_orbit((-2, 3, 6, 7), 100, rows=True).acc_rows is None
+    with pytest.raises(ValueError, match=r"pass rows=True$"):
+        enumerate_orbit(STANDARD, 100, region=(-0.2, 0.2, -0.2, 0.2))
 
 
 def test_all_enumerated_quadruples_satisfy_form(std_orbit_1e4):
@@ -237,7 +249,7 @@ def test_tangency_edges_match_quadruple_cooccurrence():
 
 def test_strip_region_enumeration():
     orb = enumerate_orbit(
-        (0, 0, 1, 1), 1, embedding="auto", region=(0.0, 2.0, 0.0, 2.0)
+        (0, 0, 1, 1), 1, rows=True, region=(0.0, 2.0, 0.0, 2.0)
     )
     vals = sorted(int(abs(x)) for x in orb.curvatures)
     assert vals == [0, 0, 1, 1]
@@ -308,7 +320,7 @@ WRITER_CASES = [
 
 
 def _assert_writers_match_reference(tmp_path, root, bound, window):
-    orbit = enumerate_orbit(root, bound, keep_quads=True, embedding="auto", region=window)
+    orbit = enumerate_orbit(root, bound, keep_quads=True, rows=True, region=window)
     dump, circles = _per_row_outputs(orbit)
     assert write_orbit_dump(orbit, tmp_path / "orbit.txt") == orbit.quad_count
     write_circles(orbit, tmp_path / "circles.csv")
@@ -478,7 +490,7 @@ def test_any_decreasing_swap_choice_reaches_same_root(std_orbit_1e4):
 # --- the generation kernel against the per-swap reference walk ---
 
 
-def _reference_walk(root, bound, *, twins=False, keep_quads=False, embedding=None,
+def _reference_walk(root, bound, *, twins=False, keep_quads=False, rows=False,
                     region=None):
     """The former body of ``enumerate_orbit``: one masked pass over the
     frontier per swap index.  Takes validated arguments and returns the
@@ -487,7 +499,7 @@ def _reference_walk(root, bound, *, twins=False, keep_quads=False, embedding=Non
     each child with the three entries its swap kept, by circle id."""
     from apollonian.region import branch_alive, meets
 
-    rows0 = embedding_for_root(root) if embedding == "auto" else None
+    rows0 = embedding_for_root(root) if rows else None
     with_rows = rows0 is not None
     track_ids = twins
     circ_curv = [np.array(root, dtype=np.int64)]
@@ -633,7 +645,7 @@ def _assert_matches_reference(root, bound, **kw):
         assert np.array_equal(orbit.curvatures, orbit.acc_rows[:, 1])
 
 
-FULL = dict(twins=True, keep_quads=True, embedding="auto")
+FULL = dict(twins=True, keep_quads=True, rows=True)
 STRIP = (0, 0, 1, 1)
 
 # (id, root, bound, enumerate_orbit keywords)
@@ -681,7 +693,7 @@ def test_pieces_cut_inside_swap_blocks_match_per_swap_walk(monkeypatch, piece, r
 @settings(max_examples=60, deadline=None)
 def test_generation_kernel_matches_per_swap_walk_any_bound(root, bound):
     if bound < min(abs(x) for x in root):
-        with pytest.raises(ValueError, match="below every root curvature"):
+        with pytest.raises(ValueError, match=r"^bound must lie in \["):
             enumerate_orbit(root, bound)
         return
     _assert_matches_reference(root, bound, **FULL)
@@ -771,7 +783,7 @@ TWIN_THRESHOLDS = [1, 2, 3, 6, 10, 47, 100, 555, 1000, 1999, 2000, 7777, 10_000,
 @pytest.mark.parametrize("root, bound, window", TWIN_CASES)
 def test_twin_fold_matches_pi2_on_the_reference_edges(monkeypatch, piece, root, bound, window):
     monkeypatch.setattr(quadruples, "PIECE", piece)
-    kw = dict(twins=True, embedding="auto", region=window)
+    kw = dict(twins=True, rows=True, region=window)
     orbit = enumerate_orbit(root, bound, **kw)
     ref = _reference_walk(root, bound, **kw)
     u = np.abs(ref["curvatures"].astype(np.int64))
@@ -849,7 +861,7 @@ BLOCK_WALK_PEAKS = {
 @pytest.mark.parametrize(
     "case, root, bound, kw",
     [
-        pytest.param("rows-2e4", STANDARD, 20_000, dict(keep_quads=True, embedding="auto"), id="rows-2e4"),
+        pytest.param("rows-2e4", STANDARD, 20_000, dict(keep_quads=True, rows=True), id="rows-2e4"),
         pytest.param("report-2e4", STANDARD, 20_000, FULL, id="report-2e4"),
         # the exponent benchmark's roots at the bounds where each orbit holds
         # as many quads as the standard root's at T = 3e5

@@ -43,10 +43,10 @@ def _unrestricted(root, bound, rect):
     """Rows of every circle that can meet ``rect``: the whole orbit of a
     bounded root, or a strip orbit over a window 3 wider on each side."""
     if root == STANDARD:
-        return enumerate_orbit(root, bound, embedding="auto").acc_rows
+        return enumerate_orbit(root, bound, rows=True).acc_rows
     x0, x1, y0, y1 = rect
     wide = (x0 - 3, x1 + 3, y0 - 3, y1 + 3)
-    return enumerate_orbit(root, bound, embedding="auto", region=wide).acc_rows
+    return enumerate_orbit(root, bound, rows=True, region=wide).acc_rows
 
 
 def _scalar_reference(row, rect) -> tuple[bool, float]:
@@ -98,7 +98,7 @@ def test_meets_is_exact_on_integer_rows():
 
 def test_meets_empty_and_mixed_rows():
     assert meets(np.empty((0, 4), dtype=np.int64), (0, 1, 0, 1)).tolist() == []
-    strip = enumerate_orbit(STRIP, 1, embedding="auto", region=(0.0, 2.0, 0.0, 2.0))
+    strip = enumerate_orbit(STRIP, 1, rows=True, region=(0.0, 2.0, 0.0, 2.0))
     # both lines and both unit circles meet one period
     assert meets(strip.acc_rows, (0.0, 2.0, 0.0, 2.0)).all()
     assert meets(strip.acc_rows.astype(float), (0.0, 2.0, 0.0, 2.0)).all()
@@ -122,8 +122,8 @@ def test_meets_matches_scalar_reference(std_orbit_1e4, rect):
 @pytest.mark.parametrize("rect, exact", ROADMAP_RECTS)
 def test_three_paths_agree_on_roadmap_rectangles(rect, exact):
     bound = 2000
-    full = enumerate_orbit(STANDARD, bound, embedding="auto").acc_rows
-    assert enumerate_orbit(STANDARD, bound, embedding="auto", region=rect).circle_count == exact
+    full = enumerate_orbit(STANDARD, bound, rows=True).acc_rows
+    assert enumerate_orbit(STANDARD, bound, rows=True, region=rect).circle_count == exact
     assert ct.count_in_region(full, bound, rect) == exact
     # the float walk may decide circles on the boundary the other way
     walk = geo.generate_packing_geometric(geo.standard_seed(), bound, region=rect)
@@ -144,7 +144,7 @@ def test_three_paths_agree_on_roadmap_rectangles(rect, exact):
     + [(STRIP, window) for window in STRIP_WINDOWS],
 )
 def test_region_walk_equals_filtered_orbit(root, rect, bound):
-    orbit = enumerate_orbit(root, bound, embedding="auto", region=rect)
+    orbit = enumerate_orbit(root, bound, rows=True, region=rect)
     full = _unrestricted(root, bound, rect)
     assert _multiset(orbit.acc_rows) == _multiset(full[meets(full, rect)])
     if root == STRIP:
@@ -162,7 +162,7 @@ _dyadic = st.integers(min_value=-80, max_value=80).map(lambda k: k / 64)
 def test_pruning_never_drops_a_circle(root, corners):
     x0, x1, y0, y1 = corners
     rect = (min(x0, x1), max(x0, x1) + 1 / 64, min(y0, y1), max(y0, y1) + 1 / 64)
-    orbit = enumerate_orbit(root, 300, embedding="auto", region=rect)
+    orbit = enumerate_orbit(root, 300, rows=True, region=rect)
     full = _unrestricted(root, 300, rect)
     expected = _multiset(full[meets(full, rect)])
     assert _multiset(orbit.acc_rows) == expected
@@ -175,8 +175,8 @@ def test_pruning_never_drops_a_circle(root, corners):
 
 def test_window_walk_visits_a_tenth_of_the_orbit():
     rect = (-0.2, 0.2, -0.2, 0.2)
-    full = enumerate_orbit(STANDARD, 10**4, embedding="auto")
-    walk = enumerate_orbit(STANDARD, 10**4, embedding="auto", region=rect)
+    full = enumerate_orbit(STANDARD, 10**4, rows=True)
+    walk = enumerate_orbit(STANDARD, 10**4, rows=True, region=rect)
     assert walk.quad_count < full.quad_count / 10
     assert _multiset(walk.acc_rows) == _multiset(full.acc_rows[meets(full.acc_rows, rect)])
 
@@ -327,7 +327,7 @@ BAD_WINDOWS = {
 def test_bad_window_raises_on_both_routes(route, window):
     with pytest.raises(ValueError, match="window"):
         if route == "integer":
-            enumerate_orbit(STANDARD, 100, embedding="auto", region=window)
+            enumerate_orbit(STANDARD, 100, rows=True, region=window)
         else:
             geo.generate_packing_geometric(geo.standard_seed(), 100, region=window)
 
@@ -342,7 +342,7 @@ def test_pruned_walk_keeps_tangency_edges_between_tangent_circles():
     # tangent circles, and the walk's fold counts the prime pairs among them
     # (none to T = 300 in this window, two to T = 2000)
     window = (-0.3, 0.7, -0.1, 1.3)
-    kw = dict(twins=True, embedding="auto", region=window)
+    kw = dict(twins=True, rows=True, region=window)
     ref = _reference_walk(STRIP, 2000, **kw)
     a, b, wx, wy = ref["acc_rows"].T
     i, j = ref["edges"].T

@@ -226,7 +226,7 @@ MASS_SERIES = ["coord:4", "product:1:2", "strip coord:1", "hand coord", "hand pr
 
 @pytest.fixture(scope="module")
 def mass_series(std_orbit_1e4):
-    strip = enumerate_orbit(STRIP_ROOT, 300, keep_quads=True, embedding="auto", region=STRIP_WINDOW)
+    strip = enumerate_orbit(STRIP_ROOT, 300, keep_quads=True, rows=True, region=STRIP_WINDOW)
     series = {
         "coord:4": sv.build_series(std_orbit_1e4, ("coord", 4)),
         "product:1:2": sv.build_series(std_orbit_1e4, ("product", 1, 2)),

@@ -23,7 +23,7 @@ ROOTS = [(-1, 2, 2, 3), (-2, 3, 6, 7), (-4, 5, 20, 21)]
 # what each kind of walk keeps
 KINDS = {
     "curvatures": {},
-    "report": dict(twins=True, keep_quads=True, embedding="auto"),
+    "report": dict(twins=True, keep_quads=True, rows=True),
 }
 CASES = [
     *(("curvatures", root, bound) for bound in (300_000, 1_000_000) for root in ROOTS),
