@@ -12,6 +12,7 @@ operator exactly 4-regular.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -299,6 +300,13 @@ def _uniform_stream(n: int, stream: int) -> np.ndarray:
     return out
 
 
+def _norm(x: np.ndarray) -> float:
+    """The Euclidean norm of the 1-D float array, summed without BLAS:
+    ``np.linalg.norm`` calls a BLAS dot, which in a fresh process can wait
+    tens of milliseconds for a sleeping BLAS thread."""
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues (ascending) and unit eigenvectors (rows) of
     the symmetric operator ``op`` (a function x -> A x on float64 vectors),
@@ -320,7 +328,7 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     n = len(v0)
     m = min(_LANCZOS_BASIS, n)
     basis = np.empty((m + 1, n))
-    basis[0] = v0 / np.linalg.norm(v0)
+    basis[0] = v0 / _norm(v0)
     h = np.zeros((m, m))  # basis[:m] A basis[:m]^T
     fresh = 0
     kept = 0
@@ -337,14 +345,14 @@ def _top_eigenpairs(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
             w -= c @ basis[: i + 1]
             coef += c
             h[: i + 1, i] = h[i, : i + 1] = coef
-            beta = float(np.linalg.norm(w))
+            beta = _norm(w)
             if i + 1 < m and not beta > _LANCZOS_TOL * np.abs(h[: i + 1, : i + 1]).max():
                 # an invariant subspace: go on from a fresh direction
                 fresh += 1
                 beta, w = 0.0, _uniform_stream(n, fresh)
                 for _ in range(2):
                     w -= (basis[: i + 1] @ w) @ basis[: i + 1]
-                w /= np.linalg.norm(w)
+                w /= _norm(w)
             elif beta > 0:
                 w /= beta
             basis[i + 1] = w
@@ -457,11 +465,11 @@ def spectrum(g: CayleyGraph) -> SpectralReport:
             # |B^T u| = s, so for s ~ 0 the eigenvector is (u, 0):
             # dividing rounding noise by s would not give it
             v[cols] = sign * bt(u) / s if s > _EIGEN_TOL else 0.0
-            return v / np.linalg.norm(v)
+            return v / _norm(v)
 
         pairs = [(-s0, lift(u0, s0, -1)), (s1, lift(u1, s1, 1)), (s0, lift(u0, s0, 1))]
     for lam, vec in pairs:
-        resid = float(np.linalg.norm(adjacency(vec) - lam * vec))
+        resid = _norm(adjacency(vec) - lam * vec)
         # written so that a NaN residual fails too
         if not resid <= _EIGEN_TOL * max(1.0, abs(lam)) * np.sqrt(n):
             raise EigenConvergenceError(f"eigen residual {resid:.2e} above tolerance")

@@ -2,11 +2,15 @@
 test suite.
 
 For each config, runs the report in a fresh subprocess and prints, per
-stage, its wall time, the subprocess's ``ru_maxrss`` when the stage starts
-and when it ends, and the tracemalloc peak while it ran (of all traced memory, the
-orbit included).  The stages are the report's own
-(``counts/fit``, ``primes``, ``residues``, ``spectral q=...``, ``sieve
-...``, ``boxcount``, ...) plus ``enumerate``, the orbit walk before them.
+stage, its wall time, its CPU time (``ru_utime + ru_stime`` of the
+subprocess, all threads), the subprocess's ``ru_maxrss`` when the stage
+starts and when it ends, and the tracemalloc peak while it ran (of all
+traced memory, the orbit included).  A stage that waits on a sleeping BLAS
+thread shows a high wall time with CPU time close to it; one beside a
+spinning BLAS thread shows about twice its wall time in CPU time.  The
+stages are the report's own (``counts/fit``, ``primes``, ``residues``,
+``spectral q=...``, ``sieve ...``, ``boxcount``, ...) plus ``enumerate``,
+the orbit walk before them.
 The subprocess reports twice: untraced first, for wall times and
 ``ru_maxrss``, then under tracemalloc, for the peaks.  Outputs go to a temporary directory.
 
@@ -71,11 +75,17 @@ def _rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, float, float, float]]:
+def _cpu_s() -> float:
+    """User and system CPU time of this process, all threads, in s."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, float, float, float, float]]:
     """One report in this process: (stage, ru_maxrss at start and at end in
-    MB, tracemalloc peak in MB, 0 when untraced, wall time in s) in the
-    order the stages end.  A stage nested in another counts toward both
-    peaks and both times."""
+    MB, tracemalloc peak in MB, 0 when untraced, wall time in s, CPU time
+    in s) in the order the stages end.  A stage nested in another counts
+    toward both peaks and all its times."""
     from apollonian import cli
 
     rows = []
@@ -95,14 +105,16 @@ def run_report(config: str, out: str, traced: bool) -> list[tuple[str, float, fl
         entry = [0]
         open_peaks.append(entry)
         start = _rss_mb()
+        c0 = _cpu_s()
         t0 = time.perf_counter()
         try:
             yield
         finally:
             wall = time.perf_counter() - t0
+            cpu = _cpu_s() - c0
             fold()
             open_peaks.remove(entry)
-            rows.append((label, start, _rss_mb(), entry[0] / 1e6, wall))
+            rows.append((label, start, _rss_mb(), entry[0] / 1e6, wall, cpu))
 
     real_stage, real_enumerate = cli._stage, cli._enumerate
 
@@ -164,8 +176,9 @@ def summary(config: str, runs: list[dict]) -> str:
         start = statistics.median(row[1] for row in rows)
         end = statistics.median(row[2] for row in rows)
         traced_peak = statistics.median(row[3] for row in traced)
+        cpu = statistics.median(row[5] for row in rows)
         lines.append(
-            f"  {label:<24} {timing([row[4] for row in rows])}"
+            f"  {label:<24} {timing([row[4] for row in rows])}   cpu {cpu:6.3f} s"
             f"   ru_maxrss {start:7.1f} -> {end:7.1f} MB   traced peak {traced_peak:7.1f} MB"
         )
     return "\n".join(lines)

@@ -269,6 +269,32 @@ def test_spectrum_lambda1_at_q5_and_q7(q, lam1):
     assert rep.lambda1 == pytest.approx(lam1, abs=1e-10)
 
 
+def test_spectrum_needs_no_linalg_norm(monkeypatch):
+    # np.linalg.norm calls a BLAS dot, which in a fresh process can wait on
+    # a sleeping BLAS thread; the spectra sum their norms without it: the
+    # general path at q = 5, the bipartite lift, and a fresh direction
+    g5 = cg.build_cayley(cg.reduce_group_mod(5))
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm was called")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert cg.spectrum(g5).lambda1 == pytest.approx(3.854101966249686, abs=1e-10)
+    lam = circulant_spectrum(40, (1, 3))
+    rep = cg.spectrum(circulant(40, (1, 3)))
+    assert (rep.lambda1, rep.lambda_min) == (pytest.approx(lam[-2], abs=1e-9), pytest.approx(-4.0, abs=1e-9))
+    d = np.ones(100)
+    d[:2] = 5.0
+    vals, _ = cg._top_eigenpairs(lambda x: d * x, np.eye(100)[0], 2)
+    assert vals == pytest.approx([5.0, 5.0], abs=1e-10)
+
+
+def test_norm_matches_linalg_norm():
+    x = np.random.default_rng(2).standard_normal(1000)
+    assert cg._norm(x) == pytest.approx(float(np.linalg.norm(x)), rel=1e-14)
+    assert cg._norm(np.zeros(3)) == 0.0
+
+
 def test_lanczos_restarts_import_no_numpy_random():
     # the invariant start above and K_{20,20} (B B^T of rank one) both go
     # on from fresh directions; a fresh interpreter, so that numpy.random

@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apollonian import counting as ct
 from apollonian import geometry as geo
 from apollonian.geometry import Circle
 from apollonian.quadruples import MAX_BOUND, enumerate_orbit
-from apollonian.region import meets
-from conftest import STRIP_ROOT, STRIP_WINDOW
+from apollonian.region import LINE_EPS, meets
+from conftest import STANDARD_ROOT, STRIP_ROOT, STRIP_WINDOW
 
 
 def test_count_by_curvature_small():
@@ -303,14 +305,20 @@ def test_box_counts_in_sample_chunks_match_one_shot(monkeypatch, std_orbit_1e4, 
     eps = [2.0 ** (2 - k), 2.0 ** (1 - k), 2.0**-k]
     monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", 1 << 62)
     one_shot = ct.box_counts(rows, eps)
-    whole = list(ct._sample_cells(cx, cy, r, eps[-1]))
+    whole = list(ct._sample_cells(ct._rounds(cx, cy, r), eps[-1]))
     monkeypatch.setattr(ct, "_SAMPLES_PER_CHUNK", chunk)
-    parts = list(ct._sample_cells(cx, cy, r, eps[-1]))
+    parts = list(ct._sample_cells(ct._rounds(cx, cy, r), eps[-1]))
     assert len(whole) == 1 and len(parts) > 3
-    assert all(ix.size == chunk for ix, _ in parts[:-1])
-    assert 0 < parts[-1][0].size <= chunk
-    for axis in (0, 1):
-        assert np.array_equal(np.concatenate([p[axis] for p in parts]), whole[0][axis])
+    # the table is made a chunk of rows at a time, so the samples come in
+    # another order, each chunk at most a chunk long
+    assert all(0 < ix.size <= chunk for ix, _ in parts)
+    assert sum(ix.size for ix, _ in parts) == whole[0][0].size
+
+    def cells(chunks):
+        ix, iy = (np.concatenate([p[axis] for p in chunks]) for axis in (0, 1))
+        return np.sort(ix * (1 << 32) + iy)
+
+    assert np.array_equal(cells(parts), cells(whole))
     assert ct.box_counts(rows, eps).tolist() == one_shot.tolist()
 
 
@@ -403,6 +411,12 @@ def test_box_counts_memory_follows_one_chunk_and_the_occupied_boxes(monkeypatch,
         assert peak < bound, eps
 
 
+def count_cells(chunks, x0, y0, width, height):
+    """Distinct cells among the (ix, iy) chunks, inside the rectangle of
+    ``width`` x ``height`` cells at (x0, y0), as ``box_counts`` counts them."""
+    return ct._occupied(ct._mark_keys((ct._row_major(ix, iy, x0, y0, width) for ix, iy in chunks), width, height))
+
+
 @pytest.mark.parametrize("band_cells", [1 << 22, 250, 99, 1])
 def test_count_cells_matches_a_set(monkeypatch, band_cells):
     # a rectangle of 100 x 12 cells, or a larger one around it: a boolean
@@ -418,9 +432,9 @@ def test_count_cells_matches_a_set(monkeypatch, band_cells):
     parts.append((parts[0][0][::-1].copy(), parts[0][1][::-1].copy()))
     cells = {(int(x), int(y)) for ix, iy in parts for x, y in zip(ix, iy)}
     for x0, y0, width, height in ((-60, -9, 100, 12), (-70, -12, 130, 19)):
-        assert ct._count_cells(iter(parts), x0, y0, width, height) == len(cells)
-        assert ct._count_cells(((ix[:0], iy[:0]) for ix, iy in parts), x0, y0, width, height) == 0
-        assert ct._count_cells(iter([]), x0, y0, width, height) == 0
+        assert count_cells(iter(parts), x0, y0, width, height) == len(cells)
+        assert count_cells(((ix[:0], iy[:0]) for ix, iy in parts), x0, y0, width, height) == 0
+        assert count_cells(iter([]), x0, y0, width, height) == 0
 
 
 def test_count_cells_holds_the_union_not_every_chunk(monkeypatch):
@@ -434,12 +448,214 @@ def test_count_cells_holds_the_union_not_every_chunk(monkeypatch):
     chunks = ((ix[: 1000 + 10 * k][::-1].copy(), iy[: 1000 + 10 * k][::-1].copy()) for k in range(401))
     tracemalloc.start()
     try:
-        count = ct._count_cells(chunks, -3000, -2000, 6000, 4000)
+        count = count_cells(chunks, -3000, -2000, 6000, 4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert count == len(cells)
     assert peak < 1 << 20
+
+
+def reference_box_counts(rows, eps_grid, viewport=None):
+    """``counting.box_counts`` as it was before the box sizes shared one
+    finest-level pass, the reference for the tests below: at each box size
+    every circle is binned again, the circles with r <= eps/2 by their
+    bounding boxes and the others by their samples, each sample's cosine
+    and sine computed on its own.  The cells are counted in one ``np.unique``
+    of their keys, not in chunks."""
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    rows = np.asarray(rows).reshape(-1, 4)
+    lines = np.abs(rows[:, 1]) < LINE_EPS
+    line_rows = rows[lines].astype(float) if viewport is not None else np.empty((0, 4))
+    b = rows[~lines, 1].astype(float)
+    cx, cy, r = rows[~lines, 2] / b, rows[~lines, 3] / b, 1.0 / np.abs(b)
+    bounds = [
+        (cx - r).min(initial=math.inf),
+        (cx + r).max(initial=-math.inf),
+        (cy - r).min(initial=math.inf),
+        (cy + r).max(initial=-math.inf),
+    ]
+    if line_rows.size:
+        x0, x1, y0, y1 = viewport
+        bounds = [min(bounds[0], x0), max(bounds[1], x1), min(bounds[2], y0), max(bounds[3], y1)]
+    out = []
+    for eps in eps_grid:
+        if not (r.size or line_rows.size):
+            out.append(0)
+            continue
+        cells = []
+        small = r <= eps / 2.0
+        # bounding boxes, clamped to 2 x 2 cells
+        lox = np.floor((cx[small] - r[small]) / eps).astype(np.int64)
+        loy = np.floor((cy[small] - r[small]) / eps).astype(np.int64)
+        hix = np.minimum(np.floor((cx[small] + r[small]) / eps).astype(np.int64), lox + 1)
+        hiy = np.minimum(np.floor((cy[small] + r[small]) / eps).astype(np.int64), loy + 1)
+        cells += [(lox, loy), (hix, loy), (lox, hiy), (hix, hiy)]
+        # samples j * (2 pi / n), n = max(8, ceil(2 pi r / (eps / 3)))
+        n = np.maximum(8, np.ceil(2 * math.pi * r[~small] / (eps / 3.0)).astype(np.int64))
+        owner = np.repeat(np.arange(n.size), n)
+        first = np.cumsum(n) - n
+        th = (np.arange(int(n.sum())) - first[owner]) * (2 * math.pi / n[owner])
+        xs = cx[~small][owner] + r[~small][owner] * np.cos(th)
+        ys = cy[~small][owner] + r[~small][owner] * np.sin(th)
+        cells.append((np.floor(xs / eps).astype(np.int64), np.floor(ys / eps).astype(np.int64)))
+        if line_rows.size:
+            x0, x1, y0, y1 = viewport
+            ts = np.arange(-math.hypot(x1 - x0, y1 - y0), math.hypot(x1 - x0, y1 - y0), eps / 3.0)
+            for a, _, nx, ny in line_rows:
+                xs = a / 2.0 * nx - ts * ny
+                ys = a / 2.0 * ny + ts * nx
+                inside = (xs >= x0) & (xs <= x1) & (ys >= y0) & (ys <= y1)
+                cells.append((np.floor(xs[inside] / eps).astype(np.int64), np.floor(ys[inside] / eps).astype(np.int64)))
+        fx0, fx1, fy0 = (math.floor(v / eps) for v in bounds[:3])
+        width = fx1 - fx0 + 1
+        keys = np.sort(np.concatenate([(iy - fy0) * width + (ix - fx0) for ix, iy in cells]))
+        out.append(int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1])))
+    return out
+
+
+DEFAULT_EPS = [2.0**-k for k in range(4, 10)]
+
+
+@pytest.fixture(scope="module")
+def std_rows_1e5():
+    return enumerate_orbit(STANDARD_ROOT, 10**5, rows=True).acc_rows
+
+
+@pytest.mark.parametrize("bound", [30, 1000])
+def test_box_counts_match_reference_on_the_standard_root(bound):
+    rows = enumerate_orbit(STANDARD_ROOT, bound, rows=True).acc_rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        assert ct.box_counts(rows, DEFAULT_EPS).tolist() == reference_box_counts(rows, DEFAULT_EPS)
+
+
+def test_box_counts_match_reference_at_1e4(std_orbit_1e4):
+    rows = std_orbit_1e4.acc_rows
+    assert ct.box_counts(rows, DEFAULT_EPS).tolist() == reference_box_counts(rows, DEFAULT_EPS)
+
+
+def test_box_counts_match_reference_at_1e5(std_rows_1e5):
+    assert ct.box_counts(std_rows_1e5, DEFAULT_EPS).tolist() == reference_box_counts(std_rows_1e5, DEFAULT_EPS)
+
+
+@pytest.mark.parametrize("window", [(0.1, 0.3, 0.3, 0.5), (-0.2, 0.2, -0.2, 0.2)])
+def test_box_counts_match_reference_in_windows(window):
+    rows = enumerate_orbit(STANDARD_ROOT, 10**4, rows=True, region=window).acc_rows
+    for viewport in (window, None):
+        assert ct.box_counts(rows, DEFAULT_EPS, viewport).tolist() == reference_box_counts(rows, DEFAULT_EPS, viewport)
+
+
+def test_box_counts_match_reference_on_the_strip():
+    rows = enumerate_orbit(STRIP_ROOT, 3000, rows=True, region=STRIP_WINDOW).acc_rows
+    assert (rows[:, 1] == 0).sum() == 2
+    for viewport in (STRIP_WINDOW, None):
+        counts = ct.box_counts(rows, DEFAULT_EPS, viewport).tolist()
+        assert counts == reference_box_counts(rows, DEFAULT_EPS, viewport)
+
+
+def test_box_counts_match_reference_above_the_band(monkeypatch):
+    rows = enumerate_orbit(STANDARD_ROOT, 1000, rows=True).acc_rows
+    # at 2^-14 the rectangle of [-1, 1]^2 is 32769^2 cells: sorted keys at
+    # every size of this grid
+    eps = [2.0**-14, 2.0**-13, 2.0**-11]
+    assert 32769**2 > ct._BOX_BAND_CELLS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        assert ct.box_counts(rows, eps).tolist() == reference_box_counts(rows, eps)
+    # sorted keys at 2^-9 .. 2^-6 (from 1056^2 down to 264^2 cells), maps
+    # at 2^-5 and 2^-4, which mark the shifted keys
+    monkeypatch.setattr(ct, "_BOX_BAND_CELLS", 1 << 16)
+    assert ct.box_counts(rows, DEFAULT_EPS).tolist() == reference_box_counts(rows, DEFAULT_EPS)
+
+
+def test_box_size_chains():
+    assert ct._chains(np.array([2.0**-k for k in (4, 9, 5, 9, 0)])) == [
+        (2.0**-9, {0: [1, 3], 4: [2], 5: [0], 9: [4]})
+    ]
+    # 0.15 * 2 == 0.3 exactly; 0.1 is no power of two from either
+    assert ct._chains(np.array([0.3, 0.15, 0.1])) == [(0.1, {0: [2]}), (0.15, {0: [1], 1: [0]})]
+
+
+@pytest.fixture(scope="module")
+def std_rows_30():
+    return enumerate_orbit(STANDARD_ROOT, 30, rows=True).acc_rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sizes=st.lists(
+        st.tuples(st.sampled_from([1.0, 0.3, 0.15, 0.1, 0.75]), st.integers(0, 14)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_box_counts_match_reference_on_grids_of_exponents(std_rows_30, sizes):
+    # the config's exponents 0 .. 14, as powers of two, repeats, and
+    # chains of other bases side by side; few circles, as at 0.1 * 2^-14
+    # the largest alone holds 3e6 samples
+    eps = [base * 2.0**-k for base, k in sizes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        assert ct.box_counts(std_rows_30, eps).tolist() == reference_box_counts(std_rows_30, eps)
+
+
+def test_box_counts_where_the_clamp_binds():
+    # r = 0.15 at cx = -14.55: by rounding, floor((cx + r)/0.3) exceeds
+    # floor((cx - r)/0.3) by 2, so the clamp cuts the box at 0.3 to columns
+    # -50 and -49 (rows 0 and 1).  Shifted, those make column -25 alone at
+    # 0.6 and -13 at 1.2, but the box is columns -25 and -24 at 0.6, and -13
+    # and -12 at 1.2.  A small circle in cell (-48, 1) at 0.3 marks a cell
+    # that the box would take without the clamp
+    b, bx = 2 / 0.3, -97.00000000000001
+    cut = [0.0, b, bx, 0.4 * b]
+    cx, r = bx / b, 1 / b
+    assert r <= 0.3 / 2
+    assert [math.floor((cx + d) / 0.3) for d in (-r, r)] == [-50, -48]
+    assert [math.floor((cx + d) / 0.6) for d in (-r, r)] == [-25, -24]
+    small = Circle.from_center_radius((-14.25, 0.4), 0.01).vector()
+    eps = [0.3, 0.6, 1.2]
+    assert ct._chains(np.array(eps)) == [(0.3, {0: [0], 1: [1], 2: [2]})]
+    # from 0.15 on, the circle is sampled at the finest size, and its box
+    # is first made, and cut, at 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ct.ResolutionWarning)
+        for rows, counts in (([cut], [4, 2, 2]), ([cut, small], [5, 2, 2])):
+            rows = np.array(rows)
+            assert ct.box_counts(rows, eps).tolist() == reference_box_counts(rows, eps) == counts
+            finer = ct.box_counts(rows, [0.15, *eps]).tolist()
+            assert finer == reference_box_counts(rows, [0.15, *eps])
+            assert finer[1:] == counts
+
+
+def test_box_counts_traced_peak_does_not_grow_with_the_rows(std_orbit_1e4, std_rows_1e5):
+    # the per-size code held the centres, radii and row indices of every
+    # circle: a traced peak of 4.0-4.2 MB at T = 1e4 and 44-46 MB at 1e5;
+    # now one chunk of rows, the finest map and the circles sampled at it
+    peaks = []
+    for rows in (std_orbit_1e4.acc_rows, std_rows_1e5):
+        tracemalloc.start()
+        try:
+            ct.box_counts(rows, DEFAULT_EPS)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4_000_000
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+@pytest.mark.parametrize("eps", [[math.nan], [0.1, math.inf], [2.0**-4, 0.0], [-0.5], []])
+def test_box_counts_reject_sizes_they_cannot_use(eps):
+    rows = geo._rows([Circle.from_center_radius((0, 0), 1.0)])
+    with pytest.raises(ValueError, match="box siz"):
+        ct.box_counts(rows, eps)
+
+
+@pytest.mark.parametrize("eps, named", [([0.1, math.inf], "inf"), ([math.nan, 0.1], "nan"), ([0.1, -0.2], "-0.2")])
+def test_boxcount_dimension_rejects_sizes_it_cannot_use(eps, named):
+    rows = geo._rows([Circle.from_center_radius((0, 0), 1.0)])
+    with pytest.raises(ValueError, match=named):
+        ct.boxcount_dimension(rows, eps)
 
 
 def _gap_curvatures(bound):
